@@ -18,21 +18,13 @@ from .analysis import (
     fair_sampling_monitor,
     oracle_corr_bbm92,
     oracle_corr_ekert,
+    oracle_corr_honest,
     oracle_eta,
     oracle_eta_conditional,
     oracle_weak_detection_prob,
     weak_side_detection_rate,
 )
-from .optics import (
-    DetectorStation,
-    Outcome,
-    Pulse,
-    canon_angle,
-    malus_split,
-    measure_pulse,
-    threshold_click,
-    wrap_diff,
-)
+from .optics import Outcome, canon_angle, wrap_diff
 from .protocol import (
     BBM92_SETTINGS,
     CHSH_QUAD,
@@ -42,7 +34,6 @@ from .protocol import (
     EKERT_BOB_SETTINGS,
     ProtocolConfig,
     ProtocolKind,
-    RoundRecord,
     SessionRecords,
     SiftedKey,
     chsh_score,
@@ -57,16 +48,10 @@ from .protocol import (
 )
 from .sources import (
     DEFAULT_ALPHA,
-    EmittedRound,
     ScenarioConfig,
     ScenarioKind,
     WeakSide,
     WeakSidePolicy,
-    emit_double_blind_bbm92,
-    emit_double_blind_ekert,
-    emit_honest_singlet,
-    emit_single_blinding,
-    eve_predict,
     weak_intensity,
 )
 
@@ -78,18 +63,14 @@ __all__ = [
     "ChshResult",
     "CorrelationEstimate",
     "DEFAULT_ALPHA",
-    "DetectorStation",
     "EKERT_ALICE_SETTINGS",
     "EKERT_BOB_SETTINGS",
     "EfficiencyReport",
-    "EmittedRound",
     "FairSamplingReport",
     "Outcome",
     "ProtocolConfig",
     "ProtocolKind",
-    "Pulse",
     "QUANTUM_CHSH_MAX",
-    "RoundRecord",
     "ScenarioConfig",
     "ScenarioKind",
     "SessionRecords",
@@ -103,26 +84,19 @@ __all__ = [
     "chsh_select",
     "chsh_value",
     "correlation_estimate",
-    "emit_double_blind_bbm92",
-    "emit_double_blind_ekert",
-    "emit_honest_singlet",
-    "emit_single_blinding",
     "estimate_efficiencies",
     "eve_knowledge_audit",
     "eve_prediction_report",
-    "eve_predict",
     "fair_sampling_monitor",
-    "malus_split",
-    "measure_pulse",
     "oracle_corr_bbm92",
     "oracle_corr_ekert",
+    "oracle_corr_honest",
     "oracle_eta",
     "oracle_eta_conditional",
     "oracle_weak_detection_prob",
     "public_rounds",
     "run_session",
     "sift_bbm92",
-    "threshold_click",
     "weak_intensity",
     "weak_side_detection_rate",
     "wrap_diff",

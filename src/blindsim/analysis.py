@@ -2,7 +2,8 @@
 
 The oracle_* functions are the independent targets the Monte-Carlo engine
 is tested against; they are evaluated straight from the model geometry and
-never share code with the simulator. The chsh_bound_* functions give the
+never share code with the simulator; oracle_block collects them into the
+expected values a session summary reports. The chsh_bound_* functions give the
 largest CHSH value a local model exploiting undetected rounds can fake at
 a given efficiency, which is what makes the weak-pulse attack's operating
 point interesting: its efficiencies sit exactly on both thresholds.
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .protocol import public_rounds
-from .sources import WeakSide
+from .optics import wrap_diff
+from .protocol import CHSH_QUAD, ProtocolKind, chsh_value, public_rounds
+from .sources import DOUBLE_BLIND_KINDS, ScenarioConfig, ScenarioKind, WeakSide
 
 QUANTUM_CHSH_MAX = 2.0 * math.sqrt(2.0)
 
@@ -47,6 +49,19 @@ def oracle_corr_bbm92(delta: float) -> float:
     """
     d = _check_delta(delta)
     return -1.0 + (4.0 / math.pi) * abs(d)
+
+
+def oracle_corr_honest(delta: float, depolarize_prob: float) -> float:
+    """Correlation of genuine singlet pairs at analyzer offset delta.
+
+    -(1 - p) cos 2 delta: the singlet cosine law, shrunk by the probability
+    p that a pair is replaced by two independent fair coins.
+    """
+    d = _check_delta(delta)
+    p = float(depolarize_prob)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarize_prob must lie in [0, 1], got {depolarize_prob}")
+    return -(1.0 - p) * math.cos(2.0 * d)
 
 
 def oracle_corr_ekert(delta: float, alpha: float) -> float:
@@ -80,13 +95,78 @@ def oracle_eta_conditional(alpha: float) -> float:
     return oracle_weak_detection_prob(alpha) / oracle_eta(alpha)
 
 
+def oracle_corr_fn(scenario: ScenarioConfig):
+    """Closed-form correlation vs analyzer offset for the scenario, or None."""
+    kind = scenario.kind
+    if kind is ScenarioKind.DOUBLE_BLIND_BBM92:
+        return oracle_corr_bbm92
+    if kind is ScenarioKind.DOUBLE_BLIND_EKERT:
+        return lambda d: oracle_corr_ekert(d, scenario.alpha)
+    if kind is ScenarioKind.HONEST_SINGLET:
+        return lambda d: oracle_corr_honest(d, scenario.depolarize_prob)
+    return None
+
+
+def oracle_block(records) -> dict:
+    """Expected values for the configured parameters, per scenario."""
+    pc, sc = records.protocol, records.scenario
+    corr_fn = oracle_corr_fn(sc)
+    block: dict = {}
+
+    if sc.kind is ScenarioKind.DOUBLE_BLIND_EKERT:
+        block["alpha"] = sc.alpha
+        block["weak_detection_prob"] = oracle_weak_detection_prob(sc.alpha)
+        block["eta"] = oracle_eta(sc.alpha)
+        block["eta_21"] = oracle_eta_conditional(sc.alpha)
+    elif sc.kind is ScenarioKind.SINGLE_BLINDING:
+        block["rate_a"] = 1.0
+        block["rate_b"] = 0.5
+    else:
+        block["eta"] = 1.0
+        block["eta_21"] = 1.0
+
+    if corr_fn is not None:
+        block["corr_pairs"] = [
+            {
+                "theta_a": a,
+                "theta_b": b,
+                "delta": wrap_diff(b - a),
+                "value": corr_fn(wrap_diff(b - a)),
+            }
+            for a in pc.alice_settings
+            for b in pc.bob_settings
+        ]
+
+    if pc.protocol is ProtocolKind.BBM92:
+        if sc.kind in DOUBLE_BLIND_KINDS:
+            block["qber"] = 0.0
+        else:
+            block["qber"] = sc.depolarize_prob / 2.0
+    if pc.protocol is ProtocolKind.EKERT and corr_fn is not None:
+        a, a_prime, b, b_prime = CHSH_QUAD
+        block["chsh"] = chsh_value(
+            corr_fn(wrap_diff(b - a)),
+            corr_fn(wrap_diff(b_prime - a)),
+            corr_fn(wrap_diff(b - a_prime)),
+            corr_fn(wrap_diff(b_prime - a_prime)),
+        )
+    return block
+
+
+def _check_efficiency(name: str, value: float) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return v
+
+
 def chsh_bound_conditional(eta_21: float) -> float:
     """Largest CHSH value a local model can fake at conditional efficiency eta_21.
 
     4/eta_21 - 2, valid for eta_21 in [2/3, 1]; below 2/3 every value up to
     the algebraic maximum 4 is reachable and the bound is out of domain.
     """
-    v = float(eta_21)
+    v = _check_efficiency("eta_21", eta_21)
     if v < 2.0 / 3.0 - _TOL:
         raise ValueError(f"eta_21={eta_21} is below the bound's domain [2/3, 1]")
     if v > 1.0 + _TOL:
@@ -99,7 +179,7 @@ def chsh_bound_detection(eta: float) -> float:
 
     2/(2*eta - 1), valid for eta in [3/4, 1]; out of domain below 3/4.
     """
-    v = float(eta)
+    v = _check_efficiency("eta", eta)
     if v < 3.0 / 4.0 - _TOL:
         raise ValueError(f"eta={eta} is below the bound's domain [3/4, 1]")
     if v > 1.0 + _TOL:
@@ -130,7 +210,8 @@ def estimate_efficiencies(records, n_emitted: int | None = None) -> EfficiencyRe
 
     Pass n_emitted=len(records) when the record list covers every emission
     (true for the simulator's sessions); None models parties who never learn
-    how many pairs the source produced.
+    how many pairs the source produced. Every recorded round was emitted, so
+    n_emitted below the number of records is an error.
     """
     pub = public_rounds(records)
     ca = pub.clicked_a
@@ -160,6 +241,10 @@ def estimate_efficiencies(records, n_emitted: int | None = None) -> EfficiencyRe
         n_emitted = int(n_emitted)
         if n_emitted < 1:
             raise ValueError(f"n_emitted must be >= 1, got {n_emitted}")
+        if n_emitted < n_rounds:
+            raise ValueError(
+                f"n_emitted={n_emitted} is below the {n_rounds} recorded rounds"
+            )
         eta = (singles_a + singles_b) / (2.0 * n_emitted)
         rate_a = singles_a / n_emitted
         rate_b = singles_b / n_emitted

@@ -21,20 +21,18 @@ from .analysis import (
     chsh_bound_detection,
     estimate_efficiencies,
     fair_sampling_monitor,
-    oracle_corr_bbm92,
-    oracle_corr_ekert,
+    oracle_block,
+    oracle_corr_fn,
     oracle_eta,
     oracle_eta_conditional,
     oracle_weak_detection_prob,
     weak_side_detection_rate,
 )
-from .optics import canon_angle, click_codes, split_intensities, wrap_diff
+from .optics import wrap_diff
 from .protocol import (
-    CHSH_QUAD,
     ProtocolConfig,
     ProtocolKind,
     chsh_score,
-    chsh_value,
     correlation_estimate,
     eve_prediction_report,
     run_session,
@@ -46,7 +44,7 @@ from .sources import (
     ScenarioKind,
     WeakSide,
     WeakSidePolicy,
-    intercept_pulse_directions,
+    intercept_click_codes,
     predict_outcome_codes,
 )
 
@@ -66,65 +64,6 @@ def _jsonify(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj
-
-
-def _corr_oracle_fn(scenario: ScenarioConfig):
-    """Closed-form correlation vs analyzer offset for the scenario, or None."""
-    kind = scenario.kind
-    if kind is ScenarioKind.DOUBLE_BLIND_BBM92:
-        return oracle_corr_bbm92
-    if kind is ScenarioKind.DOUBLE_BLIND_EKERT:
-        return lambda d: oracle_corr_ekert(d, scenario.alpha)
-    if kind is ScenarioKind.HONEST_SINGLET:
-        visibility = 1.0 - scenario.depolarize_prob
-        return lambda d: -visibility * math.cos(2.0 * d)
-    return None
-
-
-def oracle_block(records) -> dict:
-    """Expected values for the configured parameters, per scenario."""
-    pc, sc = records.protocol, records.scenario
-    corr_fn = _corr_oracle_fn(sc)
-    block: dict = {}
-
-    if sc.kind is ScenarioKind.DOUBLE_BLIND_EKERT:
-        block["alpha"] = sc.alpha
-        block["weak_detection_prob"] = oracle_weak_detection_prob(sc.alpha)
-        block["eta"] = oracle_eta(sc.alpha)
-        block["eta_21"] = oracle_eta_conditional(sc.alpha)
-    elif sc.kind is ScenarioKind.SINGLE_BLINDING:
-        block["rate_a"] = 1.0
-        block["rate_b"] = 0.5
-    else:
-        block["eta"] = 1.0
-        block["eta_21"] = 1.0
-
-    if corr_fn is not None:
-        block["corr_pairs"] = [
-            {
-                "theta_a": a,
-                "theta_b": b,
-                "delta": wrap_diff(b - a),
-                "value": corr_fn(wrap_diff(b - a)),
-            }
-            for a in pc.alice_settings
-            for b in pc.bob_settings
-        ]
-
-    if pc.protocol is ProtocolKind.BBM92:
-        if sc.kind in DOUBLE_BLIND_KINDS:
-            block["qber"] = 0.0
-        else:
-            block["qber"] = sc.depolarize_prob / 2.0
-    if pc.protocol is ProtocolKind.EKERT and corr_fn is not None:
-        a, a_prime, b, b_prime = CHSH_QUAD
-        block["chsh"] = chsh_value(
-            corr_fn(wrap_diff(b - a)),
-            corr_fn(wrap_diff(b_prime - a)),
-            corr_fn(wrap_diff(b - a_prime)),
-            corr_fn(wrap_diff(b_prime - a_prime)),
-        )
-    return block
 
 
 def build_summary(records) -> dict:
@@ -259,11 +198,8 @@ def write_records_csv(records, path, eve_view: bool = False) -> None:
             pred_a_txt = [str(int(v)) for v in pred_a]
             pred_b_txt = [str(int(v)) for v in pred_b]
         elif sc.kind is ScenarioKind.SINGLE_BLINDING:
-            direction = intercept_pulse_directions(records.eve_basis, records.eve_outcome)
-            pred_b = click_codes(
-                *split_intensities(
-                    np.full(n, sc.single_blind_intensity), direction, records.theta_b
-                )
+            pred_b = intercept_click_codes(
+                records.eve_basis, records.eve_outcome, records.theta_b, sc
             )
             lam_txt = [""] * n
             pred_a_txt = [""] * n
@@ -271,7 +207,7 @@ def write_records_csv(records, path, eve_view: bool = False) -> None:
         else:
             lam_txt = pred_a_txt = pred_b_txt = [""] * n
 
-    side_label = {int(WeakSide.NONE): "none", int(WeakSide.A): "A", int(WeakSide.B): "B"}
+    side_label = {int(side): side.label for side in WeakSide}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
@@ -345,7 +281,7 @@ def cmd_sweep(args) -> int:
             )
             records = run_session(protocol_cfg, scenario_cfg, workers=args.workers)
             est = correlation_estimate(records, 0.0, delta)
-            corr_fn = _corr_oracle_fn(scenario_cfg)
+            corr_fn = oracle_corr_fn(scenario_cfg)
             rows.append(
                 {
                     "delta": delta,
@@ -402,6 +338,10 @@ def cmd_bounds(args) -> int:
     eta_21_values = args.eta_21 or []
     if not eta_values and not eta_21_values:
         raise ValueError("provide at least one --eta or --eta-21 value")
+    for flag, values in (("--eta", eta_values), ("--eta-21", eta_21_values)):
+        for v in values:
+            if not math.isfinite(v):
+                raise ValueError(f"{flag} values must be finite, got {v}")
     rows = []
     for kind, values, fn in (
         ("eta", eta_values, chsh_bound_detection),

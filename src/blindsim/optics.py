@@ -1,4 +1,4 @@
-"""Threshold-detector optics: polarization angles, pulses, and click logic.
+"""Threshold-detector optics: polarization angles, Malus splitting, click logic.
 
 Everything downstream reduces to two facts about a blinded station: a
 polarizing splitter divides a bright pulse between its outputs by Malus's
@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # polarization angles are pi-periodic
 PERIOD = math.pi
 HALF_PERIOD = math.pi / 2.0
-
-ABS_TOL = 1e-12
 
 
 def canon_angle(theta):
@@ -59,43 +56,6 @@ class Outcome(enum.IntEnum):
     PLUS = 1
     DOUBLE_CLICK = 2
 
-    @property
-    def numeric_value(self) -> int:
-        """+1 / -1 / 0; undefined (raises) for DOUBLE_CLICK."""
-        if self is Outcome.DOUBLE_CLICK:
-            raise ValueError("numeric_value is undefined for DOUBLE_CLICK")
-        return int(self)
-
-
-@dataclass(frozen=True)
-class Pulse:
-    """Linearly polarized light pulse.
-
-    intensity is in units of the click threshold; polarization is stored
-    canonically in [0, pi).
-    """
-
-    intensity: float
-    polarization: float
-
-    def __post_init__(self):
-        if not self.intensity >= 0.0:
-            raise ValueError(f"intensity must be >= 0, got {self.intensity}")
-        object.__setattr__(self, "polarization", canon_angle(self.polarization))
-
-
-@dataclass(frozen=True)
-class DetectorStation:
-    """Polarizing splitter at a measurement setting, feeding two threshold detectors."""
-
-    setting: float
-    threshold: float = 1.0
-
-    def __post_init__(self):
-        if not self.threshold > 0.0:
-            raise ValueError(f"threshold must be > 0, got {self.threshold}")
-        object.__setattr__(self, "setting", canon_angle(self.setting))
-
 
 def split_intensities(intensity, polarization, setting):
     """Malus-law intensities behind the two splitter outputs (vectorized).
@@ -118,23 +78,3 @@ def click_codes(i0, i1, threshold=1.0):
     codes = c0.astype(np.int8) - c1.astype(np.int8)
     return np.where(c0 & c1, np.int8(Outcome.DOUBLE_CLICK), codes).astype(np.int8)
 
-
-def malus_split(pulse: Pulse, setting) -> tuple[float, float]:
-    """Split a pulse at an analyzer setting; returns the two output intensities."""
-    i0, i1 = split_intensities(pulse.intensity, pulse.polarization, canon_angle(setting))
-    return float(i0), float(i1)
-
-
-def threshold_click(i0: float, i1: float, threshold: float = 1.0) -> Outcome:
-    """Classify one intensity pair. A detector fires only strictly above threshold."""
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    if i0 < 0.0 or i1 < 0.0:
-        raise ValueError(f"intensities must be >= 0, got ({i0}, {i1})")
-    return Outcome(int(click_codes(i0, i1, threshold)))
-
-
-def measure_pulse(pulse: Pulse, station: DetectorStation) -> Outcome:
-    """Send a pulse through a station: Malus split, then threshold comparison."""
-    i0, i1 = split_intensities(pulse.intensity, pulse.polarization, station.setting)
-    return Outcome(int(click_codes(i0, i1, station.threshold)))

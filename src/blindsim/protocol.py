@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,11 +22,10 @@ from .sources import (
     DOUBLE_BLIND_KINDS,
     ScenarioConfig,
     ScenarioKind,
-    WeakSide,
     chunk_stream,
     faked_pulse_params,
     honest_outcome_codes,
-    intercept_pulse_directions,
+    intercept_click_codes,
     predict_outcome_codes,
     sample_lambda,
     weak_side_codes,
@@ -89,27 +87,8 @@ class ProtocolConfig:
         object.__setattr__(self, "bob_settings", _canon_settings("bob_settings", bob))
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One round as seen with full (Eve-level) information."""
-
-    index: int
-    theta_a: float
-    theta_b: float
-    outcome_a: Outcome
-    outcome_b: Outcome
-    weak_side: WeakSide
-    hidden_lambda: float | None = None
-
-
-@dataclass(frozen=True)
-class PublicRounds:
-    """The transcript Alice and Bob actually share: settings and outcomes only."""
-
-    theta_a: np.ndarray
-    theta_b: np.ndarray
-    outcome_a: np.ndarray
-    outcome_b: np.ndarray
+class _ClickMasks:
+    """Which rounds each station clicked in; shared by both record views."""
 
     @property
     def clicked_a(self) -> np.ndarray:
@@ -120,8 +99,18 @@ class PublicRounds:
         return np.abs(self.outcome_b) == 1
 
 
-class SessionRecords(Sequence):
-    """Columnar record of a full session, indexable as RoundRecord objects.
+@dataclass(frozen=True)
+class PublicRounds(_ClickMasks):
+    """The transcript Alice and Bob actually share: settings and outcomes only."""
+
+    theta_a: np.ndarray
+    theta_b: np.ndarray
+    outcome_a: np.ndarray
+    outcome_b: np.ndarray
+
+
+class SessionRecords(_ClickMasks):
+    """Columnar record of a full session, one numpy array per column.
 
     Hidden columns (the faked-state polarization, the weakened side, Eve's
     intercept basis/outcome) ride along for analysis and audits; honest-party
@@ -159,33 +148,6 @@ class SessionRecords(Sequence):
 
     def __len__(self) -> int:
         return self.theta_a.shape[0]
-
-    def __getitem__(self, index: int) -> RoundRecord:
-        if not isinstance(index, (int, np.integer)):
-            raise TypeError("SessionRecords supports integer indexing only")
-        i = int(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"round index {index} out of range")
-        lam = None if self.hidden_lambda is None else float(self.hidden_lambda[i])
-        return RoundRecord(
-            index=i,
-            theta_a=float(self.theta_a[i]),
-            theta_b=float(self.theta_b[i]),
-            outcome_a=Outcome(int(self.outcome_a[i])),
-            outcome_b=Outcome(int(self.outcome_b[i])),
-            weak_side=WeakSide(int(self.weak_side[i])),
-            hidden_lambda=lam,
-        )
-
-    @property
-    def clicked_a(self) -> np.ndarray:
-        return np.abs(self.outcome_a) == 1
-
-    @property
-    def clicked_b(self) -> np.ndarray:
-        return np.abs(self.outcome_b) == 1
 
     def public_view(self) -> PublicRounds:
         """Strip all source-side information."""
@@ -255,10 +217,7 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     out_a, eve_out = honest_outcome_codes(
         theta_a, eve_basis, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
     )
-    direction = intercept_pulse_directions(eve_basis, eve_out)
-    out_b = click_codes(
-        *split_intensities(np.full(m, sc.single_blind_intensity), direction, theta_b)
-    )
+    out_b = intercept_click_codes(eve_basis, eve_out, theta_b, sc)
     return theta_a, theta_b, out_a, out_b, np.zeros(m, np.int8), None, eve_basis, eve_out
 
 
@@ -381,10 +340,12 @@ def correlation_estimate(records, theta_a: float, theta_b: float) -> Correlation
 
 
 def _require_setting(name: str, value: float, settings: tuple[float, ...]) -> float:
+    """The configured setting within 1e-12 of value; rounds are matched on it exactly."""
     v = canon_angle(float(value))
-    if not any(abs(v - s) < 1e-12 for s in settings):
+    nearest = min(settings, key=lambda s: abs(v - s))
+    if not abs(v - nearest) < 1e-12:
         raise ValueError(f"{name}={value} is not one of the configured settings {settings}")
-    return v
+    return nearest
 
 
 def chsh_select(

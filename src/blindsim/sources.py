@@ -1,4 +1,4 @@
-"""Round emitters: honest entangled pairs and Eve's tailored bright pulses.
+"""Vectorized source kernels: honest entangled pairs and Eve's bright pulses.
 
 The attack source replaces the entangled-pair source with classical pulse
 pairs: a hidden polarization lambda drawn uniformly on [0, pi), sent to
@@ -18,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import (
-    HALF_PERIOD,
-    PERIOD,
-    Outcome,
-    Pulse,
-    canon_angle,
-    click_codes,
-    split_intensities,
-)
+from .optics import HALF_PERIOD, PERIOD, Outcome, canon_angle, click_codes, split_intensities
 
 # weak-pulse tuning angle that saturates the CHSH maximum reachable by the
 # coincidence-conditioned faked states
@@ -65,7 +57,7 @@ class WeakSide(enum.IntEnum):
 
 
 def weak_intensity(alpha: float) -> float:
-    """Pulse intensity whose click boundary sits at polarizer offset alpha."""
+    """Intensity of the weak pulse whose click boundary sits at polarizer offset alpha."""
     return 1.0 / math.cos(alpha) ** 2
 
 
@@ -108,16 +100,6 @@ class ScenarioConfig:
                 raise ValueError(
                     f"alpha must lie strictly between 0 and pi/4, got {self.alpha}"
                 )
-
-
-@dataclass(frozen=True)
-class EmittedRound:
-    """One faked-state emission: the hidden polarization and both pulses."""
-
-    hidden_lambda: float
-    pulse_a: Pulse
-    pulse_b: Pulse
-    weak_side: WeakSide
 
 
 def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
@@ -178,49 +160,6 @@ def faked_pulse_params(lam, cfg: ScenarioConfig, weak_side):
     return intensity_a, pol_a, intensity_b, pol_b
 
 
-def _round_from_lambda(lam: float, cfg: ScenarioConfig, side: WeakSide) -> EmittedRound:
-    arr = np.asarray([lam])
-    codes = np.full(1, np.int8(side))
-    ia, pa, ib, pb = faked_pulse_params(arr, cfg, codes)
-    return EmittedRound(
-        hidden_lambda=float(lam),
-        pulse_a=Pulse(float(ia[0]), float(pa[0])),
-        pulse_b=Pulse(float(ib[0]), float(pb[0])),
-        weak_side=side,
-    )
-
-
-def emit_double_blind_bbm92(rng: np.random.Generator, cfg: ScenarioConfig) -> EmittedRound:
-    """One strong/strong faked-state round: both stations at full intensity."""
-    if cfg.kind is not ScenarioKind.DOUBLE_BLIND_BBM92:
-        raise ValueError(f"scenario kind must be double-bbm92, got {cfg.kind.value}")
-    lam = float(sample_lambda(rng))
-    return _round_from_lambda(lam, cfg, WeakSide.NONE)
-
-
-def emit_double_blind_ekert(
-    rng: np.random.Generator, cfg: ScenarioConfig, index: int = 0
-) -> EmittedRound:
-    """One weak/strong faked-state round; the policy picks the weakened side.
-
-    index is the absolute round number, driving the alternate policy (side A
-    on even rounds).
-    """
-    if cfg.kind is not ScenarioKind.DOUBLE_BLIND_EKERT:
-        raise ValueError(f"scenario kind must be double-ekert, got {cfg.kind.value}")
-    lam = float(sample_lambda(rng))
-    policy = cfg.weak_side_policy
-    if policy is WeakSidePolicy.RANDOM:
-        side = WeakSide.A if int(rng.integers(0, 2)) == 0 else WeakSide.B
-    elif policy is WeakSidePolicy.ALTERNATE:
-        side = WeakSide.A if index % 2 == 0 else WeakSide.B
-    elif policy is WeakSidePolicy.FIXED_A:
-        side = WeakSide.A
-    else:
-        side = WeakSide.B
-    return _round_from_lambda(lam, cfg, side)
-
-
 def honest_outcome_codes(
     theta_a,
     theta_b,
@@ -248,55 +187,6 @@ def honest_outcome_codes(
     return a, b
 
 
-def emit_honest_singlet(
-    rng: np.random.Generator, theta_a, theta_b, depolarize_prob: float = 0.0
-) -> tuple[Outcome, Outcome]:
-    """One genuine pair measured at the two settings; both sides always click."""
-    if not 0.0 <= depolarize_prob <= 1.0:
-        raise ValueError(f"depolarize_prob must lie in [0, 1], got {depolarize_prob}")
-    a_coin = rng.integers(0, 2, 1)
-    u_flip = rng.random(1)
-    depol_u = rng.random(1)
-    a_repl = rng.integers(0, 2, 1)
-    b_repl = rng.integers(0, 2, 1)
-    a, b = honest_outcome_codes(
-        np.asarray([theta_a], dtype=np.float64),
-        np.asarray([theta_b], dtype=np.float64),
-        a_coin,
-        u_flip,
-        depol_u,
-        a_repl,
-        b_repl,
-        depolarize_prob,
-    )
-    return Outcome(int(a[0])), Outcome(int(b[0]))
-
-
-def emit_single_blinding(
-    rng: np.random.Generator,
-    eve_basis_set,
-    theta_a,
-    cfg: ScenarioConfig,
-) -> tuple[Outcome, float, Outcome, Pulse]:
-    """One intercept round: Eve measures Bob's photon, then drives his blinded station.
-
-    Eve picks a basis uniformly from eve_basis_set and measures genuinely, so
-    her outcome and Alice's are one honest joint draw. She forwards a pulse
-    polarized along her result direction (basis for +1, basis + pi/2 for -1)
-    at single_blind_intensity, which makes Bob click exactly when his basis
-    matches hers, reproducing her outcome.
-
-    Returns (alice outcome, eve basis, eve outcome, pulse forwarded to Bob).
-    """
-    basis_list = [canon_angle(b) for b in eve_basis_set]
-    if not basis_list:
-        raise ValueError("eve_basis_set must be non-empty")
-    e_basis = basis_list[int(rng.integers(0, len(basis_list)))]
-    alice_out, eve_out = emit_honest_singlet(rng, theta_a, e_basis, cfg.depolarize_prob)
-    direction = e_basis if eve_out is Outcome.PLUS else e_basis + HALF_PERIOD
-    return alice_out, e_basis, eve_out, Pulse(cfg.single_blind_intensity, direction)
-
-
 def intercept_pulse_directions(eve_basis, eve_outcome):
     """Polarization of the pulse Eve forwards after an intercept measurement.
 
@@ -311,6 +201,19 @@ def intercept_pulse_directions(eve_basis, eve_outcome):
     )
 
 
+def intercept_click_codes(eve_basis, eve_outcome, theta_b, cfg: ScenarioConfig):
+    """Bob's outcome codes under single blinding (vectorized).
+
+    Eve forwards a pulse polarized along her intercept result at
+    single_blind_intensity, so Bob's blinded station clicks exactly when his
+    basis matches hers and then reproduces her outcome; on the conjugate
+    basis (pi/4 away) the pulse splits below threshold on both outputs and he
+    stays silent.
+    """
+    direction = intercept_pulse_directions(eve_basis, eve_outcome)
+    return click_codes(*split_intensities(cfg.single_blind_intensity, direction, theta_b))
+
+
 def predict_outcome_codes(lam, theta_a, theta_b, cfg: ScenarioConfig, weak_side):
     """Eve's per-round predictions (vectorized outcome codes for both stations).
 
@@ -322,33 +225,3 @@ def predict_outcome_codes(lam, theta_a, theta_b, cfg: ScenarioConfig, weak_side)
     code_a = click_codes(*split_intensities(ia, pa, np.asarray(theta_a)))
     code_b = click_codes(*split_intensities(ib, pb, np.asarray(theta_b)))
     return code_a, code_b
-
-
-def eve_predict(
-    hidden_lambda: float,
-    theta_a: float,
-    theta_b: float,
-    cfg: ScenarioConfig,
-    weak_side: WeakSide = WeakSide.NONE,
-):
-    """Predict both stations' outcomes for one faked-state round.
-
-    Returns None for scenarios without a hidden pulse state (honest rounds,
-    single blinding): there is nothing for this bookkeeping to predict.
-    weak_side must name the weakened station for the weak/strong variant.
-    """
-    if cfg.kind not in DOUBLE_BLIND_KINDS:
-        return None
-    weak_side = WeakSide(weak_side)
-    if cfg.kind is ScenarioKind.DOUBLE_BLIND_EKERT and weak_side is WeakSide.NONE:
-        raise ValueError("weak_side must be A or B for the weak-pulse variant")
-    if cfg.kind is ScenarioKind.DOUBLE_BLIND_BBM92:
-        weak_side = WeakSide.NONE
-    code_a, code_b = predict_outcome_codes(
-        np.asarray([hidden_lambda], dtype=np.float64),
-        np.asarray([canon_angle(theta_a)]),
-        np.asarray([canon_angle(theta_b)]),
-        cfg,
-        np.full(1, np.int8(weak_side)),
-    )
-    return Outcome(int(code_a[0])), Outcome(int(code_b[0]))

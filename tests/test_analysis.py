@@ -13,8 +13,11 @@ from blindsim.analysis import (
     chsh_bound_detection,
     estimate_efficiencies,
     fair_sampling_monitor,
+    oracle_block,
     oracle_corr_bbm92,
     oracle_corr_ekert,
+    oracle_corr_fn,
+    oracle_corr_honest,
     oracle_eta,
     oracle_eta_conditional,
     oracle_weak_detection_prob,
@@ -35,6 +38,29 @@ def test_oracle_corr_bbm92_frozen_points():
     assert oracle_corr_bbm92(3.0 * math.pi / 8.0) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ValueError):
         oracle_corr_bbm92(2.0)
+
+
+def test_oracle_corr_honest_cosine_law():
+    assert oracle_corr_honest(0.0, 0.0) == -1.0
+    assert oracle_corr_honest(math.pi / 4.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert oracle_corr_honest(math.pi / 8.0, 0.0) == pytest.approx(-SQ2 / 2.0, abs=1e-15)
+    assert oracle_corr_honest(-math.pi / 2.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+    # depolarization shrinks the whole curve by the visibility 1 - p
+    assert oracle_corr_honest(0.0, 0.1) == pytest.approx(-0.9, abs=1e-15)
+    assert oracle_corr_honest(0.3, 1.0) == 0.0
+    with pytest.raises(ValueError, match="delta"):
+        oracle_corr_honest(2.0, 0.0)
+    with pytest.raises(ValueError, match="depolarize_prob"):
+        oracle_corr_honest(0.0, 1.5)
+    # the summary's oracle picks this law for honest sources, none for single blinding
+    honest = ScenarioConfig(kind="honest", depolarize_prob=0.2)
+    assert oracle_corr_fn(honest)(0.3) == oracle_corr_honest(0.3, 0.2)
+    assert oracle_corr_fn(ScenarioConfig(kind="single-blinding")) is None
+    rec = run_session(ProtocolConfig(protocol="ekert", rounds=10, seed=1), honest)
+    block = oracle_block(rec)
+    assert block["chsh"] == pytest.approx(0.8 * 2.0 * SQ2, abs=1e-12)
+    for pair in block["corr_pairs"]:
+        assert pair["value"] == oracle_corr_honest(pair["delta"], 0.2)
 
 
 def test_oracle_corr_ekert_shape():
@@ -107,6 +133,14 @@ def test_bounds_edges_and_domains():
         chsh_bound_detection(1.2)
 
 
+def test_bounds_reject_non_finite_efficiencies():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eta_21 must be finite"):
+            chsh_bound_conditional(bad)
+        with pytest.raises(ValueError, match="eta must be finite"):
+            chsh_bound_detection(bad)
+
+
 def test_bounds_monotone_decreasing():
     grid21 = np.linspace(2.0 / 3.0, 1.0, 100)
     vals21 = [chsh_bound_conditional(v) for v in grid21]
@@ -145,6 +179,17 @@ def test_estimate_efficiencies_without_emission_count():
     assert eff.eta_21 == pytest.approx(oracle_eta_conditional(DEFAULT_ALPHA), abs=0.01)
     with pytest.raises(ValueError, match="n_emitted"):
         estimate_efficiencies(rec, n_emitted=0)
+
+
+def test_estimate_efficiencies_rejects_fewer_emissions_than_records():
+    # every recorded round was emitted; a smaller count would give eta > 1
+    rec = _ekert_attack_session(rounds=100_000)
+    with pytest.raises(ValueError, match="n_emitted"):
+        estimate_efficiencies(rec, n_emitted=10)
+    with pytest.raises(ValueError, match="n_emitted"):
+        estimate_efficiencies(rec, n_emitted=len(rec) - 1)
+    # more emissions than records (lost rounds) stays allowed
+    assert estimate_efficiencies(rec, n_emitted=2 * len(rec)).eta < 0.5
 
 
 def test_counting_inequality_between_efficiencies():

@@ -276,6 +276,20 @@ def test_sweep_validation_errors(capsys):
     assert "single-blinding" in capsys.readouterr().err
 
 
+def test_bounds_rejects_non_finite_values(capsys):
+    # a NaN efficiency must not certify a violation
+    rc = main(["bounds", "--eta", "nan", "--eta-21", "nan"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "--eta" in captured.err
+    assert captured.out == ""
+    rc = main(["bounds", "--eta", "0.9", "--eta-21", "inf"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "--eta-21" in captured.err
+    assert captured.out == ""
+
+
 def test_bounds_json_format(capsys):
     rc = main(["bounds", "--eta-21", "0.7", "--format", "json"])
     assert rc == 0

@@ -66,15 +66,11 @@ def test_run_session_shapes_and_indexing():
     assert len(rec) == 1000
     assert rec.hidden_lambda is not None
     assert rec.eve_basis is None
-    r = rec[10]
-    assert r.index == 10
-    assert r.outcome_a in (Outcome.PLUS, Outcome.MINUS)
-    assert r.weak_side is WeakSide.NONE
-    assert rec[-1].index == 999
-    with pytest.raises(TypeError):
-        rec[0:5]
-    with pytest.raises(IndexError):
-        rec[1000]
+    for col in ("theta_a", "theta_b", "outcome_a", "outcome_b", "weak_side"):
+        assert getattr(rec, col).shape == (1000,)
+    assert rec.hidden_lambda.shape == (1000,)
+    assert rec.outcome_a[10] in (Outcome.PLUS, Outcome.MINUS)
+    assert rec.weak_side[-1] == WeakSide.NONE
 
 
 def test_run_session_rejects_bad_combinations():
@@ -265,6 +261,15 @@ def test_chsh_score_flags_missing_pairs():
     rec = run_session(pc, ScenarioConfig(kind="honest"))
     with pytest.raises(ValueError, match="b_prime"):
         chsh_score(rec)
+
+
+def test_chsh_score_snaps_settings_within_tolerance():
+    # an angle accepted within tolerance is counted as the configured setting
+    rec = _session("double-ekert", "ekert", 100_000, 34)
+    a, a_prime, b, b_prime = CHSH_QUAD
+    nudged = chsh_score(rec, (a, a_prime, b + 1e-13, b_prime))
+    assert nudged == chsh_score(rec)
+    assert nudged.value is not None
 
 
 def test_chsh_score_none_when_a_pair_has_no_coincidences():

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from blindsim.optics import Outcome, canon_angle, click_codes, measure_pulse, split_intensities, wrap_diff
-from blindsim.optics import DetectorStation
+from blindsim.optics import Outcome, canon_angle, click_codes, split_intensities, wrap_diff
+from blindsim.protocol import ProtocolConfig, run_session, sift_bbm92
 from blindsim.sources import (
     CHUNK_ROUNDS,
     DEFAULT_ALPHA,
@@ -17,13 +17,9 @@ from blindsim.sources import (
     WeakSide,
     WeakSidePolicy,
     chunk_stream,
-    emit_double_blind_bbm92,
-    emit_double_blind_ekert,
-    emit_honest_singlet,
-    emit_single_blinding,
-    eve_predict,
     faked_pulse_params,
     honest_outcome_codes,
+    intercept_click_codes,
     intercept_pulse_directions,
     predict_outcome_codes,
     sample_lambda,
@@ -33,6 +29,28 @@ from blindsim.sources import (
 
 BBM92_CFG = ScenarioConfig(kind=ScenarioKind.DOUBLE_BLIND_BBM92)
 EKERT_CFG = ScenarioConfig(kind=ScenarioKind.DOUBLE_BLIND_EKERT)
+SINGLE_CFG = ScenarioConfig(kind=ScenarioKind.SINGLE_BLINDING)
+BB84_BASES = (0.0, math.pi / 4.0)
+
+
+def _honest_pairs(rng, theta_a, theta_b, depolarize_prob=0.0):
+    """Outcome codes of genuine pairs, one round per entry of theta_a/theta_b."""
+    n = np.shape(theta_a)[0]
+    a_coin = rng.integers(0, 2, n)
+    u_flip = rng.random(n)
+    depol_u = rng.random(n)
+    a_repl = rng.integers(0, 2, n)
+    b_repl = rng.integers(0, 2, n)
+    return honest_outcome_codes(
+        theta_a, theta_b, a_coin, u_flip, depol_u, a_repl, b_repl, depolarize_prob
+    )
+
+
+def _intercept(rng, n, theta_a=0.0):
+    """Eve's intercept rounds: her basis, her outcome and Alice's outcome."""
+    e_basis = np.asarray(BB84_BASES)[rng.integers(0, len(BB84_BASES), n)]
+    alice_out, eve_out = _honest_pairs(rng, np.full(n, theta_a), e_basis)
+    return alice_out, e_basis, eve_out
 
 
 def test_default_alpha_and_weak_intensity():
@@ -134,30 +152,29 @@ def test_faked_pulse_params_ekert_weak_assignment():
 
 def test_emit_double_blind_bbm92_round():
     rng = chunk_stream(3, 0)
-    r = emit_double_blind_bbm92(rng, BBM92_CFG)
-    assert 0.0 <= r.hidden_lambda < math.pi
-    assert r.pulse_a.intensity == 2.0
-    assert r.pulse_b.intensity == 2.0
-    assert r.pulse_a.polarization == pytest.approx(r.hidden_lambda, abs=1e-15)
-    assert r.pulse_b.polarization == pytest.approx(
-        canon_angle(r.hidden_lambda + math.pi / 2.0), abs=1e-15
-    )
-    assert r.weak_side is WeakSide.NONE
-    with pytest.raises(ValueError):
-        emit_double_blind_bbm92(rng, EKERT_CFG)
+    n = 1000
+    lam = sample_lambda(rng, n)
+    sides = weak_side_codes(BBM92_CFG, rng.integers(0, 2, n), 0)
+    assert np.all(sides == int(WeakSide.NONE))
+    ia, pa, ib, pb = faked_pulse_params(lam, BBM92_CFG, sides)
+    assert np.all((lam >= 0.0) & (lam < math.pi))
+    assert np.all(ia == 2.0)
+    assert np.all(ib == 2.0)
+    np.testing.assert_array_equal(pa, lam)
+    np.testing.assert_allclose(pb, canon_angle(lam + math.pi / 2.0), atol=1e-15)
 
 
 def test_emit_double_blind_ekert_round_and_alternation():
     cfg = ScenarioConfig(kind="double-ekert", weak_side_policy="alternate")
     rng = chunk_stream(4, 0)
-    sides = [emit_double_blind_ekert(rng, cfg, index=i).weak_side for i in range(6)]
-    assert sides == [WeakSide.A, WeakSide.B, WeakSide.A, WeakSide.B, WeakSide.A, WeakSide.B]
-    r = emit_double_blind_ekert(rng, cfg, index=0)
+    sides = weak_side_codes(cfg, rng.integers(0, 2, 6), 0)
+    assert sides.tolist() == [WeakSide.A, WeakSide.B] * 3
+    ia, _, ib, _ = faked_pulse_params(sample_lambda(rng, 6), cfg, sides)
     iw = weak_intensity(cfg.alpha)
-    assert r.pulse_a.intensity == pytest.approx(iw, abs=1e-15)
-    assert r.pulse_b.intensity == 2.0
-    with pytest.raises(ValueError):
-        emit_double_blind_ekert(rng, BBM92_CFG)
+    np.testing.assert_allclose(ia[0::2], iw, atol=1e-15)
+    assert np.all(ib[0::2] == 2.0)
+    assert np.all(ia[1::2] == 2.0)
+    np.testing.assert_allclose(ib[1::2], iw, atol=1e-15)
 
 
 def test_strong_pulse_outcome_is_cosine_sign():
@@ -200,33 +217,23 @@ def test_weak_pulse_band_structure():
 
 
 def test_honest_singlet_perfect_anticorrelation_at_matched_settings():
-    rng = chunk_stream(8, 0)
-    for _ in range(200):
-        a, b = emit_honest_singlet(rng, 0.3, 0.3)
-        assert a in (Outcome.PLUS, Outcome.MINUS)
-        assert int(a) == -int(b)
+    a, b = _honest_pairs(chunk_stream(8, 0), np.full(200, 0.3), np.full(200, 0.3))
+    assert set(a.tolist()) <= {Outcome.PLUS, Outcome.MINUS}
+    np.testing.assert_array_equal(a, -b)
 
 
 def test_honest_singlet_perfect_correlation_at_crossed_settings():
-    rng = chunk_stream(9, 0)
     theta = 0.4
-    for _ in range(200):
-        a, b = emit_honest_singlet(rng, theta, theta + math.pi / 2.0)
-        assert int(a) == int(b)
+    a, b = _honest_pairs(
+        chunk_stream(9, 0), np.full(200, theta), np.full(200, theta + math.pi / 2.0)
+    )
+    np.testing.assert_array_equal(a, b)
 
 
 def test_honest_singlet_cosine_law_and_balanced_marginals():
-    rng = chunk_stream(10, 0)
     n = 200_000
     delta = math.pi / 8.0
-    theta_a = np.zeros(n)
-    theta_b = np.full(n, delta)
-    a_coin = rng.integers(0, 2, n)
-    u_flip = rng.random(n)
-    depol_u = rng.random(n)
-    a_repl = rng.integers(0, 2, n)
-    b_repl = rng.integers(0, 2, n)
-    a, b = honest_outcome_codes(theta_a, theta_b, a_coin, u_flip, depol_u, a_repl, b_repl, 0.0)
+    a, b = _honest_pairs(chunk_stream(10, 0), np.zeros(n), np.full(n, delta))
     corr = float(np.mean(a.astype(np.int32) * b.astype(np.int32)))
     assert corr == pytest.approx(-math.cos(2.0 * delta), abs=0.005)
     assert float(np.mean(a == 1)) == pytest.approx(0.5, abs=0.005)
@@ -234,70 +241,40 @@ def test_honest_singlet_cosine_law_and_balanced_marginals():
 
 
 def test_honest_singlet_full_depolarization_kills_correlation():
-    rng = chunk_stream(11, 0)
     n = 200_000
-    theta_a = np.zeros(n)
-    theta_b = np.zeros(n)
-    a_coin = rng.integers(0, 2, n)
-    u_flip = rng.random(n)
-    depol_u = rng.random(n)
-    a_repl = rng.integers(0, 2, n)
-    b_repl = rng.integers(0, 2, n)
-    a, b = honest_outcome_codes(theta_a, theta_b, a_coin, u_flip, depol_u, a_repl, b_repl, 1.0)
+    a, b = _honest_pairs(chunk_stream(11, 0), np.zeros(n), np.zeros(n), depolarize_prob=1.0)
     corr = float(np.mean(a.astype(np.int32) * b.astype(np.int32)))
     assert corr == pytest.approx(0.0, abs=0.006)
 
 
-def test_emit_honest_singlet_validates_depolarize():
-    rng = chunk_stream(12, 0)
-    with pytest.raises(ValueError):
-        emit_honest_singlet(rng, 0.0, 0.0, depolarize_prob=1.2)
-
-
 def test_single_blinding_round_shape():
-    cfg = ScenarioConfig(kind="single-blinding")
-    rng = chunk_stream(13, 0)
-    basis_set = (0.0, math.pi / 4.0)
-    alice_out, e_basis, eve_out, pulse = emit_single_blinding(rng, basis_set, 0.0, cfg)
-    assert alice_out in (Outcome.PLUS, Outcome.MINUS)
-    assert eve_out in (Outcome.PLUS, Outcome.MINUS)
-    assert e_basis in basis_set
-    assert pulse.intensity == cfg.single_blind_intensity
-    expected_pol = e_basis if eve_out is Outcome.PLUS else canon_angle(e_basis + math.pi / 2.0)
-    assert pulse.polarization == pytest.approx(expected_pol, abs=1e-15)
-    with pytest.raises(ValueError):
-        emit_single_blinding(rng, (), 0.0, cfg)
+    alice_out, e_basis, eve_out = _intercept(chunk_stream(13, 0), 1000)
+    assert set(alice_out.tolist()) <= {Outcome.PLUS, Outcome.MINUS}
+    assert set(eve_out.tolist()) <= {Outcome.PLUS, Outcome.MINUS}
+    assert set(e_basis.tolist()) == set(BB84_BASES)
+    expected = np.where(eve_out == Outcome.PLUS, e_basis, canon_angle(e_basis + math.pi / 2.0))
+    direction = intercept_pulse_directions(e_basis, eve_out)
+    np.testing.assert_allclose(direction, expected, atol=1e-15)
 
 
 def test_single_blinding_bob_click_logic():
     # matched basis reproduces Eve's outcome; the diagonal basis splits the
     # pulse below threshold on both outputs and Bob stays silent
-    cfg = ScenarioConfig(kind="single-blinding")
-    rng = chunk_stream(14, 0)
-    basis_set = (0.0, math.pi / 4.0)
-    matches = 0
-    for _ in range(300):
-        _, e_basis, eve_out, pulse = emit_single_blinding(rng, basis_set, 0.0, cfg)
-        same = measure_pulse(pulse, DetectorStation(e_basis))
-        assert same is eve_out
-        other = basis_set[1] if e_basis == basis_set[0] else basis_set[0]
-        assert measure_pulse(pulse, DetectorStation(other)) is Outcome.NO_CLICK
-        matches += 1
-    assert matches == 300
+    _, e_basis, eve_out = _intercept(chunk_stream(14, 0), 300)
+    same = intercept_click_codes(e_basis, eve_out, e_basis, SINGLE_CFG)
+    np.testing.assert_array_equal(same, eve_out)
+    other = np.where(e_basis == BB84_BASES[0], BB84_BASES[1], BB84_BASES[0])
+    other_codes = intercept_click_codes(e_basis, eve_out, other, SINGLE_CFG)
+    assert np.all(other_codes == Outcome.NO_CLICK)
 
 
 def test_single_blinding_bob_rate_half():
-    cfg = ScenarioConfig(kind="single-blinding")
     rng = chunk_stream(15, 0)
-    basis_set = (0.0, math.pi / 4.0)
     n = 40_000
-    clicks = 0
-    for _ in range(n):
-        _, _, _, pulse = emit_single_blinding(rng, basis_set, 0.0, cfg)
-        theta_b = basis_set[int(rng.integers(0, 2))]
-        if measure_pulse(pulse, DetectorStation(theta_b)) is not Outcome.NO_CLICK:
-            clicks += 1
-    assert clicks / n == pytest.approx(0.5, abs=0.01)
+    _, e_basis, eve_out = _intercept(rng, n)
+    theta_b = np.asarray(BB84_BASES)[rng.integers(0, 2, n)]
+    codes = intercept_click_codes(e_basis, eve_out, theta_b, SINGLE_CFG)
+    assert float(np.mean(codes != Outcome.NO_CLICK)) == pytest.approx(0.5, abs=0.01)
 
 
 def test_intercept_pulse_directions():
@@ -310,29 +287,38 @@ def test_intercept_pulse_directions():
 
 
 def test_eve_predict_bbm92_examples():
-    pred = eve_predict(0.1, 0.0, 0.0, BBM92_CFG)
-    assert pred == (Outcome.PLUS, Outcome.MINUS)
-    pred = eve_predict(1.0, 0.0, math.pi / 4.0, BBM92_CFG)
-    assert pred == (Outcome.MINUS, Outcome.MINUS)
+    lam = np.array([0.1, 1.0])
+    theta_a = np.array([0.0, 0.0])
+    theta_b = np.array([0.0, math.pi / 4.0])
+    pred_a, pred_b = predict_outcome_codes(lam, theta_a, theta_b, BBM92_CFG, np.zeros(2, np.int8))
+    np.testing.assert_array_equal(pred_a, [Outcome.PLUS, Outcome.MINUS])
+    np.testing.assert_array_equal(pred_b, [Outcome.MINUS, Outcome.MINUS])
     # weak_side is ignored for the strong/strong variant
-    assert eve_predict(0.1, 0.0, 0.0, BBM92_CFG, WeakSide.A) == (Outcome.PLUS, Outcome.MINUS)
+    weak_a = np.full(2, np.int8(WeakSide.A))
+    again_a, again_b = predict_outcome_codes(lam, theta_a, theta_b, BBM92_CFG, weak_a)
+    np.testing.assert_array_equal(again_a, pred_a)
+    np.testing.assert_array_equal(again_b, pred_b)
 
 
 def test_eve_predict_ekert_weak_band_silence():
     # the weakened station inside the dead band predicts no click
-    pred = eve_predict(0.0, 0.8, 0.0, EKERT_CFG, weak_side=WeakSide.A)
-    assert pred == (Outcome.NO_CLICK, Outcome.MINUS)
-    pred = eve_predict(0.0, 0.1, 0.0, EKERT_CFG, weak_side=WeakSide.A)
-    assert pred == (Outcome.PLUS, Outcome.MINUS)
-    with pytest.raises(ValueError):
-        eve_predict(0.0, 0.0, 0.0, EKERT_CFG, weak_side=WeakSide.NONE)
+    pred_a, pred_b = predict_outcome_codes(
+        np.zeros(2), np.array([0.8, 0.1]), np.zeros(2), EKERT_CFG, np.full(2, np.int8(WeakSide.A))
+    )
+    np.testing.assert_array_equal(pred_a, [Outcome.NO_CLICK, Outcome.PLUS])
+    np.testing.assert_array_equal(pred_b, [Outcome.MINUS, Outcome.MINUS])
 
 
 def test_eve_predict_none_for_scenarios_without_hidden_state():
-    honest = ScenarioConfig(kind="honest")
-    single = ScenarioConfig(kind="single-blinding")
-    assert eve_predict(0.1, 0.0, 0.0, honest) is None
-    assert eve_predict(0.1, 0.0, 0.0, single) is None
+    # honest pairs and intercept rounds carry no hidden pulse state, so the
+    # sifted key gets no Eve prediction
+    for kind in ("honest", "single-blinding"):
+        pc = ProtocolConfig(protocol="bbm92", rounds=2_000, seed=17)
+        rec = run_session(pc, ScenarioConfig(kind=kind))
+        assert rec.hidden_lambda is None
+        key, _ = sift_bbm92(rec)
+        assert key.bits_alice.size > 0
+        assert key.bits_eve is None
 
 
 def test_predict_outcome_codes_match_direct_measurement():
