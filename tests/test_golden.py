@@ -1,10 +1,10 @@
-"""Golden SHA-256 digests of `blindsim run` output.
+"""Golden SHA-256 digests of `blindsim run` and `blindsim sweep` output.
 
 A refactor that keeps behaviour must keep these bytes. A digest may change
 only for a reason stated in CHANGES.md (for example a floating-point change
 that flips a measure-zero boundary round), never to make a test pass.
 
-Sessions run 150 000 rounds: two full 65536-round chunks plus a partial
+`run` sessions have 150 000 rounds: two full 65536-round chunks plus a partial
 third, so chunk slicing and concatenation are covered.
 """
 
@@ -41,6 +41,12 @@ RECORDS_DIGESTS = {
     ("double-ekert", "ekert"): "68f0d40c40b7b9bb68401293cba39752c558156db4a1601045b1b78fce23c92b",
 }
 
+# `sweep --axis delta` tables over [-pi/2, pi/2]: 31 steps, 50 000 rounds per point, seed 9
+SWEEP_DIGESTS = {
+    "double-bbm92": "a363d81b7abbdac06cdc06587bb92870d668ca3d0ade1ec9e549b3da546960c7",
+    "double-ekert": "5ed0ce3f42dde1d3b5dc1fae9d5f74a94d8561c256acba0b0788ff4b4c2d9296",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -71,3 +77,15 @@ def test_records_eve_view_digest(tmp_path, capsys, scenario, protocol):
     assert rc == 0
     capsys.readouterr()
     assert _sha256(path.read_bytes()) == RECORDS_DIGESTS[(scenario, protocol)]
+
+
+@pytest.mark.parametrize("scenario", list(SWEEP_DIGESTS))
+def test_delta_sweep_digest(capsys, scenario):
+    rc = main([
+        "sweep", "--axis", "delta", "--scenario", scenario,
+        "--start", "-1.5707963267948966", "--stop", "1.5707963267948966", "--steps", "31",
+        "--rounds", "50000", "--seed", "9",
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert _sha256(out.encode()) == SWEEP_DIGESTS[scenario]
