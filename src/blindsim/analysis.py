@@ -213,28 +213,24 @@ def estimate_efficiencies(records, n_emitted: int | None = None) -> EfficiencyRe
     how many pairs the source produced. Every recorded round was emitted, so
     n_emitted below the number of records is an error.
     """
-    pub = public_rounds(records)
-    ca = pub.clicked_a
-    cb = pub.clicked_b
-    singles_a = int(np.count_nonzero(ca))
-    singles_b = int(np.count_nonzero(cb))
-    coincidences = int(np.count_nonzero(ca & cb))
-    n_rounds = ca.shape[0]
+    t = public_rounds(records).counts.sum(axis=(0, 1))  # rounds per (outcome_a + 1, outcome_b + 1)
+    # outcome index 0 is code -1 and index 2 is +1, so [::2] selects the clicks
+    singles_a = int(t[::2].sum())
+    singles_b = int(t[:, ::2].sum())
+    coincidences = int(t[::2, ::2].sum())
+    n_rounds = int(t.sum())
+    one_click = singles_a + singles_b - 2 * coincidences
 
     eta_21 = None
     eta_21_stderr = None
     if singles_a + singles_b > 0:
         eta_21 = 2.0 * coincidences / (singles_a + singles_b)
-        # ratio estimator x/y with x = coincidence indicator, y = clicks/2
+        # ratio estimator x/y with x = coincidence indicator, y = clicks/2: the
+        # residual x - r*y is -r/2 on one-click rounds and 1 - r on coincidences
         if n_rounds > 1:
-            x = (ca & cb).astype(np.float64)
-            y = (ca.astype(np.float64) + cb.astype(np.float64)) / 2.0
-            ybar = float(np.mean(y))
-            r = eta_21
-            resid = x - r * y
-            eta_21_stderr = float(
-                math.sqrt(max(0.0, np.mean(resid**2)) / n_rounds) / ybar
-            )
+            ybar = (singles_a + singles_b) / (2.0 * n_rounds)
+            mean_sq = (one_click * (eta_21 / 2.0) ** 2 + coincidences * (1.0 - eta_21) ** 2) / n_rounds
+            eta_21_stderr = math.sqrt(max(0.0, mean_sq) / n_rounds) / ybar
 
     eta = rate_a = rate_b = eta_stderr = None
     if n_emitted is not None:
@@ -249,8 +245,10 @@ def estimate_efficiencies(records, n_emitted: int | None = None) -> EfficiencyRe
         rate_a = singles_a / n_emitted
         rate_b = singles_b / n_emitted
         if n_emitted == n_rounds and n_rounds > 1:
-            s = (ca.astype(np.float64) + cb.astype(np.float64)) / 2.0
-            eta_stderr = float(np.std(s, ddof=1) / math.sqrt(n_rounds))
+            # sample std of clicks/2 per round, which is 0, 1/2 or 1 with mean eta
+            no_click = n_rounds - one_click - coincidences
+            squares = no_click * eta**2 + one_click * (0.5 - eta) ** 2 + coincidences * (1.0 - eta) ** 2
+            eta_stderr = math.sqrt(squares / (n_rounds - 1)) / math.sqrt(n_rounds)
 
     return EfficiencyReport(
         eta=eta,
@@ -268,15 +266,12 @@ def weak_side_detection_rate(records) -> float | None:
 
     None when the session contains no weak-pulse rounds.
     """
-    weak = records.weak_side
-    on_a = weak == int(WeakSide.A)
-    on_b = weak == int(WeakSide.B)
-    n_weak = int(np.count_nonzero(on_a)) + int(np.count_nonzero(on_b))
+    c = records.counts.sum(axis=(0, 1))  # rounds per (outcome_a + 1, outcome_b + 1, weak_side)
+    n_weak = int(c[..., WeakSide.A].sum() + c[..., WeakSide.B].sum())
     if n_weak == 0:
         return None
-    hits = int(np.count_nonzero(records.clicked_a & on_a)) + int(
-        np.count_nonzero(records.clicked_b & on_b)
-    )
+    # outcome index 0 is code -1 and index 2 is +1, so [::2] selects the clicks
+    hits = int(c[::2, :, WeakSide.A].sum() + c[:, ::2, WeakSide.B].sum())
     return hits / n_weak
 
 
@@ -329,7 +324,7 @@ def _rate_check(name: str, labels, trials, hits, significance: float, min_cell: 
     trials = np.asarray(trials, dtype=np.int64)
     hits = np.asarray(hits, dtype=np.int64)
     dof = trials.size - 1
-    if np.any(trials < min_cell):
+    if np.any(trials < max(min_cell, 1)):
         return RateCheck(
             name, tuple(labels), tuple(int(t) for t in trials), tuple(int(h) for h in hits),
             None, dof, None, "inconclusive",
@@ -356,46 +351,32 @@ def _rate_check(name: str, labels, trials, hits, significance: float, min_cell: 
 def fair_sampling_monitor(records, significance: float = 0.01, min_cell: int = 100) -> FairSamplingReport:
     """Test whether click and coincidence rates depend on the local settings.
 
-    Chi-square homogeneity across setting cells, one check per side plus one
-    for coincidences across setting pairs. Any cell with fewer than min_cell
-    rounds makes that check (and at best the report) inconclusive. The
-    blinding attacks are engineered to pass this monitor; an efficiency
-    mismatch between settings fails it.
+    Chi-square homogeneity across the configured setting cells, one check per
+    side plus one for coincidences across setting pairs. Any cell with fewer
+    than min_cell rounds, or none at all, makes that check (and at best the
+    report) inconclusive. The blinding attacks are engineered to pass this
+    monitor; an efficiency mismatch between settings fails it.
     """
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must lie in (0, 1), got {significance}")
     pub = public_rounds(records)
-    vals_a, inv_a = np.unique(pub.theta_a, return_inverse=True)
-    vals_b, inv_b = np.unique(pub.theta_b, return_inverse=True)
-    if vals_a.size < 2 or vals_b.size < 2:
+    alice, bob = pub.alice_settings, pub.bob_settings
+    if len(alice) < 2 or len(bob) < 2:
         raise ValueError("fair-sampling monitor needs >= 2 settings per side")
 
-    checks = []
-    for side, vals, inv, clicked in (
-        ("alice", vals_a, inv_a, pub.clicked_a),
-        ("bob", vals_b, inv_b, pub.clicked_b),
-    ):
-        trials = np.bincount(inv, minlength=vals.size)
-        hits = np.bincount(inv, weights=clicked.astype(np.float64), minlength=vals.size).astype(np.int64)
-        labels = [f"{v:.9g}" for v in vals]
-        checks.append(_rate_check(f"{side}-click-rate", labels, trials, hits, significance, min_cell))
-
-    pair_inv = inv_a * vals_b.size + inv_b
-    n_pairs = vals_a.size * vals_b.size
-    trials = np.bincount(pair_inv, minlength=n_pairs)
-    coinc = (pub.clicked_a & pub.clicked_b).astype(np.float64)
-    hits = np.bincount(pair_inv, weights=coinc, minlength=n_pairs).astype(np.int64)
-    present = trials > 0
-    labels = [
-        f"{vals_a[i // vals_b.size]:.9g}/{vals_b[i % vals_b.size]:.9g}"
-        for i in range(n_pairs)
-        if present[i]
-    ]
-    checks.append(
-        _rate_check(
-            "coincidence-rate", labels, trials[present], hits[present], significance, min_cell
-        )
+    # per setting pair: rounds, Alice clicks, Bob clicks, coincidences
+    # (outcome index 0 is code -1 and index 2 is +1, so [::2] selects the clicks)
+    c = pub.counts
+    trials = c.sum(axis=(2, 3))
+    clicks_a = c[:, :, ::2].sum(axis=(2, 3))
+    clicks_b = c[:, :, :, ::2].sum(axis=(2, 3))
+    coinc = c[:, :, ::2, ::2].sum(axis=(2, 3))
+    cells = (
+        ("alice-click-rate", [f"{a:.9g}" for a in alice], trials.sum(axis=1), clicks_a.sum(axis=1)),
+        ("bob-click-rate", [f"{b:.9g}" for b in bob], trials.sum(axis=0), clicks_b.sum(axis=0)),
+        ("coincidence-rate", [f"{a:.9g}/{b:.9g}" for a in alice for b in bob], trials.ravel(), coinc.ravel()),
     )
+    checks = [_rate_check(name, labels, t, h, significance, min_cell) for name, labels, t, h in cells]
 
     verdicts = [c.verdict for c in checks]
     if "fail" in verdicts:

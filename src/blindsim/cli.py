@@ -7,6 +7,7 @@ parameter), 2 usage error (bad flags, unknown subcommand).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import enum
 import json
@@ -129,50 +130,42 @@ def _flatten(obj, prefix=""):
     return [(prefix[:-1], "" if obj is None else obj)]
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Text stream for an output path: stdout for None or "-", else the file, closed on exit."""
+    if path is None or path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
+
+
 def _write_table(rows, fieldnames, path, fmt):
     """Emit a list of row dicts as CSV (default) or JSON."""
     if fmt == "json":
-        text = json.dumps(_jsonify(rows), indent=2) + "\n"
-        _write_text(text, path)
+        text = json.dumps(_jsonify(rows), indent=2, allow_nan=False) + "\n"
+        with _output(path) as out:
+            out.write(text)
         return
-    out = _open_out(path)
-    try:
+    with _output(path) as out:
         writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in fieldnames})
-    finally:
-        if out is not sys.stdout:
-            out.close()
-
-
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", newline="")
-
-
-def _write_text(text, path):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def write_summary(summary: dict, path, fmt: str) -> None:
     if fmt == "json":
-        _write_text(json.dumps(summary, indent=2) + "\n", path)
+        # strict JSON: a NaN or infinity raises ValueError before the file is opened
+        text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
+        with _output(path) as out:
+            out.write(text)
         return
-    out = _open_out(path)
-    try:
+    with _output(path) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["key", "value"])
         for key, value in _flatten(summary):
             writer.writerow([key, value])
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def write_records_csv(records, path, eve_view: bool = False) -> None:
@@ -181,6 +174,7 @@ def write_records_csv(records, path, eve_view: bool = False) -> None:
     Default columns: round, theta_a, theta_b, outcome_a, outcome_b,
     weak_side. --eve-view appends lambda, eve_pred_a, eve_pred_b; those cells
     stay empty for rounds/scenarios where Eve holds no such information.
+    A path of "-" writes to stdout.
     """
     sc = records.scenario
     fields = ["round", "theta_a", "theta_b", "outcome_a", "outcome_b", "weak_side"]
@@ -208,7 +202,7 @@ def write_records_csv(records, path, eve_view: bool = False) -> None:
             lam_txt = pred_a_txt = pred_b_txt = [""] * n
 
     side_label = {int(side): side.label for side in WeakSide}
-    with open(path, "w", newline="") as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
         theta_a = records.theta_a
@@ -242,6 +236,8 @@ def _scenario_from_args(args) -> ScenarioConfig:
 
 
 def cmd_run(args) -> int:
+    if args.records == "-" and args.out == "-":
+        raise ValueError("--records - and --out - both write to stdout; send one of them to a file")
     scenario_cfg = _scenario_from_args(args)
     protocol_cfg = ProtocolConfig(protocol=args.protocol, rounds=args.rounds, seed=args.seed)
     records = run_session(protocol_cfg, scenario_cfg, workers=args.workers)
@@ -389,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--depolarize", type=float, default=0.0, help="honest-pair depolarization probability")
     run.add_argument("--out", default="-", help="summary destination (default stdout)")
-    run.add_argument("--records", default=None, help="optional per-round CSV dump path")
+    run.add_argument("--records", default=None, help="optional per-round CSV dump path ('-' for stdout)")
     run.add_argument(
         "--eve-view", action="store_true",
         help="append lambda and Eve's predictions to the records dump",

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import Outcome, canon_angle, click_codes, split_intensities
+from .optics import Outcome, canon_angle, click_codes, split_intensities, wrap_diff
 from .sources import (
     CHUNK_ROUNDS,
     DOUBLE_BLIND_KINDS,
@@ -45,13 +46,16 @@ EKERT_BOB_SETTINGS = (math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0)
 # Ekert setting sets
 CHSH_QUAD = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 
+# angles closer than this modulo pi name the same setting
+_SETTING_TOL = 1e-12
+
 
 def _canon_settings(name: str, values) -> tuple[float, ...]:
     settings = tuple(canon_angle(float(v)) for v in values)
-    if not settings:
-        raise ValueError(f"{name} must be non-empty")
-    if len(set(settings)) != len(settings):
-        raise ValueError(f"{name} must be distinct angles, got {values}")
+    if not 1 <= len(settings) <= 127:  # indices are stored as int8
+        raise ValueError(f"{name} must hold 1 to 127 angles, got {len(settings)}")
+    if any(abs(wrap_diff(s - t)) < _SETTING_TOL for i, s in enumerate(settings) for t in settings[:i]):
+        raise ValueError(f"{name} must be distinct angles modulo pi, got {values}")
     return settings
 
 
@@ -60,7 +64,7 @@ class ProtocolConfig:
     """Protocol choice plus session size and randomness seed.
 
     Setting lists default per protocol; overrides are canonicalized to
-    [0, pi) and must be distinct.
+    [0, pi) and must lie more than 1e-12 apart modulo pi.
     """
 
     protocol: ProtocolKind
@@ -101,19 +105,30 @@ class _ClickMasks:
 
 @dataclass(frozen=True)
 class PublicRounds(_ClickMasks):
-    """The transcript Alice and Bob actually share: settings and outcomes only."""
+    """The transcript Alice and Bob actually share: settings and outcomes only.
 
-    theta_a: np.ndarray
-    theta_b: np.ndarray
+    a_idx/b_idx index alice_settings/bob_settings; counts is the session's
+    count tensor summed over the hidden weak-side axis.
+    """
+
+    alice_settings: tuple[float, ...]
+    bob_settings: tuple[float, ...]
+    a_idx: np.ndarray
+    b_idx: np.ndarray
     outcome_a: np.ndarray
     outcome_b: np.ndarray
+    counts: np.ndarray
 
 
 class SessionRecords(_ClickMasks):
     """Columnar record of a full session, one numpy array per column.
 
-    Hidden columns (the faked-state polarization, the weakened side, Eve's
-    intercept basis/outcome) ride along for analysis and audits; honest-party
+    Settings are stored as indices into the configured setting tuples
+    (a_idx, b_idx); theta_a/theta_b are derived from them. counts holds the
+    number of rounds per (a_idx, b_idx, outcome_a + 1, outcome_b + 1,
+    weak_side), built once here; every public statistic reads it. Hidden
+    columns (the faked-state polarization, the weakened side, Eve's intercept
+    basis/outcome) ride along for analysis and audits; honest-party
     computations must go through public_view().
     """
 
@@ -121,8 +136,8 @@ class SessionRecords(_ClickMasks):
         self,
         protocol: ProtocolConfig,
         scenario: ScenarioConfig,
-        theta_a,
-        theta_b,
+        a_idx,
+        b_idx,
         outcome_a,
         outcome_b,
         weak_side,
@@ -132,26 +147,45 @@ class SessionRecords(_ClickMasks):
     ):
         self.protocol = protocol
         self.scenario = scenario
-        self.theta_a = np.asarray(theta_a, dtype=np.float64)
-        self.theta_b = np.asarray(theta_b, dtype=np.float64)
+        # same_kind casting: setting angles passed as indices raise TypeError
+        self.a_idx = np.asarray(a_idx).astype(np.int8, casting="same_kind", copy=False)
+        self.b_idx = np.asarray(b_idx).astype(np.int8, casting="same_kind", copy=False)
         self.outcome_a = np.asarray(outcome_a, dtype=np.int8)
         self.outcome_b = np.asarray(outcome_b, dtype=np.int8)
         self.weak_side = np.asarray(weak_side, dtype=np.int8)
         self.hidden_lambda = None if hidden_lambda is None else np.asarray(hidden_lambda, dtype=np.float64)
         self.eve_basis = None if eve_basis is None else np.asarray(eve_basis, dtype=np.float64)
         self.eve_outcome = None if eve_outcome is None else np.asarray(eve_outcome, dtype=np.int8)
-        n = self.theta_a.shape[0]
-        for name in ("theta_b", "outcome_a", "outcome_b", "weak_side", "hidden_lambda", "eve_basis", "eve_outcome"):
+        n = self.a_idx.shape[0]
+        for name in ("b_idx", "outcome_a", "outcome_b", "weak_side", "hidden_lambda", "eve_basis", "eve_outcome"):
             col = getattr(self, name)
             if col is not None and col.shape[0] != n:
                 raise ValueError(f"column {name} has length {col.shape[0]}, expected {n}")
+        # outcome codes -1..2 (Outcome) and WeakSide codes 0..2; anything
+        # outside the shape makes ravel_multi_index raise ValueError
+        shape = (len(protocol.alice_settings), len(protocol.bob_settings), 4, 4, 3)
+        cells = np.ravel_multi_index(
+            (self.a_idx, self.b_idx, self.outcome_a + 1, self.outcome_b + 1, self.weak_side), shape
+        )
+        self.counts = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
+
+    @property
+    def theta_a(self) -> np.ndarray:
+        return np.asarray(self.protocol.alice_settings)[self.a_idx]
+
+    @property
+    def theta_b(self) -> np.ndarray:
+        return np.asarray(self.protocol.bob_settings)[self.b_idx]
 
     def __len__(self) -> int:
-        return self.theta_a.shape[0]
+        return self.a_idx.shape[0]
 
     def public_view(self) -> PublicRounds:
         """Strip all source-side information."""
-        return PublicRounds(self.theta_a, self.theta_b, self.outcome_a, self.outcome_b)
+        return PublicRounds(
+            self.protocol.alice_settings, self.protocol.bob_settings, self.a_idx, self.b_idx,
+            self.outcome_a, self.outcome_b, self.counts.sum(axis=4),
+        )
 
 
 def public_rounds(records) -> PublicRounds:
@@ -177,48 +211,42 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     if sc.kind in DOUBLE_BLIND_KINDS:
         lam = sample_lambda(g, CHUNK_ROUNDS)[:m]
         coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-        a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
-        b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
-        theta_a = alice[a_idx]
-        theta_b = bob[b_idx]
+        a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m].astype(np.int8)
+        b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m].astype(np.int8)
         weak = weak_side_codes(sc, coin, lo)
         ia, pa, ib, pb = faked_pulse_params(lam, sc, weak)
-        out_a = click_codes(*split_intensities(ia, pa, theta_a))
-        out_b = click_codes(*split_intensities(ib, pb, theta_b))
-        return theta_a, theta_b, out_a, out_b, weak, lam, None, None
+        out_a = click_codes(*split_intensities(ia, pa, alice[a_idx]))
+        out_b = click_codes(*split_intensities(ib, pb, bob[b_idx]))
+        return a_idx, b_idx, out_a, out_b, weak, lam, None, None
 
     if sc.kind is ScenarioKind.HONEST_SINGLET:
-        a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
-        b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
+        a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m].astype(np.int8)
+        b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m].astype(np.int8)
         a_coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
         u_flip = g.random(CHUNK_ROUNDS)[:m]
         depol_u = g.random(CHUNK_ROUNDS)[:m]
         a_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
         b_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-        theta_a = alice[a_idx]
-        theta_b = bob[b_idx]
         out_a, out_b = honest_outcome_codes(
-            theta_a, theta_b, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
+            alice[a_idx], bob[b_idx], a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
         )
-        return theta_a, theta_b, out_a, out_b, np.zeros(m, np.int8), None, None, None
+        return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, None, None
 
     # single blinding: Eve measures in a basis from Bob's configured set
-    a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
-    b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
+    a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m].astype(np.int8)
+    b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m].astype(np.int8)
     e_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
     a_coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
     u_flip = g.random(CHUNK_ROUNDS)[:m]
     depol_u = g.random(CHUNK_ROUNDS)[:m]
     a_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
     b_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-    theta_a = alice[a_idx]
-    theta_b = bob[b_idx]
     eve_basis = bob[e_idx]
     out_a, eve_out = honest_outcome_codes(
-        theta_a, eve_basis, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
+        alice[a_idx], eve_basis, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
     )
-    out_b = intercept_click_codes(eve_basis, eve_out, theta_b, sc)
-    return theta_a, theta_b, out_a, out_b, np.zeros(m, np.int8), None, eve_basis, eve_out
+    out_b = intercept_click_codes(eve_basis, eve_out, bob[b_idx], sc)
+    return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, eve_basis, eve_out
 
 
 def run_session(
@@ -238,10 +266,11 @@ def run_session(
         raise ValueError("scenario single-blinding runs under protocol bbm92 only")
 
     n_chunks = -(-protocol_cfg.rounds // CHUNK_ROUNDS)
-    if workers == 1 or n_chunks == 1:
+    workers = min(int(workers), n_chunks, os.cpu_count() or 1)
+    if workers == 1:
         parts = [_simulate_chunk(protocol_cfg, scenario_cfg, c) for c in range(n_chunks)]
     else:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(lambda c: _simulate_chunk(protocol_cfg, scenario_cfg, c), range(n_chunks))
             )
@@ -254,8 +283,8 @@ def run_session(
     return SessionRecords(
         protocol_cfg,
         scenario_cfg,
-        theta_a=cat(0),
-        theta_b=cat(1),
+        a_idx=cat(0),
+        b_idx=cat(1),
         outcome_a=cat(2),
         outcome_b=cat(3),
         weak_side=cat(4),
@@ -288,7 +317,8 @@ def sift_bbm92(records) -> tuple[SiftedKey, float | None]:
     survives sifting.
     """
     pub = public_rounds(records)
-    keep = (pub.theta_a == pub.theta_b) & pub.clicked_a & pub.clicked_b
+    same_setting = np.equal.outer(pub.alice_settings, pub.bob_settings)
+    keep = same_setting[pub.a_idx, pub.b_idx] & pub.clicked_a & pub.clicked_b
     idx = np.flatnonzero(keep)
     bits_alice = (pub.outcome_a[idx] == int(Outcome.MINUS)).astype(np.uint8)
     bits_bob = (pub.outcome_b[idx] != int(Outcome.MINUS)).astype(np.uint8)
@@ -296,12 +326,9 @@ def sift_bbm92(records) -> tuple[SiftedKey, float | None]:
     bits_eve = None
     scenario = getattr(records, "scenario", None)
     if scenario is not None and scenario.kind in DOUBLE_BLIND_KINDS and idx.size:
+        angle = np.asarray(pub.alice_settings)[pub.a_idx[idx]]  # both stations' setting on kept rounds
         _, pred_b = predict_outcome_codes(
-            records.hidden_lambda[idx],
-            records.theta_a[idx],
-            records.theta_b[idx],
-            scenario,
-            records.weak_side[idx],
+            records.hidden_lambda[idx], angle, angle, scenario, records.weak_side[idx]
         )
         bits_eve = (pred_b != int(Outcome.MINUS)).astype(np.uint8)
 
@@ -320,32 +347,32 @@ class CorrelationEstimate:
     n_coincidences: int
 
 
+def _setting_index(value: float, settings: tuple[float, ...]) -> int | None:
+    """Index of the configured setting within _SETTING_TOL of value modulo pi, else None."""
+    gaps = [abs(wrap_diff(float(value) - s)) for s in settings]
+    return gaps.index(min(gaps)) if min(gaps) < _SETTING_TOL else None
+
+
 def correlation_estimate(records, theta_a: float, theta_b: float) -> CorrelationEstimate:
     """E-hat at one setting pair, conditioned on both stations clicking.
 
-    Standard error is sqrt((1 - E^2) / n); value and stderr are None when
-    the pair has no coincidences.
+    Angles within 1e-12 of a configured setting count that setting's rounds
+    and report its angle. Standard error is sqrt((1 - E^2) / n); value and
+    stderr are None when the pair has no coincidences.
     """
     pub = public_rounds(records)
-    a = canon_angle(float(theta_a))
-    b = canon_angle(float(theta_b))
-    mask = (pub.theta_a == a) & (pub.theta_b == b) & pub.clicked_a & pub.clicked_b
-    n = int(np.count_nonzero(mask))
+    i = _setting_index(theta_a, pub.alice_settings)
+    j = _setting_index(theta_b, pub.bob_settings)
+    a = canon_angle(float(theta_a)) if i is None else pub.alice_settings[i]
+    b = canon_angle(float(theta_b)) if j is None else pub.bob_settings[j]
+    # outcome index 0 is code -1 and index 2 is +1, so [::2, ::2] holds the coincidences
+    c = pub.counts[i, j, ::2, ::2] if None not in (i, j) else np.zeros((2, 2), int)
+    n = int(c.sum())
     if n == 0:
         return CorrelationEstimate(a, b, None, None, 0)
-    products = pub.outcome_a[mask].astype(np.int32) * pub.outcome_b[mask].astype(np.int32)
-    value = float(np.mean(products))
+    value = int(c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0]) / n
     stderr = math.sqrt(max(0.0, 1.0 - value * value) / n)
     return CorrelationEstimate(a, b, value, stderr, n)
-
-
-def _require_setting(name: str, value: float, settings: tuple[float, ...]) -> float:
-    """The configured setting within 1e-12 of value; rounds are matched on it exactly."""
-    v = canon_angle(float(value))
-    nearest = min(settings, key=lambda s: abs(v - s))
-    if not abs(v - nearest) < 1e-12:
-        raise ValueError(f"{name}={value} is not one of the configured settings {settings}")
-    return nearest
 
 
 def chsh_select(
@@ -355,12 +382,13 @@ def chsh_select(
 
     All four angles must appear in the session's configured setting sets.
     """
-    protocol = getattr(records, "protocol", None)
-    if protocol is not None:
-        a = _require_setting("a", a, protocol.alice_settings)
-        a_prime = _require_setting("a_prime", a_prime, protocol.alice_settings)
-        b = _require_setting("b", b, protocol.bob_settings)
-        b_prime = _require_setting("b_prime", b_prime, protocol.bob_settings)
+    pub = public_rounds(records)
+    for name, value, settings in (
+        ("a", a, pub.alice_settings), ("a_prime", a_prime, pub.alice_settings),
+        ("b", b, pub.bob_settings), ("b_prime", b_prime, pub.bob_settings),
+    ):
+        if _setting_index(value, settings) is None:
+            raise ValueError(f"{name}={value} is not one of the configured settings {settings}")
     return (
         correlation_estimate(records, a, b),
         correlation_estimate(records, a, b_prime),
@@ -418,17 +446,18 @@ def eve_prediction_report(records) -> dict | None:
     if scenario is None:
         return None
     if scenario.kind in DOUBLE_BLIND_KINDS:
-        pred_a, pred_b = predict_outcome_codes(
-            records.hidden_lambda,
-            records.theta_a,
-            records.theta_b,
-            scenario,
-            records.weak_side,
-        )
-        mismatches = int(np.count_nonzero(pred_a != records.outcome_a)) + int(
-            np.count_nonzero(pred_b != records.outcome_b)
-        )
-        rounds = len(records)
+        # chunked, so no full-length angle or prediction column is ever built
+        alice, bob = np.asarray(records.protocol.alice_settings), np.asarray(records.protocol.bob_settings)
+        rounds, mismatches = len(records), 0
+        for lo in range(0, rounds, CHUNK_ROUNDS):
+            part = slice(lo, lo + CHUNK_ROUNDS)
+            pred_a, pred_b = predict_outcome_codes(
+                records.hidden_lambda[part], alice[records.a_idx[part]], bob[records.b_idx[part]],
+                scenario, records.weak_side[part],
+            )
+            mismatches += int(np.count_nonzero(pred_a != records.outcome_a[part])) + int(
+                np.count_nonzero(pred_b != records.outcome_b[part])
+            )
         return {
             "mode": "faked-state",
             "rounds": rounds,

@@ -329,14 +329,15 @@ def _biased_records():
     n_half = 2_000
     pc = ProtocolConfig(protocol="bbm92", rounds=2 * n_half, seed=0)
     sc = ScenarioConfig(kind="honest")
-    theta_a = np.concatenate([np.zeros(n_half), np.full(n_half, math.pi / 4.0)])
-    theta_b = np.tile([0.0, math.pi / 4.0], n_half)
+    # indices into the BBM92 settings (0, pi/4)
+    a_idx = np.repeat([0, 1], n_half)
+    b_idx = np.tile([0, 1], n_half)
     outcome_a = np.ones(2 * n_half, np.int8)
     outcome_a[n_half:] = np.tile([1, 0], n_half // 2).astype(np.int8)
     outcome_b = np.ones(2 * n_half, np.int8)
     outcome_b[::2] = -1
     return SessionRecords(
-        pc, sc, theta_a, theta_b, outcome_a, outcome_b, np.zeros(2 * n_half, np.int8)
+        pc, sc, a_idx, b_idx, outcome_a, outcome_b, np.zeros(2 * n_half, np.int8)
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,15 @@ from blindsim.analysis import (
     oracle_weak_detection_prob,
     weak_side_detection_rate,
 )
-from blindsim.protocol import ProtocolConfig, SessionRecords, run_session
+from blindsim.protocol import (
+    ProtocolConfig,
+    SessionRecords,
+    chsh_score,
+    correlation_estimate,
+    eve_prediction_report,
+    run_session,
+    sift_bbm92,
+)
 from blindsim.sources import DEFAULT_ALPHA, ScenarioConfig
 
 SQ2 = math.sqrt(2.0)
@@ -238,14 +247,15 @@ def _biased_records():
     n_half = 2_000
     pc = ProtocolConfig(protocol="bbm92", rounds=2 * n_half, seed=0)
     sc = ScenarioConfig(kind="honest")
-    theta_a = np.concatenate([np.zeros(n_half), np.full(n_half, math.pi / 4.0)])
-    theta_b = np.tile([0.0, math.pi / 4.0], n_half)
+    # indices into the BBM92 settings (0, pi/4)
+    a_idx = np.repeat([0, 1], n_half)
+    b_idx = np.tile([0, 1], n_half)
     outcome_a = np.ones(2 * n_half, np.int8)
     outcome_a[n_half:] = np.tile([1, 0], n_half // 2).astype(np.int8)
     outcome_b = np.ones(2 * n_half, np.int8)
     outcome_b[::2] = -1
     return SessionRecords(
-        pc, sc, theta_a, theta_b, outcome_a, outcome_b, np.zeros(2 * n_half, np.int8)
+        pc, sc, a_idx, b_idx, outcome_a, outcome_b, np.zeros(2 * n_half, np.int8)
     )
 
 
@@ -281,3 +291,73 @@ def test_fair_sampling_validation():
     rec_single = run_session(single, ScenarioConfig(kind="honest"))
     with pytest.raises(ValueError, match="settings"):
         fair_sampling_monitor(rec_single)
+
+
+def _per_round_stderrs(rec):
+    """The per-round stderr formulas the count-tensor closed forms replace."""
+    ca = rec.clicked_a.astype(np.float64)
+    cb = rec.clicked_b.astype(np.float64)
+    n = len(rec)
+    s = (ca + cb) / 2.0
+    eta_stderr = np.std(s, ddof=1) / math.sqrt(n)
+    # ratio estimator x/y with x = coincidence indicator, y = clicks/2
+    x = ca * cb
+    r = 2.0 * x.sum() / (ca.sum() + cb.sum())
+    resid = x - r * s
+    eta_21_stderr = math.sqrt(np.mean(resid**2) / n) / np.mean(s)
+    return eta_stderr, eta_21_stderr
+
+
+@pytest.mark.parametrize("scenario,protocol,alpha", [
+    ("double-ekert", "ekert", DEFAULT_ALPHA),
+    ("double-ekert", "ekert", 0.3),
+    ("single-blinding", "bbm92", DEFAULT_ALPHA),
+])
+def test_efficiency_stderrs_match_per_round_formulas(scenario, protocol, alpha):
+    pc = ProtocolConfig(protocol=protocol, rounds=150_000, seed=60)
+    rec = run_session(pc, ScenarioConfig(kind=scenario, alpha=alpha))
+    eff = estimate_efficiencies(rec, n_emitted=len(rec))
+    eta_stderr, eta_21_stderr = _per_round_stderrs(rec)
+    assert eff.eta_stderr == pytest.approx(eta_stderr, rel=1e-12, abs=0.0)
+    assert eff.eta_21_stderr == pytest.approx(eta_21_stderr, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("protocol", ["bbm92", "ekert"])
+def test_public_statistics_ignore_the_weak_side_column(protocol):
+    pc = ProtocolConfig(protocol=protocol, rounds=80_000, seed=61)
+    rec = run_session(pc, ScenarioConfig(kind="double-ekert"))
+    rolled = SessionRecords(
+        rec.protocol, rec.scenario, rec.a_idx, rec.b_idx, rec.outcome_a, rec.outcome_b,
+        np.roll(rec.weak_side, 1), hidden_lambda=rec.hidden_lambda,
+    )
+    assert not np.array_equal(rolled.counts, rec.counts)
+    assert sift_bbm92(rolled)[1] == sift_bbm92(rec)[1]
+    for a in pc.alice_settings:
+        for b in pc.bob_settings:
+            assert correlation_estimate(rolled, a, b) == correlation_estimate(rec, a, b)
+    if protocol == "ekert":
+        assert chsh_score(rolled) == chsh_score(rec)
+    eff, eff_rolled = (estimate_efficiencies(r, n_emitted=len(r)) for r in (rec, rolled))
+    assert (eff_rolled.eta, eff_rolled.eta_21) == (eff.eta, eff.eta_21)
+    assert fair_sampling_monitor(rolled) == fair_sampling_monitor(rec)
+
+
+def test_statistics_memory_does_not_grow_with_rounds():
+    pc = ProtocolConfig(protocol="ekert", rounds=400_000, seed=62)
+    rec = run_session(pc, ScenarioConfig(kind="double-ekert"))
+    for fn, bound_mb in (
+        (fair_sampling_monitor, 1.0),
+        (chsh_score, 1.0),
+        (lambda r: estimate_efficiencies(r, n_emitted=len(r)), 1.0),
+        (weak_side_detection_rate, 1.0),
+        # the Eve audit replays the physics one chunk at a time
+        (eve_prediction_report, 8.0),
+    ):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn(rec)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20, (fn, peak)

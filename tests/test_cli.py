@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from blindsim.cli import main
+from blindsim.cli import main, write_summary
 
 SQ2 = math.sqrt(2.0)
 
@@ -297,3 +297,49 @@ def test_bounds_json_format(capsys):
     assert rows[0]["kind"] == "eta_21"
     assert rows[0]["bound"] == pytest.approx(4.0 / 0.7 - 2.0, abs=1e-12)
     assert rows[0]["verdict"] == "attack feasible"
+
+
+def test_records_dash_writes_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main([
+        "run", "--scenario", "double-bbm92", "--protocol", "bbm92",
+        "--rounds", "100", "--seed", "5",
+        "--out", str(tmp_path / "s.json"), "--records", "-",
+    ])
+    assert rc == 0
+    assert not (tmp_path / "-").exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "round,theta_a,theta_b,outcome_a,outcome_b,weak_side"
+    assert len(lines) == 101
+
+
+def test_records_and_summary_cannot_share_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main([
+        "run", "--scenario", "honest", "--protocol", "bbm92",
+        "--rounds", "100", "--records", "-",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--records" in err and "--out" in err
+    assert not (tmp_path / "-").exists()
+
+
+def test_write_summary_refuses_nan(tmp_path):
+    path = tmp_path / "s.json"
+    with pytest.raises(ValueError):
+        write_summary({"eta": float("nan")}, str(path), "json")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_tiny_run_has_inconclusive_fair_sampling(capsys, seed):
+    # four rounds cannot cover every configured setting; the monitor must
+    # still report on the configured cells instead of failing the run
+    rc = main([
+        "run", "--scenario", "honest", "--protocol", "bbm92",
+        "--rounds", "4", "--seed", str(seed),
+    ])
+    assert rc == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["monitors"]["fair_sampling"]["verdict"] == "inconclusive"

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from blindsim import protocol
 from blindsim.optics import Outcome
 from blindsim.protocol import (
     BBM92_SETTINGS,
@@ -26,7 +28,7 @@ from blindsim.protocol import (
     run_session,
     sift_bbm92,
 )
-from blindsim.sources import ScenarioConfig, ScenarioKind, WeakSide
+from blindsim.sources import CHUNK_ROUNDS, ScenarioConfig, ScenarioKind, WeakSide
 
 SQ2 = math.sqrt(2.0)
 
@@ -57,6 +59,9 @@ def test_protocol_config_validation_messages():
     with pytest.raises(ValueError, match="bob_settings"):
         # pi-periodic duplicates collapse to the same setting
         ProtocolConfig(protocol="bbm92", rounds=1, bob_settings=(0.0, math.pi))
+    with pytest.raises(ValueError, match="alice_settings"):
+        # closer than the matching tolerance modulo pi: one setting, not two
+        ProtocolConfig(protocol="bbm92", rounds=1, alice_settings=(0.0, math.pi - 1e-13))
     with pytest.raises(ValueError):
         ProtocolConfig(protocol="e91", rounds=1)
 
@@ -149,8 +154,8 @@ def test_public_projection_carries_no_source_secrets():
     tampered = SessionRecords(
         rec.protocol,
         rec.scenario,
-        rec.theta_a,
-        rec.theta_b,
+        rec.a_idx,
+        rec.b_idx,
         rec.outcome_a,
         rec.outcome_b,
         rec.weak_side,
@@ -309,3 +314,99 @@ def test_single_blinding_session_statistics():
     key, qber = sift_bbm92(rec)
     # Bob only clicks when Eve guessed his basis, and then he copies her
     assert qber == 0.0
+
+
+def test_chsh_score_matches_settings_modulo_pi():
+    # pi - 1e-13 lies within 1e-13 of setting 0 once angles wrap at pi
+    rec = _session("double-ekert", "ekert", 100_000, 34)
+    a, a_prime, b, b_prime = CHSH_QUAD
+    wrapped = chsh_score(rec, (math.pi - 1e-13, a_prime, b, b_prime))
+    assert wrapped == chsh_score(rec)
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records the requested size, maps serially."""
+
+    requested: list = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_run_session_clamps_worker_pool(monkeypatch):
+    monkeypatch.setattr(protocol, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "requested", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pc = ProtocolConfig(protocol="bbm92", rounds=CHUNK_ROUNDS + 1, seed=3)
+    sc = ScenarioConfig(kind="honest")
+    wide = run_session(pc, sc, workers=8)
+    assert _RecordingPool.requested == [2]
+    np.testing.assert_array_equal(wide.outcome_b, run_session(pc, sc).outcome_b)
+    # an unknown CPU count means one worker and no pool at all
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_session(pc, sc, workers=8)
+    assert _RecordingPool.requested == [2]
+
+
+@pytest.mark.parametrize("scenario,proto", [
+    ("honest", "ekert"), ("single-blinding", "bbm92"),
+    ("double-bbm92", "bbm92"), ("double-ekert", "ekert"),
+])
+def test_count_tensor_covers_every_round(scenario, proto):
+    rec = _session(scenario, proto, 70_000, 12)
+    n_a, n_b = len(rec.protocol.alice_settings), len(rec.protocol.bob_settings)
+    assert rec.counts.shape == (n_a, n_b, 4, 4, 3)
+    assert rec.counts.sum() == len(rec)
+    # a cell is the number of rounds with exactly that index tuple
+    assert rec.counts[1, 0, 2, 0, int(rec.weak_side[0])] == np.count_nonzero(
+        (rec.a_idx == 1) & (rec.b_idx == 0) & (rec.outcome_a == 1) & (rec.outcome_b == -1)
+        & (rec.weak_side == rec.weak_side[0])
+    )
+
+
+def test_session_records_reject_out_of_range_codes():
+    rec = _session("double-ekert", "ekert", 100, 13)
+    columns = {
+        "a_idx": rec.a_idx, "b_idx": rec.b_idx, "outcome_a": rec.outcome_a,
+        "outcome_b": rec.outcome_b, "weak_side": rec.weak_side,
+    }
+    for name, bad in (
+        ("a_idx", 3), ("a_idx", -1), ("b_idx", 3), ("outcome_a", 3),
+        ("outcome_b", -2), ("weak_side", 3),
+    ):
+        col = columns[name].copy()
+        col[7] = bad
+        with pytest.raises(ValueError):
+            SessionRecords(rec.protocol, rec.scenario, **{**columns, name: col})
+    # setting angles where indices belong are refused, not truncated
+    with pytest.raises(TypeError):
+        SessionRecords(rec.protocol, rec.scenario, **{**columns, "a_idx": rec.theta_a})
+
+
+def test_thetas_are_derived_from_setting_indices():
+    rec = _session("honest", "ekert", 1_000, 14)
+    np.testing.assert_array_equal(rec.theta_a, np.asarray(EKERT_ALICE_SETTINGS)[rec.a_idx])
+    np.testing.assert_array_equal(rec.theta_b, np.asarray(EKERT_BOB_SETTINGS)[rec.b_idx])
+    with pytest.raises(AttributeError):
+        rec.theta_a = rec.theta_b
+
+
+def test_correlation_estimate_matches_per_round_products():
+    # the per-round mask-and-mean the count tensor replaced, as the reference
+    rec = _session("double-ekert", "ekert", 70_000, 15)
+    for a in EKERT_ALICE_SETTINGS:
+        for b in EKERT_BOB_SETTINGS:
+            mask = (rec.theta_a == a) & (rec.theta_b == b) & rec.clicked_a & rec.clicked_b
+            products = rec.outcome_a[mask].astype(np.int32) * rec.outcome_b[mask].astype(np.int32)
+            est = correlation_estimate(rec, a, b)
+            assert est.n_coincidences == np.count_nonzero(mask)
+            assert est.value == float(np.mean(products))
