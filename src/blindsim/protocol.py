@@ -211,17 +211,17 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     if sc.kind in DOUBLE_BLIND_KINDS:
         lam = sample_lambda(g, CHUNK_ROUNDS)[:m]
         coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-        a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m].astype(np.int8)
-        b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m].astype(np.int8)
+        a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
+        b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
         weak = weak_side_codes(sc, coin, lo)
         ia, pa, ib, pb = faked_pulse_params(lam, sc, weak)
         out_a = click_codes(*split_intensities(ia, pa, alice[a_idx]))
         out_b = click_codes(*split_intensities(ib, pb, bob[b_idx]))
-        return a_idx, b_idx, out_a, out_b, weak, lam, None, None
+        return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, weak, lam, None, None
 
     if sc.kind is ScenarioKind.HONEST_SINGLET:
-        a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m].astype(np.int8)
-        b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m].astype(np.int8)
+        a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
+        b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
         a_coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
         u_flip = g.random(CHUNK_ROUNDS)[:m]
         depol_u = g.random(CHUNK_ROUNDS)[:m]
@@ -230,11 +230,11 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
         out_a, out_b = honest_outcome_codes(
             alice[a_idx], bob[b_idx], a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
         )
-        return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, None, None
+        return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, np.zeros(m, np.int8), None, None, None
 
     # single blinding: Eve measures in a basis from Bob's configured set
-    a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m].astype(np.int8)
-    b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m].astype(np.int8)
+    a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
+    b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
     e_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
     a_coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
     u_flip = g.random(CHUNK_ROUNDS)[:m]
@@ -246,7 +246,7 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
         alice[a_idx], eve_basis, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
     )
     out_b = intercept_click_codes(eve_basis, eve_out, bob[b_idx], sc)
-    return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, eve_basis, eve_out
+    return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, np.zeros(m, np.int8), None, eve_basis, eve_out
 
 
 def run_session(
