@@ -5,6 +5,13 @@ polarizing splitter divides a bright pulse between its outputs by Malus's
 law, and each output fires its detector only while the incident intensity
 is strictly above the click threshold. Intensities are expressed in units
 of that threshold throughout.
+
+Together they make a blinded station a step function of the offset between
+pulse polarization and setting: each detector fires inside a fixed angle
+window whose half-width depends only on the pulse intensity. The simulation
+kernel uses that window rule (window_half_width, window_codes); Malus
+splitting and the strict threshold (split_intensities, click_codes) remain
+the reference physics that Eve's predictions are computed with.
 """
 
 from __future__ import annotations
@@ -78,3 +85,39 @@ def click_codes(i0, i1, threshold=1.0):
     codes = c0.astype(np.int8) - c1.astype(np.int8)
     return np.where(c0 & c1, np.int8(Outcome.DOUBLE_CLICK), codes).astype(np.int8)
 
+
+def window_half_width(intensity: float) -> float:
+    """Half-width w of the offset window inside which a pulse fires a detector.
+
+    A pulse of intensity I in (1, 2] threshold units fires the + output iff
+    I(1 + cos 2u)/2 > 1, i.e. cos 2u > 2/I - 1 = cos 2w, so
+    w = acos(2/I - 1)/2: pi/4 at I = 2, and alpha for the weak pulse
+    1/cos^2(alpha). Above 2 the windows would overlap (double clicks), at or
+    below 1 nothing fires.
+    """
+    if not 1.0 < intensity <= 2.0:
+        raise ValueError(f"intensity must lie in (1, 2] threshold units, got {intensity}")
+    return 0.5 * math.acos(2.0 / intensity - 1.0)
+
+
+def window_codes(offset, half_width):
+    """Outcome codes of a blinded station from the polarization-setting offset (vectorized).
+
+    offset is polarization minus setting, both canonical, so it lies in
+    (-pi, pi); u = |offset| in [0, pi) is the offset modulo pi up to the
+    mirror u -> pi - u, under which both windows are symmetric. The +
+    detector fires iff u < w or u > pi - w, i.e. iff u lies within w of a
+    multiple of pi; the - detector fires iff |u - pi/2| < w; otherwise the
+    station is silent. half_width w (scalar or per-round) comes from
+    window_half_width, so w <= pi/4 and the windows never overlap.
+    """
+    # one float temporary, reused in place: u, then its distance from pi/2,
+    # then its distance from the nearest multiple of pi
+    dist = np.array(offset, dtype=np.float64)
+    np.abs(dist, out=dist)
+    dist -= HALF_PERIOD
+    np.abs(dist, out=dist)
+    minus = dist < half_width
+    np.subtract(HALF_PERIOD, dist, out=dist)
+    plus = dist < half_width
+    return plus.astype(np.int8) - minus.astype(np.int8)

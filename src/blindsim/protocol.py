@@ -17,18 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import Outcome, canon_angle, click_codes, split_intensities, wrap_diff
+from .optics import Outcome, canon_angle, window_codes, window_half_width, wrap_diff
 from .sources import (
     CHUNK_ROUNDS,
     DOUBLE_BLIND_KINDS,
     ScenarioConfig,
     ScenarioKind,
     chunk_stream,
-    faked_pulse_params,
     honest_outcome_codes,
     intercept_click_codes,
     predict_outcome_codes,
     sample_lambda,
+    weak_intensity,
     weak_side_codes,
 )
 
@@ -214,9 +214,15 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
         a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
         b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
         weak = weak_side_codes(sc, coin, lo)
-        ia, pa, ib, pb = faked_pulse_params(lam, sc, weak)
-        out_a = click_codes(*split_intensities(ia, pa, alice[a_idx]))
-        out_b = click_codes(*split_intensities(ib, pb, bob[b_idx]))
+        w_a = w_b = window_half_width(sc.strong_intensity)
+        if sc.kind is ScenarioKind.DOUBLE_BLIND_EKERT:
+            w_weak = window_half_width(weak_intensity(sc.alpha))
+            # indexed by WeakSide code: NONE, A, B
+            w_a = np.array([w_a, w_weak, w_a])[weak]
+            w_b = np.array([w_b, w_b, w_weak])[weak]
+        out_a = window_codes(lam - alice[a_idx], w_a)
+        # Bob's pulse is rotated by pi/2, which swaps his two windows
+        out_b = -window_codes(lam - bob[b_idx], w_b)
         return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, weak, lam, None, None
 
     if sc.kind is ScenarioKind.HONEST_SINGLET:
@@ -438,9 +444,12 @@ def eve_knowledge_audit(records, sifted: SiftedKey) -> float | None:
 def eve_prediction_report(records) -> dict | None:
     """Round-level audit of Eve's knowledge, serializable to JSON.
 
-    Faked-state scenarios: her predicted outcome pair is compared to the
-    recorded pair on every round. Single blinding: Bob's clicks are compared
-    to her intercept outcome. None for honest sessions.
+    Faked-state scenarios: her predicted outcome pair, computed by the
+    reference Malus/threshold physics (sources.predict_outcome_codes), is
+    compared on every round to the recorded pair, which the simulation
+    decided by the window rule (optics.window_codes); a mismatch means the
+    two arithmetics disagree. Single blinding: Bob's clicks are compared to
+    her intercept outcome. None for honest sessions.
     """
     scenario = getattr(records, "scenario", None)
     if scenario is None:

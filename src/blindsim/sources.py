@@ -132,7 +132,7 @@ def weak_side_codes(cfg: ScenarioConfig, coin: np.ndarray, start_index: int) -> 
         return np.zeros(n, dtype=np.int8)
     policy = cfg.weak_side_policy
     if policy is WeakSidePolicy.RANDOM:
-        return np.where(coin == 0, np.int8(WeakSide.A), np.int8(WeakSide.B))
+        return coin.astype(np.int8) + np.int8(WeakSide.A)  # 0 -> A, 1 -> B
     if policy is WeakSidePolicy.ALTERNATE:
         idx = start_index + np.arange(n, dtype=np.int64)
         return np.where(idx % 2 == 0, np.int8(WeakSide.A), np.int8(WeakSide.B))
@@ -217,9 +217,11 @@ def intercept_click_codes(eve_basis, eve_outcome, theta_b, cfg: ScenarioConfig):
 def predict_outcome_codes(lam, theta_a, theta_b, cfg: ScenarioConfig, weak_side):
     """Eve's per-round predictions (vectorized outcome codes for both stations).
 
-    The pulses are rebuilt from the hidden polarization and pushed through
-    the same split/threshold code path the simulation uses, so predictions
-    cannot drift from simulated outcomes.
+    The pulses are rebuilt from the hidden polarization and measured by the
+    reference physics, Malus splitting and the strict threshold. The
+    simulation decides clicks by the window rule (optics.window_codes)
+    instead, so comparing the two checks Eve's model of the stations rather
+    than replaying the simulation's own arithmetic.
     """
     ia, pa, ib, pb = faked_pulse_params(lam, cfg, weak_side)
     code_a = click_codes(*split_intensities(ia, pa, np.asarray(theta_a)))

@@ -7,7 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from blindsim.optics import Outcome, canon_angle, click_codes, split_intensities, wrap_diff
+from blindsim.optics import (
+    Outcome,
+    canon_angle,
+    click_codes,
+    split_intensities,
+    window_codes,
+    window_half_width,
+    wrap_diff,
+)
 
 
 def _measure(intensity, polarization, setting):
@@ -160,3 +168,83 @@ def test_split_respects_pi_periodicity():
     i0b, i1b = split_intensities(2.0, pol, setting + math.pi)
     assert np.max(np.abs(i0a - i0b)) <= 1e-12
     assert np.max(np.abs(i1a - i1b)) <= 1e-12
+
+
+def test_window_half_width_values_and_domain():
+    assert window_half_width(2.0) == math.pi / 4.0
+    for alpha in (0.2, math.pi / (4.0 * math.sqrt(2.0)), 0.7):
+        assert window_half_width(1.0 / math.cos(alpha) ** 2) == pytest.approx(alpha, abs=1e-15)
+    # I = 1.5: cos 2w = 2/I - 1 = 1/3
+    assert math.cos(2.0 * window_half_width(1.5)) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    for bad in (1.0, 0.5, 2.0 + 1e-12, float("nan")):
+        with pytest.raises(ValueError, match="intensity"):
+            window_half_width(bad)
+
+
+# every default setting of both protocols, and the intensities the stations
+# see: strong pulses in (1, 2] and weak pulses 1/cos^2(alpha)
+_DEFAULT_SETTINGS = (0.0, math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0)
+_WINDOW_INTENSITIES = (2.0, 1.5, 1.2) + tuple(
+    1.0 / math.cos(a) ** 2 for a in (0.2, math.pi / (4.0 * math.sqrt(2.0)), 0.7)
+)
+# an offset is a difference of two angles in [0, pi), so both arithmetics
+# round it on the scale of pi: measure closeness to an edge in ulps of pi
+_ULP_PI = float(np.spacing(math.pi))
+
+
+def _window_vs_reference(lam, theta, intensity):
+    """Rounds where the window rule and the Malus/threshold reference disagree, per station.
+
+    Alice's pulse is polarized along lam, Bob's along lam + pi/2, each
+    measured at setting theta, exactly as the simulation kernel and Eve's
+    predictor see them.
+    """
+    codes = window_codes(lam - theta, window_half_width(intensity))
+    setting = np.full(lam.shape, theta)
+    ref_a = click_codes(*split_intensities(intensity, lam, setting))
+    ref_b = click_codes(*split_intensities(intensity, canon_angle(lam + math.pi / 2.0), setting))
+    return codes != ref_a, -codes != ref_b
+
+
+def test_window_codes_match_reference_except_within_ulps_of_an_edge():
+    steps = np.arange(-8, 9)
+    points = disagreements = 0
+    for intensity in _WINDOW_INTENSITIES:
+        w = window_half_width(intensity)
+        for theta in _DEFAULT_SETTINGS:
+            edges = canon_angle(
+                np.array([theta + w, theta - w, theta + math.pi / 2.0 + w, theta + math.pi / 2.0 - w,
+                          theta + math.pi / 4.0, theta - math.pi / 4.0])
+            )[:, None]
+            # the 8 adjacent floats on each side of every edge, and 8 ulps of
+            # pi on each side (the two differ for edges well below pi)
+            lam = np.concatenate([edges + steps * np.spacing(edges), edges + steps * _ULP_PI], axis=1)
+            edge = np.broadcast_to(edges, lam.shape)
+            inside = (lam >= 0.0) & (lam < math.pi)
+            lam, edge = lam[inside], edge[inside]
+            for bad in _window_vs_reference(lam, theta, intensity):
+                gap = np.abs(lam[bad] - edge[bad]) / _ULP_PI
+                assert np.all(gap <= 2.0), (intensity, theta, gap)
+                disagreements += int(bad.sum())
+            points += lam.size
+    assert points > 4000
+    # the two arithmetics do differ at edges; a test that saw no difference
+    # would not show that they are independent
+    assert disagreements > 0
+
+    # away from the edges they agree on every round
+    lam = np.random.default_rng(18).uniform(0.0, math.pi, 200_000)
+    for intensity in _WINDOW_INTENSITIES:
+        for theta in _DEFAULT_SETTINGS:
+            for bad in _window_vs_reference(lam, theta, intensity):
+                assert not np.any(bad), (intensity, theta)
+
+
+def test_window_codes_strong_pulse_silent_only_on_the_diagonals():
+    # at intensity 2 a station is silent only where cos 2(pol - theta) = 0
+    grid = np.linspace(0.0, math.pi, 20001, endpoint=False)
+    for theta in _DEFAULT_SETTINGS:
+        codes = window_codes(grid - theta, window_half_width(2.0))
+        silent = codes == int(Outcome.NO_CLICK)
+        assert np.all(np.abs(np.cos(2.0 * (grid[silent] - theta))) < 1e-9)
+        assert not np.any(codes == int(Outcome.DOUBLE_CLICK))

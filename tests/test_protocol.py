@@ -307,6 +307,31 @@ def test_eve_prediction_report_modes():
     assert eve_prediction_report(honest) is None
 
 
+@pytest.mark.parametrize("scenario,proto", [("double-bbm92", "bbm92"), ("double-ekert", "ekert")])
+def test_eve_audit_checks_an_independent_arithmetic(monkeypatch, scenario, proto):
+    # the kernel decides clicks by angle windows, Eve predicts them by Malus
+    # splitting: a kernel window 1e-3 too wide must show up in the audit
+    assert eve_prediction_report(_session(scenario, proto, 20_000, 31))["mismatched_outcomes"] == 0
+    true_width = protocol.window_half_width
+    monkeypatch.setattr(protocol, "window_half_width", lambda intensity: true_width(intensity) + 1e-3)
+    assert eve_prediction_report(_session(scenario, proto, 20_000, 31))["mismatched_outcomes"] > 0
+
+
+@pytest.mark.parametrize("scenario,proto", [("double-bbm92", "bbm92"), ("double-ekert", "ekert")])
+def test_strong_pulse_below_intensity_two(scenario, proto):
+    # at I = 1.5 each station fires only within w = acos(2/I - 1)/2 of its
+    # detector axes, so a strong station clicks with probability 4w/pi
+    n = 200_000
+    pc = ProtocolConfig(protocol=proto, rounds=n, seed=32)
+    rec = run_session(pc, ScenarioConfig(kind=scenario, strong_intensity=1.5))
+    assert eve_prediction_report(rec)["mismatched_outcomes"] == 0
+    if scenario == "double-bbm92":
+        p = 2.0 * math.acos(1.0 / 3.0) / math.pi
+        sigma = math.sqrt(p * (1.0 - p) / n)
+        for clicked in (rec.clicked_a, rec.clicked_b):
+            assert abs(float(np.mean(clicked)) - p) < 5.0 * sigma
+
+
 def test_single_blinding_session_statistics():
     rec = _session("single-blinding", "bbm92", 100_000, 30)
     assert float(np.mean(rec.clicked_a)) == 1.0

@@ -116,6 +116,7 @@ def test_weak_side_codes_policies():
     np.testing.assert_array_equal(weak_side_codes(honest, coin, 0), np.zeros(5, np.int8))
     rnd = weak_side_codes(EKERT_CFG, coin, 0)
     np.testing.assert_array_equal(rnd, np.array([1, 2, 2, 1, 2], np.int8))
+    assert rnd.dtype == np.int8
     alt_cfg = ScenarioConfig(kind="double-ekert", weak_side_policy="alternate")
     np.testing.assert_array_equal(
         weak_side_codes(alt_cfg, coin, 0), np.array([1, 2, 1, 2, 1], np.int8)
