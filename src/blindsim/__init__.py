@@ -36,6 +36,7 @@ from .protocol import (
     ProtocolKind,
     SessionRecords,
     SiftedKey,
+    bbm92_qber,
     chsh_score,
     chsh_select,
     chsh_value,
@@ -77,6 +78,7 @@ __all__ = [
     "SiftedKey",
     "WeakSide",
     "WeakSidePolicy",
+    "bbm92_qber",
     "canon_angle",
     "chsh_bound_conditional",
     "chsh_bound_detection",

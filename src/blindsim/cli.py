@@ -33,11 +33,11 @@ from .optics import wrap_diff
 from .protocol import (
     ProtocolConfig,
     ProtocolKind,
+    bbm92_qber,
     chsh_score,
     correlation_estimate,
     eve_prediction_report,
     run_session,
-    sift_bbm92,
 )
 from .sources import (
     DOUBLE_BLIND_KINDS,
@@ -45,7 +45,6 @@ from .sources import (
     ScenarioKind,
     WeakSide,
     WeakSidePolicy,
-    intercept_click_codes,
     predict_outcome_codes,
 )
 
@@ -71,9 +70,7 @@ def build_summary(records) -> dict:
     """Aggregate one session into the JSON summary structure."""
     pc, sc = records.protocol, records.scenario
 
-    qber = None
-    if pc.protocol is ProtocolKind.BBM92:
-        _, qber = sift_bbm92(records)
+    qber = bbm92_qber(records) if pc.protocol is ProtocolKind.BBM92 else None
 
     chsh = None
     if pc.protocol is ProtocolKind.EKERT:
@@ -192,12 +189,10 @@ def write_records_csv(records, path, eve_view: bool = False) -> None:
             pred_a_txt = [str(int(v)) for v in pred_a]
             pred_b_txt = [str(int(v)) for v in pred_b]
         elif sc.kind is ScenarioKind.SINGLE_BLINDING:
-            pred_b = intercept_click_codes(
-                records.eve_basis, records.eve_outcome, records.theta_b, sc
-            )
+            # Eve's forwarded pulse decides Bob's click, so she predicts his outcome exactly
             lam_txt = [""] * n
             pred_a_txt = [""] * n
-            pred_b_txt = [str(int(v)) for v in pred_b]
+            pred_b_txt = [str(int(v)) for v in records.outcome_b]
         else:
             lam_txt = pred_a_txt = pred_b_txt = [""] * n
 
@@ -287,7 +282,6 @@ def cmd_sweep(args) -> int:
                     "oracle": corr_fn(wrap_diff(delta)),
                 }
             )
-        fieldnames = ["delta", "n_coincidences", "estimate", "stderr", "oracle"]
     else:
         if ScenarioKind(args.scenario) is not ScenarioKind.DOUBLE_BLIND_EKERT:
             raise ValueError("alpha sweeps apply to scenario double-ekert only")
@@ -314,18 +308,7 @@ def cmd_sweep(args) -> int:
                     "weak_rate_oracle": oracle_weak_detection_prob(alpha),
                 }
             )
-        fieldnames = [
-            "alpha",
-            "eta_estimate",
-            "eta_stderr",
-            "eta_oracle",
-            "eta_21_estimate",
-            "eta_21_stderr",
-            "eta_21_oracle",
-            "weak_rate_estimate",
-            "weak_rate_oracle",
-        ]
-    _write_table(rows, fieldnames, args.out, args.format)
+    _write_table(rows, list(rows[0]), args.out, args.format)  # steps >= 1, so rows is never empty
     return 0
 
 

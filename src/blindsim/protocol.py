@@ -128,8 +128,8 @@ class SessionRecords(_ClickMasks):
     number of rounds per (a_idx, b_idx, outcome_a + 1, outcome_b + 1,
     weak_side), built once here; every public statistic reads it. Hidden
     columns (the faked-state polarization, the weakened side, Eve's intercept
-    basis/outcome) ride along for analysis and audits; honest-party
-    computations must go through public_view().
+    outcome) ride along for analysis and audits; honest-party computations
+    must go through public_view().
     """
 
     def __init__(
@@ -142,7 +142,6 @@ class SessionRecords(_ClickMasks):
         outcome_b,
         weak_side,
         hidden_lambda=None,
-        eve_basis=None,
         eve_outcome=None,
     ):
         self.protocol = protocol
@@ -154,10 +153,9 @@ class SessionRecords(_ClickMasks):
         self.outcome_b = np.asarray(outcome_b, dtype=np.int8)
         self.weak_side = np.asarray(weak_side, dtype=np.int8)
         self.hidden_lambda = None if hidden_lambda is None else np.asarray(hidden_lambda, dtype=np.float64)
-        self.eve_basis = None if eve_basis is None else np.asarray(eve_basis, dtype=np.float64)
         self.eve_outcome = None if eve_outcome is None else np.asarray(eve_outcome, dtype=np.int8)
         n = self.a_idx.shape[0]
-        for name in ("b_idx", "outcome_a", "outcome_b", "weak_side", "hidden_lambda", "eve_basis", "eve_outcome"):
+        for name in ("b_idx", "outcome_a", "outcome_b", "weak_side", "hidden_lambda", "eve_outcome"):
             col = getattr(self, name)
             if col is not None and col.shape[0] != n:
                 raise ValueError(f"column {name} has length {col.shape[0]}, expected {n}")
@@ -223,36 +221,27 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
         out_a = window_codes(lam - alice[a_idx], w_a)
         # Bob's pulse is rotated by pi/2, which swaps his two windows
         out_b = -window_codes(lam - bob[b_idx], w_b)
-        return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, weak, lam, None, None
+        return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, weak, lam, None
 
-    if sc.kind is ScenarioKind.HONEST_SINGLET:
-        a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
-        b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
-        a_coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-        u_flip = g.random(CHUNK_ROUNDS)[:m]
-        depol_u = g.random(CHUNK_ROUNDS)[:m]
-        a_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-        b_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-        out_a, out_b = honest_outcome_codes(
-            alice[a_idx], bob[b_idx], a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
-        )
-        return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, np.zeros(m, np.int8), None, None, None
-
-    # single blinding: Eve measures in a basis from Bob's configured set
+    # genuine pairs; under single blinding Eve measures the second photon in
+    # a basis from Bob's configured set, drawn right after Bob's setting
+    single = sc.kind is ScenarioKind.SINGLE_BLINDING
     a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
     b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
-    e_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
+    second = bob[g.integers(0, bob.size, CHUNK_ROUNDS)[:m]] if single else bob[b_idx]
     a_coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
     u_flip = g.random(CHUNK_ROUNDS)[:m]
     depol_u = g.random(CHUNK_ROUNDS)[:m]
     a_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
     b_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-    eve_basis = bob[e_idx]
-    out_a, eve_out = honest_outcome_codes(
-        alice[a_idx], eve_basis, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
+    out_a, out_2 = honest_outcome_codes(
+        alice[a_idx], second, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
     )
-    out_b = intercept_click_codes(eve_basis, eve_out, bob[b_idx], sc)
-    return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, np.zeros(m, np.int8), None, eve_basis, eve_out
+    no_weak = np.zeros(m, np.int8)
+    if single:
+        out_b = intercept_click_codes(second, out_2, bob[b_idx], sc)
+        return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, no_weak, None, out_2
+    return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_2, no_weak, None, None
 
 
 def run_session(
@@ -295,8 +284,7 @@ def run_session(
         outcome_b=cat(3),
         weak_side=cat(4),
         hidden_lambda=cat(5),
-        eve_basis=cat(6),
-        eve_outcome=cat(7),
+        eve_outcome=cat(6),
     )
 
 
@@ -314,13 +302,27 @@ class SiftedKey:
     round_indices: np.ndarray
 
 
+def bbm92_qber(records) -> float | None:
+    """Disagreeing fraction of the sifted key, read from the count tensor.
+
+    Over equal-setting pairs where both stations clicked, Alice's bit is 1
+    for MINUS and Bob's flipped bit is 1 for PLUS, so the errors are the
+    (-,-) and (+,+) coincidences. None (undefined, not zero) when nothing
+    survives sifting.
+    """
+    pub = public_rounds(records)
+    same_setting = np.equal.outer(pub.alice_settings, pub.bob_settings)
+    c = pub.counts[same_setting][:, ::2, ::2].sum(axis=0)
+    n = int(c.sum())
+    return int(c[0, 0] + c[1, 1]) / n if n else None
+
+
 def sift_bbm92(records) -> tuple[SiftedKey, float | None]:
-    """Keep equal-setting rounds where both stations clicked; score disagreement.
+    """Keep equal-setting rounds where both stations clicked.
 
     Alice's bit is 1 for a MINUS outcome; Bob's raw bit is flipped before
     comparison because the source anticorrelates the stations. Returns the
-    key and the QBER, which is None (undefined, not zero) when nothing
-    survives sifting.
+    key and bbm92_qber(records).
     """
     pub = public_rounds(records)
     same_setting = np.equal.outer(pub.alice_settings, pub.bob_settings)
@@ -338,8 +340,7 @@ def sift_bbm92(records) -> tuple[SiftedKey, float | None]:
         )
         bits_eve = (pred_b != int(Outcome.MINUS)).astype(np.uint8)
 
-    qber = float(np.mean(bits_alice != bits_bob)) if idx.size else None
-    return SiftedKey(bits_alice, bits_bob, bits_eve, idx), qber
+    return SiftedKey(bits_alice, bits_bob, bits_eve, idx), bbm92_qber(records)
 
 
 @dataclass(frozen=True)

@@ -134,8 +134,9 @@ def weak_side_codes(cfg: ScenarioConfig, coin: np.ndarray, start_index: int) -> 
     if policy is WeakSidePolicy.RANDOM:
         return coin.astype(np.int8) + np.int8(WeakSide.A)  # 0 -> A, 1 -> B
     if policy is WeakSidePolicy.ALTERNATE:
-        idx = start_index + np.arange(n, dtype=np.int64)
-        return np.where(idx % 2 == 0, np.int8(WeakSide.A), np.int8(WeakSide.B))
+        codes = np.full(n, np.int8(WeakSide.B))
+        codes[start_index % 2 :: 2] = WeakSide.A  # the local indices of even absolute rounds
+        return codes
     if policy is WeakSidePolicy.FIXED_A:
         return np.full(n, np.int8(WeakSide.A))
     return np.full(n, np.int8(WeakSide.B))

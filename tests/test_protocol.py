@@ -18,6 +18,7 @@ from blindsim.protocol import (
     ProtocolConfig,
     ProtocolKind,
     SessionRecords,
+    bbm92_qber,
     chsh_score,
     chsh_select,
     chsh_value,
@@ -70,7 +71,6 @@ def test_run_session_shapes_and_indexing():
     rec = _session("double-bbm92", "bbm92", 1000, 5)
     assert len(rec) == 1000
     assert rec.hidden_lambda is not None
-    assert rec.eve_basis is None
     for col in ("theta_a", "theta_b", "outcome_a", "outcome_b", "weak_side"):
         assert getattr(rec, col).shape == (1000,)
     assert rec.hidden_lambda.shape == (1000,)
@@ -142,6 +142,17 @@ def test_sift_bbm92_empty_when_settings_never_match():
     assert qber is None
     assert key.bits_alice.size == 0
     assert eve_knowledge_audit(rec, key) is None
+
+
+@pytest.mark.parametrize("scenario", [k.value for k in ScenarioKind])
+def test_bbm92_qber_equals_sifted_bit_disagreement(scenario):
+    for p in (0.0, 0.1, 0.3):
+        for seed in (1, 2):
+            pc = ProtocolConfig(protocol="bbm92", rounds=30_000, seed=seed)
+            rec = run_session(pc, ScenarioConfig(kind=scenario, depolarize_prob=p))
+            key, qber = sift_bbm92(rec)
+            expected = float(np.mean(key.bits_alice != key.bits_bob))
+            assert bbm92_qber(rec) == qber == expected, (p, seed)
 
 
 def test_public_projection_carries_no_source_secrets():

@@ -125,6 +125,13 @@ def test_weak_side_codes_policies():
     np.testing.assert_array_equal(
         weak_side_codes(alt_cfg, coin, 3), np.array([2, 1, 2, 1, 2], np.int8)
     )
+    # a full chunk at an odd start, against the index-parity expression
+    full = np.zeros(CHUNK_ROUNDS, np.int64)
+    for start in (0, CHUNK_ROUNDS, 7):
+        alt = weak_side_codes(alt_cfg, full, start)
+        assert alt.dtype == np.int8
+        parity = (start + np.arange(CHUNK_ROUNDS, dtype=np.int64)) % 2
+        np.testing.assert_array_equal(alt, np.where(parity == 0, np.int8(WeakSide.A), np.int8(WeakSide.B)))
     fixed_a = ScenarioConfig(kind="double-ekert", weak_side_policy="fixed-a")
     assert np.all(weak_side_codes(fixed_a, coin, 0) == int(WeakSide.A))
     fixed_b = ScenarioConfig(kind="double-ekert", weak_side_policy="fixed-b")
