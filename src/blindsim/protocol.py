@@ -234,14 +234,13 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     depol_u = g.random(CHUNK_ROUNDS)[:m]
     a_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
     b_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-    out_a, out_2 = honest_outcome_codes(
+    out_a, out_b = honest_outcome_codes(
         alice[a_idx], second, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
     )
-    no_weak = np.zeros(m, np.int8)
-    if single:
-        out_b = intercept_click_codes(second, out_2, bob[b_idx], sc)
-        return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, no_weak, None, out_2
-    return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_2, no_weak, None, None
+    eve_out = None
+    if single:  # Eve forwards her result to Bob's blinded station
+        eve_out, out_b = out_b, intercept_click_codes(second, out_b, bob[b_idx], sc)
+    return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, np.zeros(m, np.int8), None, eve_out
 
 
 def run_session(

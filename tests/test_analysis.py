@@ -10,6 +10,7 @@ import pytest
 
 from blindsim.analysis import (
     QUANTUM_CHSH_MAX,
+    _chi2_sf,
     chsh_bound_conditional,
     chsh_bound_detection,
     estimate_efficiencies,
@@ -291,6 +292,29 @@ def test_fair_sampling_validation():
     rec_single = run_session(single, ScenarioConfig(kind="honest"))
     with pytest.raises(ValueError, match="settings"):
         fair_sampling_monitor(rec_single)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 4, 8, 15, 63, 255, 1023, 16128])
+def test_chi2_sf_matches_scipy(dof):
+    # 16128 = 127**2 - 1, the coincidence check of the largest setting sets
+    chdtrc = pytest.importorskip("scipy.special").chdtrc
+    rng = np.random.default_rng(dof)
+    statistics = np.concatenate([
+        rng.chisquare(dof, 300), rng.uniform(0.0, 3.0 * dof + 50.0, 300),
+        [dof + 1401.0, 4.0 * dof + 2000.0, 1e300],
+    ])
+    rel = 1e-12 if dof <= 255 else 1e-10
+    tails = 0
+    for x in statistics:
+        expected, got = float(chdtrc(dof, x)), _chi2_sf(dof, float(x))
+        assert 0.0 <= got <= 1.0
+        if expected < 1e-300:
+            tails += 1
+            assert got < 1e-290, x
+        else:
+            assert got == pytest.approx(expected, rel=rel, abs=0.0), x
+    assert tails >= 2
+    assert _chi2_sf(dof, 0.0) == 1.0
 
 
 def _per_round_stderrs(rec):

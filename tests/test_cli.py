@@ -5,9 +5,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blindsim
 from blindsim.cli import main, write_summary
 
 SQ2 = math.sqrt(2.0)
@@ -343,3 +348,19 @@ def test_tiny_run_has_inconclusive_fair_sampling(capsys, seed):
     assert rc == 0
     d = json.loads(capsys.readouterr().out)
     assert d["monitors"]["fair_sampling"]["verdict"] == "inconclusive"
+
+
+def test_summary_with_fair_sampling_never_loads_scipy():
+    code = (
+        "import os, sys\n"
+        "from blindsim.cli import main\n"
+        "rc = main(['run', '--scenario', 'double-ekert', '--protocol', 'ekert',"
+        " '--rounds', '20000', '--out', os.devnull])\n"
+        "assert rc == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(blindsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -27,10 +27,10 @@ SUMMARY_DIGESTS = {
     ("double-bbm92", "bbm92", 2): "bb5c881154f5d3d562b7f190a1c2ac60321345f85f4e1a0c4be6814bc67e22f6",
     ("double-bbm92", "ekert", 1): "3b870eb2e58bfb4b4c355e5abe421a9876fe59bd1bfa8ee49a24ba0341840076",
     ("double-bbm92", "ekert", 2): "e9d85fa83e0837eb652fff190e87a9455ae2faf20ffac9d522fab769d8b769a3",
-    ("double-ekert", "bbm92", 1): "b41ba7ea9c6519979cb76b20fec605c996def12baf7fae2c9b82f8d5a20063f3",
-    ("double-ekert", "bbm92", 2): "1aa599cc0871cb6ec41559f7f81a208e47d04db1c363e24ad49d3e9329ee5ba9",
-    ("double-ekert", "ekert", 1): "66fd051a221adbe745e624218b7620861eee5d20e705ba302cfef6edc24a9bc0",
-    ("double-ekert", "ekert", 2): "2e39cb0e3fef93d49db37bc3fcb3b1daee011a775127ac8fefe258d873ef700c",
+    ("double-ekert", "bbm92", 1): "1385c1fba9e4efc64b049694128302b4bf3adf0a8183cb9f9e7e18c78257dead",
+    ("double-ekert", "bbm92", 2): "834626f48aa29894ed0532d81733a7429834d615f02c21548e8dcb604c6b02be",
+    ("double-ekert", "ekert", 1): "af05b5a9910a414e2d6bcb1a62d3558e546bb21f8c7c590e7f7f1f04f3720d3f",
+    ("double-ekert", "ekert", 2): "445844e3cf72380d610ccfdbaff5eaa46b6be19c7bb2db78a3f897a644934c17",
 }
 
 # --records --eve-view dumps at 70 000 rounds (one full chunk plus a partial one), seed 3
