@@ -349,17 +349,15 @@ def _rate_check(name: str, labels, trials, hits, significance: float, min_cell: 
             None, dof, None, "inconclusive",
         )
     pooled = hits.sum() / trials.sum()
-    if pooled <= 0.0 or pooled >= 1.0:
-        # every cell at exactly 0 or 1: rates are identical by construction
-        statistic, p_value = 0.0, 1.0
-    else:
+    statistic = 0.0  # pooled at 0 or 1: every cell has that same rate
+    if 0.0 < pooled < 1.0:
         expected_hit = trials * pooled
         expected_miss = trials * (1.0 - pooled)
         statistic = float(
             np.sum((hits - expected_hit) ** 2 / expected_hit)
             + np.sum(((trials - hits) - expected_miss) ** 2 / expected_miss)
         )
-        p_value = _chi2_sf(dof, statistic) if dof > 0 else 1.0
+    p_value = _chi2_sf(dof, statistic)  # the monitor has >= 2 cells per check, so dof >= 1
     verdict = "fail" if p_value < significance else "pass"
     return RateCheck(
         name, tuple(labels), tuple(int(t) for t in trials), tuple(int(h) for h in hits),

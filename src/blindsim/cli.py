@@ -190,8 +190,7 @@ def write_records_csv(records, path, eve_view: bool = False) -> None:
             pred_b_txt = [str(int(v)) for v in pred_b]
         elif sc.kind is ScenarioKind.SINGLE_BLINDING:
             # Eve's forwarded pulse decides Bob's click, so she predicts his outcome exactly
-            lam_txt = [""] * n
-            pred_a_txt = [""] * n
+            lam_txt = pred_a_txt = [""] * n
             pred_b_txt = [str(int(v)) for v in records.outcome_b]
         else:
             lam_txt = pred_a_txt = pred_b_txt = [""] * n
