@@ -34,6 +34,7 @@ from .protocol import (
     EKERT_BOB_SETTINGS,
     ProtocolConfig,
     ProtocolKind,
+    SessionCounts,
     SessionRecords,
     SiftedKey,
     bbm92_qber,
@@ -74,6 +75,7 @@ __all__ = [
     "QUANTUM_CHSH_MAX",
     "ScenarioConfig",
     "ScenarioKind",
+    "SessionCounts",
     "SessionRecords",
     "SiftedKey",
     "WeakSide",

@@ -12,6 +12,7 @@ import csv
 import enum
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -37,6 +38,7 @@ from .protocol import (
     chsh_score,
     correlation_estimate,
     eve_prediction_report,
+    round_bytes,
     run_session,
 )
 from .sources import (
@@ -49,6 +51,31 @@ from .sources import (
 )
 
 _HALF_PI = math.pi / 2.0
+
+# glibc mallopt parameter: freed bytes the heap keeps at its top instead of
+# returning them to the OS; 32 MB holds several chunks' worth of arrays
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD = 32 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Let the heap keep freed memory for the next chunk (Linux; elsewhere a no-op).
+
+    A session streams 65536-round chunks, and each chunk frees all its
+    arrays before the next one allocates the same sizes again. By default
+    glibc hands the freed top of the heap back to the OS each time, so
+    every chunk faults its pages in afresh: about 1 700 page faults per
+    double-ekert chunk with the Eve audit.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes  # only the commands that simulate sessions load it
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
 
 
 def _jsonify(obj):
@@ -171,9 +198,15 @@ def write_records_csv(records, path, eve_view: bool = False) -> None:
     Default columns: round, theta_a, theta_b, outcome_a, outcome_b,
     weak_side. --eve-view appends lambda, eve_pred_a, eve_pred_b; those cells
     stay empty for rounds/scenarios where Eve holds no such information.
-    A path of "-" writes to stdout.
+    A path of "-" writes to stdout. A session run with keep_rounds=False
+    has no rows to dump: ValueError, before the output is opened.
     """
     sc = records.scenario
+    theta_a = records.theta_a
+    theta_b = records.theta_b
+    out_a = records.outcome_a
+    out_b = records.outcome_b
+    weak = records.weak_side
     fields = ["round", "theta_a", "theta_b", "outcome_a", "outcome_b", "weak_side"]
     if eve_view:
         fields += ["lambda", "eve_pred_a", "eve_pred_b"]
@@ -199,11 +232,6 @@ def write_records_csv(records, path, eve_view: bool = False) -> None:
     with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
-        theta_a = records.theta_a
-        theta_b = records.theta_b
-        out_a = records.outcome_a
-        out_b = records.outcome_b
-        weak = records.weak_side
         for i in range(len(records)):
             row = [
                 i,
@@ -229,12 +257,32 @@ def _scenario_from_args(args) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
+def _check_columns_fit(rounds: int, scenario_cfg: ScenarioConfig) -> None:
+    """Refuse a records dump whose per-round columns exceed physical memory."""
+    if not hasattr(os, "sysconf"):  # Unix only
+        return
+    need = rounds * round_bytes(scenario_cfg)
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical:
+        raise ValueError(
+            f"--rounds {rounds} with --records keeps {need} bytes of per-round columns, "
+            f"more than the {physical} bytes of physical memory; lower --rounds or drop --records"
+        )
+
+
 def cmd_run(args) -> int:
     if args.records == "-" and args.out == "-":
         raise ValueError("--records - and --out - both write to stdout; send one of them to a file")
     scenario_cfg = _scenario_from_args(args)
     protocol_cfg = ProtocolConfig(protocol=args.protocol, rounds=args.rounds, seed=args.seed)
-    records = run_session(protocol_cfg, scenario_cfg, workers=args.workers)
+    if args.records:
+        _check_columns_fit(protocol_cfg.rounds, scenario_cfg)
+    _keep_freed_heap()
+    # a summary needs only the count tensor and the Eve audit, reduced chunk by
+    # chunk; the per-round columns are kept only for the records dump
+    records = run_session(
+        protocol_cfg, scenario_cfg, workers=args.workers, keep_rounds=bool(args.records), audit=True
+    )
     summary = build_summary(records)
     write_summary(summary, args.out, args.format)
     if args.records:
@@ -252,6 +300,7 @@ def _sweep_grid(args) -> np.ndarray:
 
 def cmd_sweep(args) -> int:
     grid = _sweep_grid(args)
+    _keep_freed_heap()
     rows = []
     if args.axis == "delta":
         scenario_kind = ScenarioKind(args.scenario)
@@ -269,7 +318,9 @@ def cmd_sweep(args) -> int:
                 alice_settings=(0.0,),
                 bob_settings=(delta,),
             )
-            records = run_session(protocol_cfg, scenario_cfg, workers=args.workers)
+            records = run_session(
+                protocol_cfg, scenario_cfg, workers=args.workers, keep_rounds=False, audit=False
+            )
             est = correlation_estimate(records, 0.0, delta)
             corr_fn = oracle_corr_fn(scenario_cfg)
             rows.append(
@@ -292,7 +343,9 @@ def cmd_sweep(args) -> int:
                 weak_side_policy=args.weak_side,
             )
             protocol_cfg = ProtocolConfig(protocol="ekert", rounds=args.rounds, seed=args.seed + i)
-            records = run_session(protocol_cfg, scenario_cfg, workers=args.workers)
+            records = run_session(
+                protocol_cfg, scenario_cfg, workers=args.workers, keep_rounds=False, audit=False
+            )
             eff = estimate_efficiencies(records, n_emitted=len(records))
             rows.append(
                 {

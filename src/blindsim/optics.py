@@ -72,9 +72,17 @@ def split_intensities(intensity, polarization, setting):
     neighborhood of the cos = 0 boundary then rounds to the threshold itself
     (no click) instead of sitting one ulp above it.
     """
-    c2 = np.cos(2.0 * (np.asarray(polarization) - np.asarray(setting)))
-    i0 = np.asarray(intensity) * (1.0 + c2) / 2.0
-    i1 = np.asarray(intensity) * (1.0 - c2) / 2.0
+    intensity, polarization, setting = np.broadcast_arrays(intensity, polarization, setting)
+    # two buffers, reused in place, in the operation order of I*(1 +- c2)/2
+    c2 = np.subtract(polarization, setting, out=np.empty(setting.shape))
+    c2 *= 2.0
+    np.cos(c2, out=c2)
+    i0 = np.add(1.0, c2, out=np.empty(c2.shape))
+    np.multiply(intensity, i0, out=i0)
+    i0 /= 2.0
+    i1 = np.subtract(1.0, c2, out=c2)
+    np.multiply(intensity, i1, out=i1)
+    i1 /= 2.0
     return i0, i1
 
 

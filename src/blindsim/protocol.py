@@ -1,10 +1,12 @@
 """Session engine: run a protocol against a source, sift keys, score CHSH.
 
 A session draws independent uniform settings for both stations each round,
-asks the configured source for that round's physics, and records the public
-transcript plus whatever hidden side-information the scenario carries
-(the faked-state polarization, Eve's intercept results). Sifting and the
-correlation estimators only ever look at the public projection.
+asks the configured source for that round's physics, and reduces each
+65536-round chunk to a count tensor and Eve-audit counters while the chunk
+is still in cache. The per-round transcript, plus whatever hidden
+side-information the scenario carries (the faked-state polarization, Eve's
+intercept results), is kept only on request. Sifting and the correlation
+estimators only ever look at the public projection.
 """
 
 from __future__ import annotations
@@ -91,8 +93,22 @@ class ProtocolConfig:
         object.__setattr__(self, "bob_settings", _canon_settings("bob_settings", bob))
 
 
-class _ClickMasks:
-    """Which rounds each station clicked in; shared by both record views."""
+class _PerRound:
+    """Per-round access shared by sessions and their public views.
+
+    The per-round columns an object kept are plain attributes; __getattr__
+    runs only when one is missing, which means the session kept none.
+    """
+
+    _ROUND_FIELDS: tuple[str, ...] = ()
+
+    def __getattr__(self, name):
+        if name in self._ROUND_FIELDS:
+            raise ValueError(
+                f"{name} is per-round data and this session kept no per-round columns; "
+                "run it with keep_rounds=True"
+            )
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def clicked_a(self) -> np.ndarray:
@@ -103,33 +119,124 @@ class _ClickMasks:
         return np.abs(self.outcome_b) == 1
 
 
-@dataclass(frozen=True)
-class PublicRounds(_ClickMasks):
+class PublicRounds(_PerRound):
     """The transcript Alice and Bob actually share: settings and outcomes only.
 
-    a_idx/b_idx index alice_settings/bob_settings; counts is the session's
-    count tensor summed over the hidden weak-side axis.
+    counts is the session's count tensor summed over the hidden weak-side
+    axis. The per-round columns a_idx/b_idx (indices into
+    alice_settings/bob_settings), outcome_a and outcome_b are present when
+    the session kept them; reading one otherwise raises ValueError.
     """
 
-    alice_settings: tuple[float, ...]
-    bob_settings: tuple[float, ...]
-    a_idx: np.ndarray
-    b_idx: np.ndarray
-    outcome_a: np.ndarray
-    outcome_b: np.ndarray
-    counts: np.ndarray
+    _ROUND_FIELDS = ("a_idx", "b_idx", "outcome_a", "outcome_b")
+
+    def __init__(self, alice_settings, bob_settings, counts, **columns):
+        self.alice_settings = alice_settings
+        self.bob_settings = bob_settings
+        self.counts = counts
+        vars(self).update(columns)
 
 
-class SessionRecords(_ClickMasks):
+# the columns of a session, in the order chunks carry them; the last two are
+# None where the scenario has no such column
+_COLUMNS = ("a_idx", "b_idx", "outcome_a", "outcome_b", "weak_side", "hidden_lambda", "eve_outcome")
+
+
+def _count_shape(protocol: ProtocolConfig) -> tuple[int, ...]:
+    # (a_idx, b_idx, outcome_a + 1, outcome_b + 1, weak_side): outcome codes
+    # -1..2 (Outcome) and WeakSide codes 0..2
+    return (len(protocol.alice_settings), len(protocol.bob_settings), 4, 4, 3)
+
+
+def _eve_tally(protocol: ProtocolConfig, scenario: ScenarioConfig, part) -> tuple[int, ...] | None:
+    """Eve-audit counters of one chunk's columns; sessions add them up.
+
+    Faked-state scenarios: (mismatched outcomes,), Eve's predicted pair from
+    the reference Malus/threshold physics (sources.predict_outcome_codes)
+    against the pair the kernel decided by the window rule. Single blinding:
+    (Bob's clicks, clicks that differ from Eve's intercept outcome). None for
+    honest sessions, and when the column the audit needs is absent.
+    """
+    a_idx, b_idx, out_a, out_b, weak, lam, eve_out = part
+    if scenario.kind in DOUBLE_BLIND_KINDS and lam is not None:
+        alice, bob = np.asarray(protocol.alice_settings), np.asarray(protocol.bob_settings)
+        pred_a, pred_b = predict_outcome_codes(lam, alice[a_idx], bob[b_idx], scenario, weak)
+        return (int(np.count_nonzero(pred_a != out_a)) + int(np.count_nonzero(pred_b != out_b)),)
+    if scenario.kind is ScenarioKind.SINGLE_BLINDING and eve_out is not None:
+        clicked = np.abs(out_b) == 1
+        return int(np.count_nonzero(clicked)), int(np.count_nonzero(clicked & (out_b != eve_out)))
+    return None
+
+
+def _reduce_chunk(protocol: ProtocolConfig, scenario: ScenarioConfig, part, audit: bool):
+    """Count tensor and, if audit, Eve-audit counters of one chunk's columns (_COLUMNS order).
+
+    An index or code outside the tensor raises ValueError.
+    """
+    a_idx, b_idx, out_a, out_b, weak = part[:5]
+    shape = _count_shape(protocol)
+    cells = np.ravel_multi_index((a_idx, b_idx, out_a + 1, out_b + 1, weak), shape)
+    counts = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
+    return counts, _eve_tally(protocol, scenario, part) if audit else None
+
+
+def _merge(reductions, shape):
+    """Sum per-chunk (counts, tally) pairs; integer addition, so any order gives the same bytes."""
+    counts = np.zeros(shape, np.int64)
+    tallies = []
+    for part_counts, tally in reductions:
+        counts += part_counts
+        tallies.append(tally)
+    tally = None if None in tallies else tuple(map(sum, zip(*tallies)))
+    return counts, tally
+
+
+class SessionCounts(_PerRound):
+    """A session reduced to its count tensor and Eve-audit counters.
+
+    run_session(..., keep_rounds=False) returns one: it holds no per-round
+    column, so its memory does not grow with the round count. counts holds
+    the number of rounds per (a_idx, b_idx, outcome_a + 1, outcome_b + 1,
+    weak_side); every public statistic reads it. eve_tally holds the
+    counters eve_prediction_report reads, or None when the session was run
+    without the audit. Reading a per-round column (or clicked_a/clicked_b,
+    or sifting a key) raises ValueError.
+    """
+
+    _ROUND_FIELDS = (
+        "a_idx", "b_idx", "theta_a", "theta_b", "outcome_a", "outcome_b", "weak_side",
+        "hidden_lambda", "eve_outcome",
+    )
+
+    def __init__(
+        self, protocol: ProtocolConfig, scenario: ScenarioConfig, rounds: int, counts, eve_tally=None
+    ):
+        self.protocol = protocol
+        self.scenario = scenario
+        self.rounds = int(rounds)
+        self.counts = counts
+        self.eve_tally = eve_tally
+
+    def __len__(self) -> int:
+        return self.rounds
+
+    def public_view(self) -> PublicRounds:
+        """Strip all source-side information."""
+        return PublicRounds(
+            self.protocol.alice_settings, self.protocol.bob_settings, self.counts.sum(axis=4)
+        )
+
+
+class SessionRecords(SessionCounts):
     """Columnar record of a full session, one numpy array per column.
 
     Settings are stored as indices into the configured setting tuples
-    (a_idx, b_idx); theta_a/theta_b are derived from them. counts holds the
-    number of rounds per (a_idx, b_idx, outcome_a + 1, outcome_b + 1,
-    weak_side), built once here; every public statistic reads it. Hidden
-    columns (the faked-state polarization, the weakened side, Eve's intercept
+    (a_idx, b_idx); theta_a/theta_b are derived from them. Hidden columns
+    (the faked-state polarization, the weakened side, Eve's intercept
     outcome) ride along for analysis and audits; honest-party computations
-    must go through public_view().
+    must go through public_view(). The constructor reduces the columns to
+    the count tensor and, if audit, the Eve-audit counters, one
+    CHUNK_ROUNDS slice at a time, exactly as a streamed session does.
     """
 
     def __init__(
@@ -143,9 +250,9 @@ class SessionRecords(_ClickMasks):
         weak_side,
         hidden_lambda=None,
         eve_outcome=None,
+        *,
+        audit: bool = True,
     ):
-        self.protocol = protocol
-        self.scenario = scenario
         # same_kind casting: setting angles passed as indices raise TypeError
         self.a_idx = np.asarray(a_idx).astype(np.int8, casting="same_kind", copy=False)
         self.b_idx = np.asarray(b_idx).astype(np.int8, casting="same_kind", copy=False)
@@ -154,18 +261,20 @@ class SessionRecords(_ClickMasks):
         self.weak_side = np.asarray(weak_side, dtype=np.int8)
         self.hidden_lambda = None if hidden_lambda is None else np.asarray(hidden_lambda, dtype=np.float64)
         self.eve_outcome = None if eve_outcome is None else np.asarray(eve_outcome, dtype=np.int8)
+        columns = [getattr(self, name) for name in _COLUMNS]
         n = self.a_idx.shape[0]
-        for name in ("b_idx", "outcome_a", "outcome_b", "weak_side", "hidden_lambda", "eve_outcome"):
-            col = getattr(self, name)
+        for name, col in zip(_COLUMNS, columns):
             if col is not None and col.shape[0] != n:
                 raise ValueError(f"column {name} has length {col.shape[0]}, expected {n}")
-        # outcome codes -1..2 (Outcome) and WeakSide codes 0..2; anything
-        # outside the shape makes ravel_multi_index raise ValueError
-        shape = (len(protocol.alice_settings), len(protocol.bob_settings), 4, 4, 3)
-        cells = np.ravel_multi_index(
-            (self.a_idx, self.b_idx, self.outcome_a + 1, self.outcome_b + 1, self.weak_side), shape
-        )
-        self.counts = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
+
+        def slices():
+            # an empty session reduces one empty slice, so it still has its (zero) counters
+            for lo in range(0, n or 1, CHUNK_ROUNDS):
+                yield [None if col is None else col[lo : lo + CHUNK_ROUNDS] for col in columns]
+
+        reductions = (_reduce_chunk(protocol, scenario, part, audit) for part in slices())
+        counts, tally = _merge(reductions, _count_shape(protocol))
+        super().__init__(protocol, scenario, n, counts, tally)
 
     @property
     def theta_a(self) -> np.ndarray:
@@ -175,15 +284,26 @@ class SessionRecords(_ClickMasks):
     def theta_b(self) -> np.ndarray:
         return np.asarray(self.protocol.bob_settings)[self.b_idx]
 
-    def __len__(self) -> int:
-        return self.a_idx.shape[0]
-
     def public_view(self) -> PublicRounds:
         """Strip all source-side information."""
         return PublicRounds(
-            self.protocol.alice_settings, self.protocol.bob_settings, self.a_idx, self.b_idx,
-            self.outcome_a, self.outcome_b, self.counts.sum(axis=4),
+            self.protocol.alice_settings, self.protocol.bob_settings, self.counts.sum(axis=4),
+            a_idx=self.a_idx, b_idx=self.b_idx, outcome_a=self.outcome_a, outcome_b=self.outcome_b,
         )
+
+
+def round_bytes(scenario: ScenarioConfig) -> int:
+    """Bytes per round that a session keeping its columns retains.
+
+    Five int8 columns (both setting indices, both outcomes, the weak side),
+    plus the float64 hidden polarization of faked-state sources or the int8
+    intercept outcome of single blinding.
+    """
+    if scenario.kind in DOUBLE_BLIND_KINDS:
+        return 5 + 8
+    if scenario.kind is ScenarioKind.SINGLE_BLINDING:
+        return 5 + 1
+    return 5
 
 
 def public_rounds(records) -> PublicRounds:
@@ -195,6 +315,8 @@ def public_rounds(records) -> PublicRounds:
 def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     """Simulate rounds [chunk*CHUNK_ROUNDS, ...) of the session.
 
+    Returns the chunk's columns in _COLUMNS order; the setting indices stay
+    int64, which index the setting tables faster than int8.
     Every chunk draws full-size arrays in a fixed per-scenario order and
     slices afterwards, so per-round values never depend on how many rounds
     the final chunk actually covers.
@@ -221,7 +343,7 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
         out_a = window_codes(lam - alice[a_idx], w_a)
         # Bob's pulse is rotated by pi/2, which swaps his two windows
         out_b = -window_codes(lam - bob[b_idx], w_b)
-        return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, weak, lam, None
+        return a_idx, b_idx, out_a, out_b, weak, lam, None
 
     # genuine pairs; under single blinding Eve measures the second photon in
     # a basis from Bob's configured set, drawn right after Bob's setting
@@ -240,16 +362,45 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     eve_out = None
     if single:  # Eve forwards her result to Bob's blinded station
         eve_out, out_b = out_b, intercept_click_codes(second, out_b, bob[b_idx], sc)
-    return a_idx.astype(np.int8), b_idx.astype(np.int8), out_a, out_b, np.zeros(m, np.int8), None, eve_out
+    return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, eve_out
+
+
+def _assemble(parts, rounds: int) -> list:
+    """Copy chunk columns, in chunk order, into full-length session columns.
+
+    Each chunk is dropped once copied, so the session never holds its
+    columns twice; setting indices are stored as int8.
+    """
+    columns = None
+    for c, part in enumerate(parts):
+        if columns is None:
+            dtypes = [np.int8, np.int8] + [None if col is None else col.dtype for col in part[2:]]
+            columns = [None if dt is None else np.empty(rounds, dt) for dt in dtypes]
+        lo = c * CHUNK_ROUNDS
+        for column, col in zip(columns, part):
+            if column is not None:
+                column[lo : lo + col.shape[0]] = col
+    return columns
 
 
 def run_session(
-    protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig, workers: int = 1
-) -> SessionRecords:
+    protocol_cfg: ProtocolConfig,
+    scenario_cfg: ScenarioConfig,
+    workers: int = 1,
+    *,
+    keep_rounds: bool = True,
+    audit: bool = True,
+) -> SessionCounts:
     """Simulate a full session.
 
+    keep_rounds=True returns a SessionRecords with every per-round column;
+    keep_rounds=False reduces each chunk to its count tensor while it is
+    in cache and returns a SessionCounts, whose memory does not grow with
+    the round count. audit=True also reduces the Eve-audit counters that
+    eve_prediction_report reads; without it that report raises ValueError.
     Deterministic for a given (protocol_cfg, scenario_cfg): the chunked RNG
-    scheme makes the output byte-identical for any workers >= 1.
+    scheme, and chunk reductions merged by integer addition, make the
+    output byte-identical for any workers >= 1.
     """
     if int(workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -259,32 +410,24 @@ def run_session(
     ):
         raise ValueError("scenario single-blinding runs under protocol bbm92 only")
 
+    def chunk(c):
+        part = _simulate_chunk(protocol_cfg, scenario_cfg, c)
+        return part if keep_rounds else _reduce_chunk(protocol_cfg, scenario_cfg, part, audit)
+
+    def finish(parts):
+        if keep_rounds:
+            return SessionRecords(
+                protocol_cfg, scenario_cfg, *_assemble(parts, protocol_cfg.rounds), audit=audit
+            )
+        counts, tally = _merge(parts, _count_shape(protocol_cfg))
+        return SessionCounts(protocol_cfg, scenario_cfg, protocol_cfg.rounds, counts, tally)
+
     n_chunks = -(-protocol_cfg.rounds // CHUNK_ROUNDS)
     workers = min(int(workers), n_chunks, os.cpu_count() or 1)
     if workers == 1:
-        parts = [_simulate_chunk(protocol_cfg, scenario_cfg, c) for c in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda c: _simulate_chunk(protocol_cfg, scenario_cfg, c), range(n_chunks))
-            )
-
-    def cat(j):
-        if parts[0][j] is None:
-            return None
-        return np.concatenate([p[j] for p in parts]) if len(parts) > 1 else parts[0][j]
-
-    return SessionRecords(
-        protocol_cfg,
-        scenario_cfg,
-        a_idx=cat(0),
-        b_idx=cat(1),
-        outcome_a=cat(2),
-        outcome_b=cat(3),
-        weak_side=cat(4),
-        hidden_lambda=cat(5),
-        eve_outcome=cat(6),
-    )
+        return finish(map(chunk, range(n_chunks)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return finish(pool.map(chunk, range(n_chunks)))
 
 
 @dataclass(frozen=True)
@@ -442,45 +585,35 @@ def eve_knowledge_audit(records, sifted: SiftedKey) -> float | None:
 
 
 def eve_prediction_report(records) -> dict | None:
-    """Round-level audit of Eve's knowledge, serializable to JSON.
+    """Audit of Eve's knowledge, serializable to JSON.
 
+    Reads the counters the session reduced chunk by chunk (_eve_tally).
     Faked-state scenarios: her predicted outcome pair, computed by the
     reference Malus/threshold physics (sources.predict_outcome_codes), is
     compared on every round to the recorded pair, which the simulation
     decided by the window rule (optics.window_codes); a mismatch means the
     two arithmetics disagree. Single blinding: Bob's clicks are compared to
-    her intercept outcome. None for honest sessions.
+    her intercept outcome. None for honest sessions and public views;
+    ValueError for a session that carries no audit (run with audit=False,
+    or built without the column the audit reads).
     """
     scenario = getattr(records, "scenario", None)
-    if scenario is None:
+    if scenario is None or scenario.kind is ScenarioKind.HONEST_SINGLET:
         return None
+    if records.eve_tally is None:
+        raise ValueError("this session carries no Eve audit; run it with audit=True")
     if scenario.kind in DOUBLE_BLIND_KINDS:
-        # chunked, so no full-length angle or prediction column is ever built
-        alice, bob = np.asarray(records.protocol.alice_settings), np.asarray(records.protocol.bob_settings)
-        rounds, mismatches = len(records), 0
-        for lo in range(0, rounds, CHUNK_ROUNDS):
-            part = slice(lo, lo + CHUNK_ROUNDS)
-            pred_a, pred_b = predict_outcome_codes(
-                records.hidden_lambda[part], alice[records.a_idx[part]], bob[records.b_idx[part]],
-                scenario, records.weak_side[part],
-            )
-            mismatches += int(np.count_nonzero(pred_a != records.outcome_a[part])) + int(
-                np.count_nonzero(pred_b != records.outcome_b[part])
-            )
+        rounds, (mismatches,) = len(records), records.eve_tally
         return {
             "mode": "faked-state",
             "rounds": rounds,
             "mismatched_outcomes": mismatches,
             "match_fraction": 1.0 - mismatches / (2 * rounds) if rounds else None,
         }
-    if scenario.kind is ScenarioKind.SINGLE_BLINDING:
-        clicked = records.clicked_b
-        clicks = int(np.count_nonzero(clicked))
-        mismatched = int(np.count_nonzero(clicked & (records.outcome_b != records.eve_outcome)))
-        return {
-            "mode": "intercept",
-            "bob_clicks": clicks,
-            "mismatched_clicks": mismatched,
-            "match_fraction": 1.0 - mismatched / clicks if clicks else None,
-        }
-    return None
+    clicks, mismatched = records.eve_tally
+    return {
+        "mode": "intercept",
+        "bob_clicks": clicks,
+        "mismatched_clicks": mismatched,
+        "match_fraction": 1.0 - mismatched / clicks if clicks else None,
+    }

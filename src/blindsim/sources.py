@@ -146,18 +146,21 @@ def faked_pulse_params(lam, cfg: ScenarioConfig, weak_side):
     """Intensities and polarizations of both faked pulses (vectorized).
 
     Alice receives the hidden polarization as-is, Bob the pi/2-rotated copy;
-    the weakened side (if any) is driven at 1/cos^2(alpha).
+    the weakened side (if any) is driven at 1/cos^2(alpha). lam lies in
+    [0, pi), as sample_lambda draws it; weak_side holds one WeakSide code
+    per round.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    weak_side = np.asarray(weak_side)
     pol_a = lam
-    pol_b = canon_angle(lam + HALF_PERIOD)
-    intensity_a = np.full(lam.shape, cfg.strong_intensity)
-    intensity_b = np.full(lam.shape, cfg.strong_intensity)
-    if cfg.kind is ScenarioKind.DOUBLE_BLIND_EKERT:
-        iw = weak_intensity(cfg.alpha)
-        intensity_a = np.where(weak_side == WeakSide.A, iw, intensity_a)
-        intensity_b = np.where(weak_side == WeakSide.B, iw, intensity_b)
+    # canon_angle(x) for x = lam + pi/2 in [pi/2, 3pi/2): x below pi, else
+    # x - pi, which is exact there (Sterbenz), as the fmod in canon_angle is
+    pol_b = np.add(lam, HALF_PERIOD, out=np.empty_like(lam))
+    np.subtract(pol_b, PERIOD, out=pol_b, where=pol_b >= PERIOD)
+    strong = cfg.strong_intensity
+    weak = weak_intensity(cfg.alpha) if cfg.kind is ScenarioKind.DOUBLE_BLIND_EKERT else strong
+    # indexed by WeakSide code: NONE, A, B
+    intensity_a = np.array([strong, weak, strong])[weak_side]
+    intensity_b = np.array([strong, strong, weak])[weak_side]
     return intensity_a, pol_a, intensity_b, pol_b
 
 

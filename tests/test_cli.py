@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 
 import blindsim
-from blindsim.cli import main, write_summary
+from blindsim import cli
+from blindsim.cli import main, write_records_csv, write_summary
+from blindsim.protocol import ProtocolConfig, run_session
+from blindsim.sources import ScenarioConfig
 
 SQ2 = math.sqrt(2.0)
 
@@ -364,3 +367,45 @@ def test_summary_with_fair_sampling_never_loads_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("scenario,protocol,bytes_per_round", [
+    ("honest", "bbm92", 5), ("single-blinding", "bbm92", 6), ("double-ekert", "ekert", 13),
+])
+def test_records_refused_when_columns_exceed_physical_memory(
+    tmp_path, monkeypatch, capsys, scenario, protocol, bytes_per_round
+):
+    rounds = 3_000
+    physical = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": rounds * bytes_per_round - 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: physical[name])
+    argv = [
+        "run", "--scenario", scenario, "--protocol", protocol, "--rounds", str(rounds),
+        "--out", str(tmp_path / "summary.json"), "--records", str(tmp_path / "rounds.csv"),
+    ]
+    real_run_session = cli.run_session
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a session whose records cannot fit")
+
+    monkeypatch.setattr(cli, "run_session", no_simulation)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--rounds" in err and "--records" in err
+    assert not (tmp_path / "rounds.csv").exists()
+    assert not (tmp_path / "summary.json").exists()
+    monkeypatch.setattr(cli, "run_session", real_run_session)
+    # a summary alone keeps no columns, so it needs no room for them
+    assert main(argv[:-2]) == 0
+    # columns that exactly fit are accepted
+    physical["SC_PHYS_PAGES"] += 1
+    assert main(argv) == 0
+    assert len(_read_csv(tmp_path / "rounds.csv")) == rounds
+
+
+def test_records_writer_refuses_a_counts_only_session(tmp_path):
+    pc = ProtocolConfig(protocol="ekert", rounds=1_000, seed=4)
+    session = run_session(pc, ScenarioConfig(kind="double-ekert"), keep_rounds=False)
+    for eve_view in (False, True):
+        with pytest.raises(ValueError, match="keep_rounds"):
+            write_records_csv(session, str(tmp_path / "rounds.csv"), eve_view=eve_view)
+    assert not (tmp_path / "rounds.csv").exists()

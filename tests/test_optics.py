@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from blindsim.optics import (
+    HALF_PERIOD,
     Outcome,
     canon_angle,
     click_codes,
@@ -16,6 +17,7 @@ from blindsim.optics import (
     window_half_width,
     wrap_diff,
 )
+from blindsim.sources import ScenarioConfig, faked_pulse_params, predict_outcome_codes
 
 
 def _measure(intensity, polarization, setting):
@@ -206,22 +208,30 @@ def _window_vs_reference(lam, theta, intensity):
     return codes != ref_a, -codes != ref_b
 
 
-def test_window_codes_match_reference_except_within_ulps_of_an_edge():
+def _edge_grid(intensity, theta):
+    """Hidden polarizations packed around every window edge of a station at setting theta.
+
+    Returns (lam, edge): lam in [0, pi) and the edge each value sits next to.
+    """
     steps = np.arange(-8, 9)
+    w = window_half_width(intensity)
+    edges = canon_angle(
+        np.array([theta + w, theta - w, theta + math.pi / 2.0 + w, theta + math.pi / 2.0 - w,
+                  theta + math.pi / 4.0, theta - math.pi / 4.0])
+    )[:, None]
+    # the 8 adjacent floats on each side of every edge, and 8 ulps of
+    # pi on each side (the two differ for edges well below pi)
+    lam = np.concatenate([edges + steps * np.spacing(edges), edges + steps * _ULP_PI], axis=1)
+    edge = np.broadcast_to(edges, lam.shape)
+    inside = (lam >= 0.0) & (lam < math.pi)
+    return lam[inside], edge[inside]
+
+
+def test_window_codes_match_reference_except_within_ulps_of_an_edge():
     points = disagreements = 0
     for intensity in _WINDOW_INTENSITIES:
-        w = window_half_width(intensity)
         for theta in _DEFAULT_SETTINGS:
-            edges = canon_angle(
-                np.array([theta + w, theta - w, theta + math.pi / 2.0 + w, theta + math.pi / 2.0 - w,
-                          theta + math.pi / 4.0, theta - math.pi / 4.0])
-            )[:, None]
-            # the 8 adjacent floats on each side of every edge, and 8 ulps of
-            # pi on each side (the two differ for edges well below pi)
-            lam = np.concatenate([edges + steps * np.spacing(edges), edges + steps * _ULP_PI], axis=1)
-            edge = np.broadcast_to(edges, lam.shape)
-            inside = (lam >= 0.0) & (lam < math.pi)
-            lam, edge = lam[inside], edge[inside]
+            lam, edge = _edge_grid(intensity, theta)
             for bad in _window_vs_reference(lam, theta, intensity):
                 gap = np.abs(lam[bad] - edge[bad]) / _ULP_PI
                 assert np.all(gap <= 2.0), (intensity, theta, gap)
@@ -238,6 +248,53 @@ def test_window_codes_match_reference_except_within_ulps_of_an_edge():
         for theta in _DEFAULT_SETTINGS:
             for bad in _window_vs_reference(lam, theta, intensity):
                 assert not np.any(bad), (intensity, theta)
+
+
+def _old_faked_pulse_params(lam, cfg, weak_side):
+    """faked_pulse_params as first written: canon_angle, np.full and np.where."""
+    pol_b = canon_angle(lam + math.pi / 2.0)
+    intensity_a = np.full(lam.shape, cfg.strong_intensity)
+    intensity_b = np.full(lam.shape, cfg.strong_intensity)
+    if cfg.kind == "double-ekert":
+        iw = 1.0 / math.cos(cfg.alpha) ** 2
+        intensity_a = np.where(weak_side == 1, iw, intensity_a)
+        intensity_b = np.where(weak_side == 2, iw, intensity_b)
+    return intensity_a, lam, intensity_b, pol_b
+
+
+def _old_split_intensities(intensity, polarization, setting):
+    """split_intensities as first written: one expression per output, no reused buffers."""
+    c2 = np.cos(2.0 * (polarization - setting))
+    return intensity * (1.0 + c2) / 2.0, intensity * (1.0 - c2) / 2.0
+
+
+def test_reference_physics_matches_its_first_form_bit_for_bit():
+    # Eve's predictions must not move by an ulp when the reference arithmetic
+    # is reorganised: zero tolerance, on the edges where any rounding shows
+    rng = np.random.default_rng(19)
+    sources = [ScenarioConfig(kind="double-bbm92", strong_intensity=i) for i in (2.0, 1.5, 1.2)] + [
+        ScenarioConfig(kind="double-ekert", alpha=a) for a in (0.2, math.pi / (4.0 * math.sqrt(2.0)), 0.7)
+    ]
+    lams = [_edge_grid(intensity, theta)[0] for intensity in _WINDOW_INTENSITIES for theta in _DEFAULT_SETTINGS]
+    lam = np.concatenate(lams + [rng.uniform(0.0, math.pi, 100_000)])
+    # lambda + pi/2 lands exactly on pi, where the rotated polarization wraps to 0
+    assert np.any(lam + HALF_PERIOD == math.pi)
+    theta_a = rng.choice(_DEFAULT_SETTINGS, lam.size)
+    theta_b = rng.choice(_DEFAULT_SETTINGS, lam.size)
+    for cfg in sources:
+        weak = rng.integers(0, 3, lam.size).astype(np.int8)
+        if cfg.kind != "double-ekert":
+            weak[:] = 0
+        new = faked_pulse_params(lam, cfg, weak)
+        old = _old_faked_pulse_params(lam, cfg, weak)
+        for got, want in zip(new, old):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), cfg
+        for intensity, pol, theta in ((new[0], new[1], theta_a), (new[2], new[3], theta_b)):
+            for got, want in zip(split_intensities(intensity, pol, theta), _old_split_intensities(intensity, pol, theta)):
+                assert got.tobytes() == want.tobytes(), cfg
+        pred_a, pred_b = predict_outcome_codes(lam, theta_a, theta_b, cfg, weak)
+        np.testing.assert_array_equal(pred_a, click_codes(*_old_split_intensities(old[0], old[1], theta_a)))
+        np.testing.assert_array_equal(pred_b, click_codes(*_old_split_intensities(old[2], old[3], theta_b)))
 
 
 def test_window_codes_strong_pulse_silent_only_on_the_diagonals():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from blindsim.protocol import (
     EKERT_BOB_SETTINGS,
     ProtocolConfig,
     ProtocolKind,
+    SessionCounts,
     SessionRecords,
     bbm92_qber,
     chsh_score,
@@ -34,10 +36,10 @@ from blindsim.sources import CHUNK_ROUNDS, ScenarioConfig, ScenarioKind, WeakSid
 SQ2 = math.sqrt(2.0)
 
 
-def _session(scenario, protocol, rounds, seed, **kwargs):
+def _session(scenario, protocol, rounds, seed, keep_rounds=True, **kwargs):
     pc = ProtocolConfig(protocol=protocol, rounds=rounds, seed=seed, **kwargs)
     sc = ScenarioConfig(kind=scenario)
-    return run_session(pc, sc)
+    return run_session(pc, sc, keep_rounds=keep_rounds)
 
 
 def test_protocol_config_defaults():
@@ -321,11 +323,16 @@ def test_eve_prediction_report_modes():
 @pytest.mark.parametrize("scenario,proto", [("double-bbm92", "bbm92"), ("double-ekert", "ekert")])
 def test_eve_audit_checks_an_independent_arithmetic(monkeypatch, scenario, proto):
     # the kernel decides clicks by angle windows, Eve predicts them by Malus
-    # splitting: a kernel window 1e-3 too wide must show up in the audit
-    assert eve_prediction_report(_session(scenario, proto, 20_000, 31))["mismatched_outcomes"] == 0
+    # splitting: a kernel window 1e-3 too wide must show up in the audit,
+    # whether the session streams its chunks or keeps its columns
+    for keep_rounds in (True, False):
+        rep = eve_prediction_report(_session(scenario, proto, 20_000, 31, keep_rounds))
+        assert rep["mismatched_outcomes"] == 0
     true_width = protocol.window_half_width
     monkeypatch.setattr(protocol, "window_half_width", lambda intensity: true_width(intensity) + 1e-3)
-    assert eve_prediction_report(_session(scenario, proto, 20_000, 31))["mismatched_outcomes"] > 0
+    for keep_rounds in (True, False):
+        rep = eve_prediction_report(_session(scenario, proto, 20_000, 31, keep_rounds))
+        assert rep["mismatched_outcomes"] > 0
 
 
 @pytest.mark.parametrize("scenario,proto", [("double-bbm92", "bbm92"), ("double-ekert", "ekert")])
@@ -446,3 +453,76 @@ def test_correlation_estimate_matches_per_round_products():
             est = correlation_estimate(rec, a, b)
             assert est.n_coincidences == np.count_nonzero(mask)
             assert est.value == float(np.mean(products))
+
+
+_ALL_SCENARIOS = [
+    ("honest", "ekert"), ("single-blinding", "bbm92"),
+    ("double-bbm92", "bbm92"), ("double-ekert", "ekert"),
+]
+
+
+@pytest.mark.parametrize("scenario,proto", _ALL_SCENARIOS)
+def test_streamed_session_matches_the_column_session(scenario, proto):
+    # three chunks, the last one partial: chunk reductions merge by addition
+    pc = ProtocolConfig(protocol=proto, rounds=2 * CHUNK_ROUNDS + 1234, seed=40)
+    sc = ScenarioConfig(kind=scenario)
+    kept = run_session(pc, sc)
+    assert isinstance(kept, SessionRecords)
+    for workers in (1, 2):
+        streamed = run_session(pc, sc, workers, keep_rounds=False)
+        assert type(streamed) is SessionCounts
+        assert len(streamed) == len(kept) == pc.rounds
+        np.testing.assert_array_equal(streamed.counts, kept.counts)
+        assert eve_prediction_report(streamed) == eve_prediction_report(kept)
+        assert bbm92_qber(streamed) == bbm92_qber(kept)
+    # the column session's own reduction, from columns built by hand
+    rebuilt = SessionRecords(
+        pc, sc, kept.a_idx, kept.b_idx, kept.outcome_a, kept.outcome_b, kept.weak_side,
+        hidden_lambda=kept.hidden_lambda, eve_outcome=kept.eve_outcome,
+    )
+    np.testing.assert_array_equal(rebuilt.counts, kept.counts)
+    assert eve_prediction_report(rebuilt) == eve_prediction_report(kept)
+
+
+@pytest.mark.parametrize("rounds", [400_000, 1_600_000])
+def test_streamed_session_memory_does_not_grow_with_rounds(rounds):
+    pc = ProtocolConfig(protocol="ekert", rounds=rounds, seed=41)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        session = run_session(pc, ScenarioConfig(kind="double-ekert"), keep_rounds=False)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert eve_prediction_report(session)["mismatched_outcomes"] == 0
+
+
+def test_counts_only_session_refuses_per_round_questions():
+    session = _session("double-ekert", "bbm92", 5_000, 42, keep_rounds=False)
+    for name in ("a_idx", "theta_a", "outcome_b", "weak_side", "hidden_lambda", "clicked_a", "clicked_b"):
+        with pytest.raises(ValueError, match="keep_rounds"):
+            getattr(session, name)
+    pub = session.public_view()
+    np.testing.assert_array_equal(pub.counts, session.counts.sum(axis=4))
+    for name in ("a_idx", "b_idx", "outcome_a", "outcome_b", "clicked_a", "clicked_b"):
+        with pytest.raises(ValueError, match="keep_rounds"):
+            getattr(pub, name)
+    # hidden columns are absent from the public view, not merely unkept
+    assert not hasattr(pub, "hidden_lambda")
+    with pytest.raises(ValueError, match="keep_rounds"):
+        sift_bbm92(session)
+    # statistics read the count tensor only
+    assert bbm92_qber(session) == 0.0
+
+
+def test_session_without_audit_refuses_the_eve_report():
+    pc = ProtocolConfig(protocol="ekert", rounds=1_000, seed=43)
+    for scenario in ("double-ekert", "double-bbm92"):
+        for keep_rounds in (True, False):
+            session = run_session(pc, ScenarioConfig(kind=scenario), keep_rounds=keep_rounds, audit=False)
+            assert session.eve_tally is None
+            with pytest.raises(ValueError, match="audit"):
+                eve_prediction_report(session)
+    honest = run_session(pc, ScenarioConfig(kind="honest"), keep_rounds=False, audit=False)
+    assert eve_prediction_report(honest) is None
