@@ -52,10 +52,14 @@ from .sources import (
 
 _HALF_PI = math.pi / 2.0
 
-# glibc mallopt parameter: freed bytes the heap keeps at its top instead of
-# returning them to the OS; 32 MB holds several chunks' worth of arrays
-_M_TOP_PAD = -2
+# glibc mallopt parameters. M_TOP_PAD: freed bytes the heap keeps at its top
+# instead of returning them to the OS; 32 MB holds several chunks' worth of
+# arrays. M_MMAP_THRESHOLD: allocations at least this large get their own
+# mapping, returned to the OS when freed; 4 MB is eight 65536-round float64
+# columns, so every per-chunk array comes from the heap.
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
 _HEAP_TOP_PAD = 32 << 20
+_MMAP_THRESHOLD = 4 << 20
 
 
 def _keep_freed_heap() -> None:
@@ -65,7 +69,10 @@ def _keep_freed_heap() -> None:
     arrays before the next one allocates the same sizes again. By default
     glibc hands the freed top of the heap back to the OS each time, so
     every chunk faults its pages in afresh: about 1 700 page faults per
-    double-ekert chunk with the Eve audit.
+    double-ekert chunk with the Eve audit. Setting M_TOP_PAD also freezes
+    glibc's sliding mmap threshold, so the threshold is set explicitly
+    too: otherwise whether a 512 KB chunk array is mapped afresh each
+    chunk would depend on what the process allocated and freed before.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -75,6 +82,7 @@ def _keep_freed_heap() -> None:
     if mallopt is not None:
         mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
         mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
         mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
 
 

@@ -12,6 +12,7 @@ estimators only ever look at the public projection.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -97,7 +98,10 @@ class _PerRound:
     """Per-round access shared by sessions and their public views.
 
     The per-round columns an object kept are plain attributes; __getattr__
-    runs only when one is missing, which means the session kept none.
+    runs only when one is missing, which means the session kept none, and
+    raises ValueError. hasattr() and getattr() with a default do not
+    swallow a ValueError, so on such an object they raise too, for the
+    per-round field names.
     """
 
     _ROUND_FIELDS: tuple[str, ...] = ()
@@ -125,16 +129,22 @@ class PublicRounds(_PerRound):
     counts is the session's count tensor summed over the hidden weak-side
     axis. The per-round columns a_idx/b_idx (indices into
     alice_settings/bob_settings), outcome_a and outcome_b are present when
-    the session kept them; reading one otherwise raises ValueError.
+    the session kept them; reading one otherwise raises ValueError. The
+    view is read-only: assigning an attribute raises AttributeError.
     """
 
     _ROUND_FIELDS = ("a_idx", "b_idx", "outcome_a", "outcome_b")
 
     def __init__(self, alice_settings, bob_settings, counts, **columns):
-        self.alice_settings = alice_settings
-        self.bob_settings = bob_settings
-        self.counts = counts
-        vars(self).update(columns)
+        vars(self).update(
+            columns, alice_settings=alice_settings, bob_settings=bob_settings, counts=counts
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
 
 
 # the columns of a session, in the order chunks carry them; the last two are
@@ -180,6 +190,12 @@ def _reduce_chunk(protocol: ProtocolConfig, scenario: ScenarioConfig, part, audi
     return counts, _eve_tally(protocol, scenario, part) if audit else None
 
 
+def _sum_tallies(tallies) -> tuple[int, ...] | None:
+    """Add per-chunk Eve-audit counters; None if any chunk has none."""
+    tallies = list(tallies)
+    return None if None in tallies else tuple(map(sum, zip(*tallies)))
+
+
 def _merge(reductions, shape):
     """Sum per-chunk (counts, tally) pairs; integer addition, so any order gives the same bytes."""
     counts = np.zeros(shape, np.int64)
@@ -187,8 +203,7 @@ def _merge(reductions, shape):
     for part_counts, tally in reductions:
         counts += part_counts
         tallies.append(tally)
-    tally = None if None in tallies else tuple(map(sum, zip(*tallies)))
-    return counts, tally
+    return counts, _sum_tallies(tallies)
 
 
 class SessionCounts(_PerRound):
@@ -235,8 +250,9 @@ class SessionRecords(SessionCounts):
     (the faked-state polarization, the weakened side, Eve's intercept
     outcome) ride along for analysis and audits; honest-party computations
     must go through public_view(). The constructor reduces the columns to
-    the count tensor and, if audit, the Eve-audit counters, one
-    CHUNK_ROUNDS slice at a time, exactly as a streamed session does.
+    the count tensor, and eve_tally reduces the Eve-audit counters on first
+    use, each one CHUNK_ROUNDS slice at a time, exactly as a streamed
+    session does.
     """
 
     def __init__(
@@ -250,8 +266,6 @@ class SessionRecords(SessionCounts):
         weak_side,
         hidden_lambda=None,
         eve_outcome=None,
-        *,
-        audit: bool = True,
     ):
         # same_kind casting: setting angles passed as indices raise TypeError
         self.a_idx = np.asarray(a_idx).astype(np.int8, casting="same_kind", copy=False)
@@ -261,20 +275,27 @@ class SessionRecords(SessionCounts):
         self.weak_side = np.asarray(weak_side, dtype=np.int8)
         self.hidden_lambda = None if hidden_lambda is None else np.asarray(hidden_lambda, dtype=np.float64)
         self.eve_outcome = None if eve_outcome is None else np.asarray(eve_outcome, dtype=np.int8)
-        columns = [getattr(self, name) for name in _COLUMNS]
         n = self.a_idx.shape[0]
-        for name, col in zip(_COLUMNS, columns):
+        for name in _COLUMNS:
+            col = getattr(self, name)
             if col is not None and col.shape[0] != n:
                 raise ValueError(f"column {name} has length {col.shape[0]}, expected {n}")
+        # not SessionCounts.__init__: its eve_tally attribute would hide the lazy one below
+        self.protocol, self.scenario, self.rounds = protocol, scenario, n
+        reductions = (_reduce_chunk(protocol, scenario, part, False) for part in self._slices())
+        self.counts, _ = _merge(reductions, _count_shape(protocol))
 
-        def slices():
-            # an empty session reduces one empty slice, so it still has its (zero) counters
-            for lo in range(0, n or 1, CHUNK_ROUNDS):
-                yield [None if col is None else col[lo : lo + CHUNK_ROUNDS] for col in columns]
+    def _slices(self):
+        """The columns in _COLUMNS order, one CHUNK_ROUNDS slice at a time."""
+        columns = [getattr(self, name) for name in _COLUMNS]
+        # an empty session yields one empty slice, so it still has its (zero) counters
+        for lo in range(0, self.rounds or 1, CHUNK_ROUNDS):
+            yield [None if col is None else col[lo : lo + CHUNK_ROUNDS] for col in columns]
 
-        reductions = (_reduce_chunk(protocol, scenario, part, audit) for part in slices())
-        counts, tally = _merge(reductions, _count_shape(protocol))
-        super().__init__(protocol, scenario, n, counts, tally)
+    @functools.cached_property
+    def eve_tally(self) -> tuple[int, ...] | None:
+        """Eve-audit counters, reduced from the columns on first use (_eve_tally)."""
+        return _sum_tallies(_eve_tally(self.protocol, self.scenario, part) for part in self._slices())
 
     @property
     def theta_a(self) -> np.ndarray:
@@ -394,10 +415,12 @@ def run_session(
     """Simulate a full session.
 
     keep_rounds=True returns a SessionRecords with every per-round column;
+    it reduces the Eve-audit counters from its columns when first asked.
     keep_rounds=False reduces each chunk to its count tensor while it is
     in cache and returns a SessionCounts, whose memory does not grow with
-    the round count. audit=True also reduces the Eve-audit counters that
-    eve_prediction_report reads; without it that report raises ValueError.
+    the round count; audit=True also reduces the Eve-audit counters that
+    eve_prediction_report reads, and without it that report raises
+    ValueError. audit has no effect when keep_rounds is True.
     Deterministic for a given (protocol_cfg, scenario_cfg): the chunked RNG
     scheme, and chunk reductions merged by integer addition, make the
     output byte-identical for any workers >= 1.
@@ -416,9 +439,7 @@ def run_session(
 
     def finish(parts):
         if keep_rounds:
-            return SessionRecords(
-                protocol_cfg, scenario_cfg, *_assemble(parts, protocol_cfg.rounds), audit=audit
-            )
+            return SessionRecords(protocol_cfg, scenario_cfg, *_assemble(parts, protocol_cfg.rounds))
         counts, tally = _merge(parts, _count_shape(protocol_cfg))
         return SessionCounts(protocol_cfg, scenario_cfg, protocol_cfg.rounds, counts, tally)
 
@@ -601,7 +622,10 @@ def eve_prediction_report(records) -> dict | None:
     if scenario is None or scenario.kind is ScenarioKind.HONEST_SINGLET:
         return None
     if records.eve_tally is None:
-        raise ValueError("this session carries no Eve audit; run it with audit=True")
+        raise ValueError(
+            "this session carries no Eve audit: run it with audit=True, "
+            "and keep the column the audit reads"
+        )
     if scenario.kind in DOUBLE_BLIND_KINDS:
         rounds, (mismatches,) = len(records), records.eve_tally
         return {

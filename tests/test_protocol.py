@@ -28,6 +28,7 @@ from blindsim.protocol import (
     eve_knowledge_audit,
     eve_prediction_report,
     public_rounds,
+    round_bytes,
     run_session,
     sift_bbm92,
 )
@@ -162,6 +163,12 @@ def test_public_projection_carries_no_source_secrets():
     pub = public_rounds(rec)
     assert not hasattr(pub, "hidden_lambda")
     assert not hasattr(pub, "weak_side")
+    # the honest parties' view cannot be edited or given a hidden column
+    for name in ("counts", "a_idx", "hidden_lambda"):
+        with pytest.raises(AttributeError):
+            setattr(pub, name, rec.hidden_lambda)
+        with pytest.raises(AttributeError):
+            delattr(pub, name)
     key, _ = sift_bbm92(rec)
     # tampering with the hidden column must leave the public key bits alone
     tampered = SessionRecords(
@@ -482,6 +489,28 @@ def test_streamed_session_matches_the_column_session(scenario, proto):
     )
     np.testing.assert_array_equal(rebuilt.counts, kept.counts)
     assert eve_prediction_report(rebuilt) == eve_prediction_report(kept)
+    # the bytes per round that --records is refused by are the kept columns' bytes
+    kept_bytes = sum(getattr(kept, name).nbytes for name in protocol._COLUMNS if getattr(kept, name) is not None)
+    assert round_bytes(sc) * len(kept) == kept_bytes
+
+
+def test_column_session_reduces_the_eve_audit_on_first_use(monkeypatch):
+    calls = []
+    real = protocol.predict_outcome_codes
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return real(*args)
+
+    monkeypatch.setattr(protocol, "predict_outcome_codes", counted)
+    pc = ProtocolConfig(protocol="ekert", rounds=CHUNK_ROUNDS + 10, seed=44)
+    session = run_session(pc, ScenarioConfig(kind="double-ekert"))
+    chsh_score(session)
+    assert calls == []
+    report = eve_prediction_report(session)
+    assert calls == [CHUNK_ROUNDS, 10]
+    assert eve_prediction_report(session) == report
+    assert calls == [CHUNK_ROUNDS, 10]
 
 
 @pytest.mark.parametrize("rounds", [400_000, 1_600_000])
@@ -510,6 +539,9 @@ def test_counts_only_session_refuses_per_round_questions():
             getattr(pub, name)
     # hidden columns are absent from the public view, not merely unkept
     assert not hasattr(pub, "hidden_lambda")
+    # hasattr cannot tell an unkept column from a present one: it raises too
+    with pytest.raises(ValueError, match="keep_rounds"):
+        hasattr(pub, "a_idx")
     with pytest.raises(ValueError, match="keep_rounds"):
         sift_bbm92(session)
     # statistics read the count tensor only
@@ -519,10 +551,9 @@ def test_counts_only_session_refuses_per_round_questions():
 def test_session_without_audit_refuses_the_eve_report():
     pc = ProtocolConfig(protocol="ekert", rounds=1_000, seed=43)
     for scenario in ("double-ekert", "double-bbm92"):
-        for keep_rounds in (True, False):
-            session = run_session(pc, ScenarioConfig(kind=scenario), keep_rounds=keep_rounds, audit=False)
-            assert session.eve_tally is None
-            with pytest.raises(ValueError, match="audit"):
-                eve_prediction_report(session)
+        session = run_session(pc, ScenarioConfig(kind=scenario), keep_rounds=False, audit=False)
+        assert session.eve_tally is None
+        with pytest.raises(ValueError, match="audit"):
+            eve_prediction_report(session)
     honest = run_session(pc, ScenarioConfig(kind="honest"), keep_rounds=False, audit=False)
     assert eve_prediction_report(honest) is None
