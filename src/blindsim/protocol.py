@@ -170,7 +170,7 @@ def _eve_tally(protocol: ProtocolConfig, scenario: ScenarioConfig, part) -> tupl
     a_idx, b_idx, out_a, out_b, weak, lam, eve_out = part
     if scenario.kind in DOUBLE_BLIND_KINDS and lam is not None:
         alice, bob = np.asarray(protocol.alice_settings), np.asarray(protocol.bob_settings)
-        pred_a, pred_b = predict_outcome_codes(lam, alice[a_idx], bob[b_idx], scenario, weak)
+        pred_a, pred_b = predict_outcome_codes(lam, alice.take(a_idx), bob.take(b_idx), scenario, weak)
         return (int(np.count_nonzero(pred_a != out_a)) + int(np.count_nonzero(pred_b != out_b)),)
     if scenario.kind is ScenarioKind.SINGLE_BLINDING and eve_out is not None:
         clicked = np.abs(out_b) == 1
@@ -181,11 +181,21 @@ def _eve_tally(protocol: ProtocolConfig, scenario: ScenarioConfig, part) -> tupl
 def _reduce_chunk(protocol: ProtocolConfig, scenario: ScenarioConfig, part, audit: bool):
     """Count tensor and, if audit, Eve-audit counters of one chunk's columns (_COLUMNS order).
 
-    An index or code outside the tensor raises ValueError.
+    The columns must index the tensor: the kernel's always do, and
+    SessionRecords checks the columns it is given.
     """
     a_idx, b_idx, out_a, out_b, weak = part[:5]
     shape = _count_shape(protocol)
-    cells = np.ravel_multi_index((a_idx, b_idx, out_a + 1, out_b + 1, weak), shape)
+    # the flat cell of (a_idx, b_idx, out_a + 1, out_b + 1, weak), in place in int64
+    cells = np.multiply(a_idx, shape[1], dtype=np.int64)
+    cells += b_idx
+    cells *= 4
+    cells += out_a
+    cells *= 4
+    cells += out_b
+    cells *= 3
+    cells += weak
+    cells += 4 * 3 + 3  # the +1 offsets of both outcome codes
     counts = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
     return counts, _eve_tally(protocol, scenario, part) if audit else None
 
@@ -280,6 +290,13 @@ class SessionRecords(SessionCounts):
             col = getattr(self, name)
             if col is not None and col.shape[0] != n:
                 raise ValueError(f"column {name} has length {col.shape[0]}, expected {n}")
+        # _reduce_chunk trusts its columns to index the count tensor; the
+        # kernel's always do, these come from outside. Outcome codes sit one
+        # below their tensor index
+        for name, low, size in zip(_COLUMNS, (0, 0, -1, -1, 0), _count_shape(protocol)):
+            col = getattr(self, name)
+            if col.size and not low <= col.min() <= col.max() < low + size:
+                raise ValueError(f"column {name} holds values outside [{low}, {low + size})")
         # not SessionCounts.__init__: its eve_tally attribute would hide the lazy one below
         self.protocol, self.scenario, self.rounds = protocol, scenario, n
         reductions = (_reduce_chunk(protocol, scenario, part, False) for part in self._slices())
@@ -359,11 +376,12 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
         if sc.kind is ScenarioKind.DOUBLE_BLIND_EKERT:
             w_weak = window_half_width(weak_intensity(sc.alpha))
             # indexed by WeakSide code: NONE, A, B
-            w_a = np.array([w_a, w_weak, w_a])[weak]
-            w_b = np.array([w_b, w_b, w_weak])[weak]
+            w_a = np.array([w_a, w_weak, w_a]).take(weak)
+            w_b = np.array([w_b, w_b, w_weak]).take(weak)
         out_a = window_codes(lam - alice[a_idx], w_a)
         # Bob's pulse is rotated by pi/2, which swaps his two windows
-        out_b = -window_codes(lam - bob[b_idx], w_b)
+        out_b = window_codes(lam - bob[b_idx], w_b)
+        np.negative(out_b, out=out_b)
         return a_idx, b_idx, out_a, out_b, weak, lam, None
 
     # genuine pairs; under single blinding Eve measures the second photon in

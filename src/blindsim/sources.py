@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import HALF_PERIOD, PERIOD, Outcome, canon_angle, click_codes, split_intensities
+from .optics import HALF_PERIOD, PERIOD, Outcome, canon_angle, malus_click_codes
 
 # weak-pulse tuning angle that saturates the CHSH maximum reachable by the
 # coincidence-conditioned faked states
@@ -153,14 +153,15 @@ def faked_pulse_params(lam, cfg: ScenarioConfig, weak_side):
     lam = np.asarray(lam, dtype=np.float64)
     pol_a = lam
     # canon_angle(x) for x = lam + pi/2 in [pi/2, 3pi/2): x below pi, else
-    # x - pi, which is exact there (Sterbenz), as the fmod in canon_angle is
+    # x - pi, which is exact there (Sterbenz), as the fmod in canon_angle is;
+    # x - 0.0 is x, and this is several times faster than a masked subtract
     pol_b = np.add(lam, HALF_PERIOD, out=np.empty_like(lam))
-    np.subtract(pol_b, PERIOD, out=pol_b, where=pol_b >= PERIOD)
+    pol_b -= (pol_b >= PERIOD) * PERIOD
     strong = cfg.strong_intensity
     weak = weak_intensity(cfg.alpha) if cfg.kind is ScenarioKind.DOUBLE_BLIND_EKERT else strong
     # indexed by WeakSide code: NONE, A, B
-    intensity_a = np.array([strong, weak, strong])[weak_side]
-    intensity_b = np.array([strong, strong, weak])[weak_side]
+    intensity_a = np.array([strong, weak, strong]).take(weak_side)
+    intensity_b = np.array([strong, strong, weak]).take(weak_side)
     return intensity_a, pol_a, intensity_b, pol_b
 
 
@@ -215,7 +216,7 @@ def intercept_click_codes(eve_basis, eve_outcome, theta_b, cfg: ScenarioConfig):
     stays silent.
     """
     direction = intercept_pulse_directions(eve_basis, eve_outcome)
-    return click_codes(*split_intensities(cfg.single_blind_intensity, direction, theta_b))
+    return malus_click_codes(cfg.single_blind_intensity, direction, theta_b)
 
 
 def predict_outcome_codes(lam, theta_a, theta_b, cfg: ScenarioConfig, weak_side):
@@ -225,9 +226,11 @@ def predict_outcome_codes(lam, theta_a, theta_b, cfg: ScenarioConfig, weak_side)
     reference physics, Malus splitting and the strict threshold. The
     simulation decides clicks by the window rule (optics.window_codes)
     instead, so comparing the two checks Eve's model of the stations rather
-    than replaying the simulation's own arithmetic.
+    than replaying the simulation's own arithmetic. The reference codes come
+    from optics.malus_click_codes: a float32 screen decides the rounds whose
+    cosine lies clear of the click threshold, and split_intensities and
+    click_codes settle the rest in float64, so every code equals the float64
+    reference.
     """
     ia, pa, ib, pb = faked_pulse_params(lam, cfg, weak_side)
-    code_a = click_codes(*split_intensities(ia, pa, np.asarray(theta_a)))
-    code_b = click_codes(*split_intensities(ib, pb, np.asarray(theta_b)))
-    return code_a, code_b
+    return malus_click_codes(ia, pa, theta_a), malus_click_codes(ib, pb, theta_b)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from blindsim import protocol
-from blindsim.optics import Outcome
+from blindsim.optics import Outcome, canon_angle
 from blindsim.protocol import (
     BBM92_SETTINGS,
     CHSH_QUAD,
@@ -32,7 +32,7 @@ from blindsim.protocol import (
     run_session,
     sift_bbm92,
 )
-from blindsim.sources import CHUNK_ROUNDS, ScenarioConfig, ScenarioKind, WeakSide
+from blindsim.sources import CHUNK_ROUNDS, ScenarioConfig, ScenarioKind, WeakSide, weak_intensity
 
 SQ2 = math.sqrt(2.0)
 
@@ -340,6 +340,29 @@ def test_eve_audit_checks_an_independent_arithmetic(monkeypatch, scenario, proto
     for keep_rounds in (True, False):
         rep = eve_prediction_report(_session(scenario, proto, 20_000, 31, keep_rounds))
         assert rep["mismatched_outcomes"] > 0
+
+    # Eve's float32 screen settles every round within 2**-12 of a click
+    # threshold in cos 2u (about 1e-4 rad of a window edge) in float64, so a
+    # window 1e-6 too wide must still show. Uniform hidden polarizations seldom
+    # land that close to an edge: draw each within 4e-6 of one
+    sc = ScenarioConfig(kind=scenario)
+    widths = [true_width(sc.strong_intensity), true_width(weak_intensity(sc.alpha))]
+    pc = ProtocolConfig(protocol=proto, rounds=1)
+    edges = np.array([
+        s + q + sign * w
+        for s in pc.alice_settings + pc.bob_settings for q in (0.0, math.pi / 2.0)
+        for sign in (1, -1) for w in widths
+    ])
+
+    def near_an_edge(rng, size):
+        return canon_angle(rng.choice(edges, size) + rng.uniform(-4e-6, 4e-6, size))
+
+    monkeypatch.setattr(protocol, "sample_lambda", near_an_edge)
+    for extra in (0.0, 1e-6):
+        monkeypatch.setattr(protocol, "window_half_width", lambda intensity: true_width(intensity) + extra)
+        for keep_rounds in (True, False):
+            rep = eve_prediction_report(_session(scenario, proto, 20_000, 31, keep_rounds))
+            assert (rep["mismatched_outcomes"] > 0) == (extra > 0), (extra, rep)
 
 
 @pytest.mark.parametrize("scenario,proto", [("double-bbm92", "bbm92"), ("double-ekert", "ekert")])
