@@ -12,7 +12,6 @@ import csv
 import enum
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -30,7 +29,7 @@ from .analysis import (
     oracle_weak_detection_prob,
     weak_side_detection_rate,
 )
-from .optics import wrap_diff
+from .optics import Outcome, wrap_diff
 from .protocol import (
     ProtocolConfig,
     ProtocolKind,
@@ -38,10 +37,12 @@ from .protocol import (
     chsh_score,
     correlation_estimate,
     eve_prediction_report,
-    round_bytes,
     run_session,
+    _check_pairing,
+    _simulate_chunk,
 )
 from .sources import (
+    CHUNK_ROUNDS,
     DOUBLE_BLIND_KINDS,
     ScenarioConfig,
     ScenarioKind,
@@ -175,9 +176,7 @@ def _output(path):
 def _write_table(rows, fieldnames, path, fmt):
     """Emit a list of row dicts as CSV (default) or JSON."""
     if fmt == "json":
-        text = json.dumps(_jsonify(rows), indent=2, allow_nan=False) + "\n"
-        with _output(path) as out:
-            out.write(text)
+        write_summary(_jsonify(rows), path, "json")
         return
     with _output(path) as out:
         writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
@@ -200,58 +199,59 @@ def write_summary(summary: dict, path, fmt: str) -> None:
             writer.writerow([key, value])
 
 
-def write_records_csv(records, path, eve_view: bool = False) -> None:
-    """Dump per-round records.
+def write_records_csv(
+    protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig, path, eve_view: bool = False
+) -> None:
+    """Dump the per-round records of run_session(protocol_cfg, scenario_cfg).
 
     Default columns: round, theta_a, theta_b, outcome_a, outcome_b,
     weak_side. --eve-view appends lambda, eve_pred_a, eve_pred_b; those cells
     stay empty for rounds/scenarios where Eve holds no such information.
-    A path of "-" writes to stdout. A session run with keep_rounds=False
-    has no rows to dump: ValueError, before the output is opened.
+    A path of "-" writes to stdout. Every per-round value depends only on
+    (seed, chunk index, config), so each chunk is simulated again, written
+    and dropped: memory does not grow with the round count.
     """
-    sc = records.scenario
-    theta_a = records.theta_a
-    theta_b = records.theta_b
-    out_a = records.outcome_a
-    out_b = records.outcome_b
-    weak = records.weak_side
+    pc, sc = protocol_cfg, scenario_cfg
+    _check_pairing(pc, sc)
+    alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
+    lam_view = eve_view and sc.kind in DOUBLE_BLIND_KINDS
     fields = ["round", "theta_a", "theta_b", "outcome_a", "outcome_b", "weak_side"]
     if eve_view:
         fields += ["lambda", "eve_pred_a", "eve_pred_b"]
 
-    lam_txt = pred_a_txt = pred_b_txt = None
-    if eve_view:
-        n = len(records)
-        if sc.kind in DOUBLE_BLIND_KINDS:
-            pred_a, pred_b = predict_outcome_codes(
-                records.hidden_lambda, records.theta_a, records.theta_b, sc, records.weak_side
-            )
-            lam_txt = [f"{v:.9g}" for v in records.hidden_lambda]
-            pred_a_txt = [str(int(v)) for v in pred_a]
-            pred_b_txt = [str(int(v)) for v in pred_b]
-        elif sc.kind is ScenarioKind.SINGLE_BLINDING:
-            # Eve's forwarded pulse decides Bob's click, so she predicts his outcome exactly
-            lam_txt = pred_a_txt = [""] * n
-            pred_b_txt = [str(int(v)) for v in records.outcome_b]
-        else:
-            lam_txt = pred_a_txt = pred_b_txt = [""] * n
+    # the text of every value a column but round and lambda takes, looked up
+    # by code: setting pairs by a_idx * len(bob) + b_idx, outcomes and weak
+    # side by their flat cell, Eve's predicted pair likewise
+    codes = range(int(Outcome.MINUS), int(Outcome.DOUBLE_CLICK) + 1)
 
-    side_label = {int(side): side.label for side in WeakSide}
+    def cell_text(oa, ob, side):
+        text = f"{oa},{ob},{side.label}"
+        if not eve_view or lam_view:
+            return text
+        # Eve holds no lambda here; under single blinding her forwarded pulse
+        # decides Bob's click, so she predicts his outcome exactly
+        return text + (f",,,{ob}" if sc.kind is ScenarioKind.SINGLE_BLINDING else ",,,")
+
+    pair_txt = np.array([f"{a:.9g},{b:.9g}" for a in alice for b in bob], dtype=object)
+    cell_txt = np.array(
+        [cell_text(oa, ob, side) for oa in codes for ob in codes for side in WeakSide], dtype=object
+    )
+    pred_txt = np.array([f"{pa},{pb}" for pa in codes for pb in codes], dtype=object)
+
     with _output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for i in range(len(records)):
-            row = [
-                i,
-                f"{theta_a[i]:.9g}",
-                f"{theta_b[i]:.9g}",
-                int(out_a[i]),
-                int(out_b[i]),
-                side_label[int(weak[i])],
-            ]
-            if eve_view:
-                row += [lam_txt[i], pred_a_txt[i], pred_b_txt[i]]
-            writer.writerow(row)
+        fh.write(",".join(fields) + "\n")
+        for c in range(-(-pc.rounds // CHUNK_ROUNDS)):
+            a_idx, b_idx, out_a, out_b, weak, lam, _ = _simulate_chunk(pc, sc, c)
+            rounds = range(c * CHUNK_ROUNDS, c * CHUNK_ROUNDS + a_idx.size)
+            pairs = pair_txt.take(a_idx * bob.size + b_idx).tolist()
+            cells = cell_txt.take(((out_a + 1) * 4 + out_b + 1) * 3 + weak).tolist()
+            if lam_view:
+                pred_a, pred_b = predict_outcome_codes(lam, alice.take(a_idx), bob.take(b_idx), sc, weak)
+                preds = pred_txt.take((pred_a + 1) * 4 + pred_b + 1).tolist()
+                rows = zip(rounds, pairs, cells, lam.tolist(), preds)
+                fh.write("".join([f"{i},{p},{k},{v:.9g},{e}\n" for i, p, k, v, e in rows]))
+            else:
+                fh.write("".join([f"{i},{p},{k}\n" for i, p, k in zip(rounds, pairs, cells)]))
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
@@ -265,36 +265,18 @@ def _scenario_from_args(args) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
-def _check_columns_fit(rounds: int, scenario_cfg: ScenarioConfig) -> None:
-    """Refuse a records dump whose per-round columns exceed physical memory."""
-    if not hasattr(os, "sysconf"):  # Unix only
-        return
-    need = rounds * round_bytes(scenario_cfg)
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > physical:
-        raise ValueError(
-            f"--rounds {rounds} with --records keeps {need} bytes of per-round columns, "
-            f"more than the {physical} bytes of physical memory; lower --rounds or drop --records"
-        )
-
-
 def cmd_run(args) -> int:
     if args.records == "-" and args.out == "-":
         raise ValueError("--records - and --out - both write to stdout; send one of them to a file")
     scenario_cfg = _scenario_from_args(args)
     protocol_cfg = ProtocolConfig(protocol=args.protocol, rounds=args.rounds, seed=args.seed)
-    if args.records:
-        _check_columns_fit(protocol_cfg.rounds, scenario_cfg)
     _keep_freed_heap()
-    # a summary needs only the count tensor and the Eve audit, reduced chunk by
-    # chunk; the per-round columns are kept only for the records dump
-    records = run_session(
-        protocol_cfg, scenario_cfg, workers=args.workers, keep_rounds=bool(args.records), audit=True
-    )
-    summary = build_summary(records)
-    write_summary(summary, args.out, args.format)
+    # the summary needs only the count tensor and the Eve audit, reduced chunk
+    # by chunk; the records dump simulates the chunks again, one at a time
+    session = run_session(protocol_cfg, scenario_cfg, workers=args.workers, keep_rounds=False, audit=True)
+    write_summary(build_summary(session), args.out, args.format)
     if args.records:
-        write_records_csv(records, args.records, eve_view=args.eve_view)
+        write_records_csv(protocol_cfg, scenario_cfg, args.records, eve_view=args.eve_view)
     return 0
 
 

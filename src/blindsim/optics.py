@@ -43,6 +43,19 @@ def canon_angle(theta):
     return wrapped
 
 
+def quarter_turn(theta):
+    """canon_angle(theta + pi/2) for theta in [0, pi), bit for bit (vectorized).
+
+    x = theta + pi/2 lies in [pi/2, 3pi/2): below pi it is its own
+    canonical angle, and from pi on x - pi is exact (Sterbenz), as the fmod
+    in canon_angle is. x - 0.0 is x, and this is several times faster than
+    np.mod or a masked subtract.
+    """
+    x = np.add(theta, HALF_PERIOD, dtype=np.float64)
+    x -= (x >= PERIOD) * PERIOD
+    return x
+
+
 def wrap_diff(delta):
     """Reduce an angle difference to [-pi/2, pi/2)."""
     shifted = np.mod(delta + HALF_PERIOD, PERIOD)

@@ -5,8 +5,9 @@ asks the configured source for that round's physics, and reduces each
 65536-round chunk to a count tensor and Eve-audit counters while the chunk
 is still in cache. The per-round transcript, plus whatever hidden
 side-information the scenario carries (the faked-state polarization, Eve's
-intercept results), is kept only on request. Sifting and the correlation
-estimators only ever look at the public projection.
+intercept results), is kept only on request. The correlation estimators
+only ever look at the public projection, and the parties' sifted bits only
+at the setting and outcome columns.
 """
 
 from __future__ import annotations
@@ -94,57 +95,18 @@ class ProtocolConfig:
         object.__setattr__(self, "bob_settings", _canon_settings("bob_settings", bob))
 
 
-class _PerRound:
-    """Per-round access shared by sessions and their public views.
-
-    The per-round columns an object kept are plain attributes; __getattr__
-    runs only when one is missing, which means the session kept none, and
-    raises ValueError. hasattr() and getattr() with a default do not
-    swallow a ValueError, so on such an object they raise too, for the
-    per-round field names.
-    """
-
-    _ROUND_FIELDS: tuple[str, ...] = ()
-
-    def __getattr__(self, name):
-        if name in self._ROUND_FIELDS:
-            raise ValueError(
-                f"{name} is per-round data and this session kept no per-round columns; "
-                "run it with keep_rounds=True"
-            )
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    @property
-    def clicked_a(self) -> np.ndarray:
-        return np.abs(self.outcome_a) == 1
-
-    @property
-    def clicked_b(self) -> np.ndarray:
-        return np.abs(self.outcome_b) == 1
-
-
-class PublicRounds(_PerRound):
-    """The transcript Alice and Bob actually share: settings and outcomes only.
+@dataclass(frozen=True, eq=False)  # == on the counts array has no single truth value
+class PublicRounds:
+    """The transcript Alice and Bob actually share, reduced to its counts.
 
     counts is the session's count tensor summed over the hidden weak-side
-    axis. The per-round columns a_idx/b_idx (indices into
-    alice_settings/bob_settings), outcome_a and outcome_b are present when
-    the session kept them; reading one otherwise raises ValueError. The
-    view is read-only: assigning an attribute raises AttributeError.
+    axis: rounds per (a_idx, b_idx, outcome_a + 1, outcome_b + 1), with the
+    setting indices into alice_settings/bob_settings. The view is read-only.
     """
 
-    _ROUND_FIELDS = ("a_idx", "b_idx", "outcome_a", "outcome_b")
-
-    def __init__(self, alice_settings, bob_settings, counts, **columns):
-        vars(self).update(
-            columns, alice_settings=alice_settings, bob_settings=bob_settings, counts=counts
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is read-only")
+    alice_settings: tuple[float, ...]
+    bob_settings: tuple[float, ...]
+    counts: np.ndarray
 
 
 # the columns of a session, in the order chunks carry them; the last two are
@@ -216,7 +178,7 @@ def _merge(reductions, shape):
     return counts, _sum_tallies(tallies)
 
 
-class SessionCounts(_PerRound):
+class SessionCounts:
     """A session reduced to its count tensor and Eve-audit counters.
 
     run_session(..., keep_rounds=False) returns one: it holds no per-round
@@ -224,8 +186,9 @@ class SessionCounts(_PerRound):
     the number of rounds per (a_idx, b_idx, outcome_a + 1, outcome_b + 1,
     weak_side); every public statistic reads it. eve_tally holds the
     counters eve_prediction_report reads, or None when the session was run
-    without the audit. Reading a per-round column (or clicked_a/clicked_b,
-    or sifting a key) raises ValueError.
+    without the audit. Reading a per-round column (or sifting a key) raises
+    ValueError; so do hasattr() and getattr() with a default, which do not
+    swallow a ValueError.
     """
 
     _ROUND_FIELDS = (
@@ -241,6 +204,16 @@ class SessionCounts(_PerRound):
         self.rounds = int(rounds)
         self.counts = counts
         self.eve_tally = eve_tally
+
+    def __getattr__(self, name):
+        # runs only when an attribute is missing: a SessionRecords has every
+        # per-round column, so here the session kept none
+        if name in self._ROUND_FIELDS:
+            raise ValueError(
+                f"{name} is per-round data and this session kept no per-round columns; "
+                "run it with keep_rounds=True"
+            )
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __len__(self) -> int:
         return self.rounds
@@ -258,8 +231,8 @@ class SessionRecords(SessionCounts):
     Settings are stored as indices into the configured setting tuples
     (a_idx, b_idx); theta_a/theta_b are derived from them. Hidden columns
     (the faked-state polarization, the weakened side, Eve's intercept
-    outcome) ride along for analysis and audits; honest-party computations
-    must go through public_view(). The constructor reduces the columns to
+    outcome) ride along for analysis and audits; the public statistics
+    read public_view(). The constructor reduces the columns to
     the count tensor, and eve_tally reduces the Eve-audit counters on first
     use, each one CHUNK_ROUNDS slice at a time, exactly as a streamed
     session does.
@@ -321,27 +294,6 @@ class SessionRecords(SessionCounts):
     @property
     def theta_b(self) -> np.ndarray:
         return np.asarray(self.protocol.bob_settings)[self.b_idx]
-
-    def public_view(self) -> PublicRounds:
-        """Strip all source-side information."""
-        return PublicRounds(
-            self.protocol.alice_settings, self.protocol.bob_settings, self.counts.sum(axis=4),
-            a_idx=self.a_idx, b_idx=self.b_idx, outcome_a=self.outcome_a, outcome_b=self.outcome_b,
-        )
-
-
-def round_bytes(scenario: ScenarioConfig) -> int:
-    """Bytes per round that a session keeping its columns retains.
-
-    Five int8 columns (both setting indices, both outcomes, the weak side),
-    plus the float64 hidden polarization of faked-state sources or the int8
-    intercept outcome of single blinding.
-    """
-    if scenario.kind in DOUBLE_BLIND_KINDS:
-        return 5 + 8
-    if scenario.kind is ScenarioKind.SINGLE_BLINDING:
-        return 5 + 1
-    return 5
 
 
 def public_rounds(records) -> PublicRounds:
@@ -422,6 +374,15 @@ def _assemble(parts, rounds: int) -> list:
     return columns
 
 
+def _check_pairing(protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig) -> None:
+    """Refuse a scenario that does not run under the protocol: ValueError."""
+    if (
+        scenario_cfg.kind is ScenarioKind.SINGLE_BLINDING
+        and protocol_cfg.protocol is not ProtocolKind.BBM92
+    ):
+        raise ValueError("scenario single-blinding runs under protocol bbm92 only")
+
+
 def run_session(
     protocol_cfg: ProtocolConfig,
     scenario_cfg: ScenarioConfig,
@@ -445,11 +406,7 @@ def run_session(
     """
     if int(workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if (
-        scenario_cfg.kind is ScenarioKind.SINGLE_BLINDING
-        and protocol_cfg.protocol is not ProtocolKind.BBM92
-    ):
-        raise ValueError("scenario single-blinding runs under protocol bbm92 only")
+    _check_pairing(protocol_cfg, scenario_cfg)
 
     def chunk(c):
         part = _simulate_chunk(protocol_cfg, scenario_cfg, c)
@@ -502,20 +459,22 @@ def sift_bbm92(records) -> tuple[SiftedKey, float | None]:
     """Keep equal-setting rounds where both stations clicked.
 
     Alice's bit is 1 for a MINUS outcome; Bob's raw bit is flipped before
-    comparison because the source anticorrelates the stations. Returns the
-    key and bbm92_qber(records).
+    comparison because the source anticorrelates the stations. The parties'
+    bits read only the setting and outcome columns; Eve's bits also read
+    the hidden ones. Returns the key and bbm92_qber(records). A session
+    without per-round columns raises ValueError.
     """
-    pub = public_rounds(records)
-    same_setting = np.equal.outer(pub.alice_settings, pub.bob_settings)
-    keep = same_setting[pub.a_idx, pub.b_idx] & pub.clicked_a & pub.clicked_b
+    pc, scenario = records.protocol, records.scenario
+    same_setting = np.equal.outer(pc.alice_settings, pc.bob_settings)
+    out_a, out_b = records.outcome_a, records.outcome_b
+    keep = same_setting[records.a_idx, records.b_idx] & (np.abs(out_a) == 1) & (np.abs(out_b) == 1)
     idx = np.flatnonzero(keep)
-    bits_alice = (pub.outcome_a[idx] == int(Outcome.MINUS)).astype(np.uint8)
-    bits_bob = (pub.outcome_b[idx] != int(Outcome.MINUS)).astype(np.uint8)
+    bits_alice = (out_a[idx] == int(Outcome.MINUS)).astype(np.uint8)
+    bits_bob = (out_b[idx] != int(Outcome.MINUS)).astype(np.uint8)
 
     bits_eve = None
-    scenario = getattr(records, "scenario", None)
-    if scenario is not None and scenario.kind in DOUBLE_BLIND_KINDS and idx.size:
-        angle = np.asarray(pub.alice_settings)[pub.a_idx[idx]]  # both stations' setting on kept rounds
+    if scenario.kind in DOUBLE_BLIND_KINDS and idx.size:
+        angle = np.asarray(pc.alice_settings)[records.a_idx[idx]]  # both stations' setting on kept rounds
         _, pred_b = predict_outcome_codes(
             records.hidden_lambda[idx], angle, angle, scenario, records.weak_side[idx]
         )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import HALF_PERIOD, PERIOD, Outcome, canon_angle, malus_click_codes
+from .optics import PERIOD, Outcome, malus_click_codes, quarter_turn
 
 # weak-pulse tuning angle that saturates the CHSH maximum reachable by the
 # coincidence-conditioned faked states
@@ -150,13 +150,8 @@ def faked_pulse_params(lam, cfg: ScenarioConfig, weak_side):
     [0, pi), as sample_lambda draws it; weak_side holds one WeakSide code
     per round.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    pol_a = lam
-    # canon_angle(x) for x = lam + pi/2 in [pi/2, 3pi/2): x below pi, else
-    # x - pi, which is exact there (Sterbenz), as the fmod in canon_angle is;
-    # x - 0.0 is x, and this is several times faster than a masked subtract
-    pol_b = np.add(lam, HALF_PERIOD, out=np.empty_like(lam))
-    pol_b -= (pol_b >= PERIOD) * PERIOD
+    pol_a = np.asarray(lam, dtype=np.float64)
+    pol_b = quarter_turn(pol_a)
     strong = cfg.strong_intensity
     weak = weak_intensity(cfg.alpha) if cfg.kind is ScenarioKind.DOUBLE_BLIND_EKERT else strong
     # indexed by WeakSide code: NONE, A, B
@@ -196,14 +191,10 @@ def intercept_pulse_directions(eve_basis, eve_outcome):
     """Polarization of the pulse Eve forwards after an intercept measurement.
 
     Vectorized: basis direction for a +1 outcome, the orthogonal direction
-    for -1.
+    for -1. eve_basis lies in [0, pi), as configured settings do.
     """
     basis = np.asarray(eve_basis, dtype=np.float64)
-    return np.where(
-        np.asarray(eve_outcome) == int(Outcome.PLUS),
-        basis,
-        canon_angle(basis + HALF_PERIOD),
-    )
+    return np.where(np.asarray(eve_outcome) == int(Outcome.PLUS), basis, quarter_turn(basis))
 
 
 def intercept_click_codes(eve_basis, eve_outcome, theta_b, cfg: ScenarioConfig):

@@ -118,8 +118,8 @@ def _silent_rounds_are_boundary_hits(records, outcomes, polarizations, settings)
 def test_acceptance_01_strong_attack_full_rates_zero_errors(attack_bbm92):
     rec = attack_bbm92
     _, qber = sift_bbm92(rec)
-    rate_a = float(np.mean(rec.clicked_a))
-    rate_b = float(np.mean(rec.clicked_b))
+    rate_a = float(np.mean(np.abs(rec.outcome_a) == 1))
+    rate_b = float(np.mean(np.abs(rec.outcome_b) == 1))
     pol_b = np.mod(rec.hidden_lambda + math.pi / 2.0, math.pi)
     silent_a, ok_a = _silent_rounds_are_boundary_hits(rec, rec.outcome_a, rec.hidden_lambda, rec.theta_a)
     silent_b, ok_b = _silent_rounds_are_boundary_hits(rec, rec.outcome_b, pol_b, rec.theta_b)
@@ -205,9 +205,9 @@ def test_acceptance_05_bounds_saturate_at_operating_point():
 
 def test_acceptance_06_single_blinding_halves_bob(single_blind):
     rec = single_blind
-    rate_a = float(np.mean(rec.clicked_a))
-    rate_b = float(np.mean(rec.clicked_b))
-    mismatches = int(np.count_nonzero(rec.clicked_b & (rec.outcome_b != rec.eve_outcome)))
+    rate_a = float(np.mean(np.abs(rec.outcome_a) == 1))
+    rate_b = float(np.mean(np.abs(rec.outcome_b) == 1))
+    mismatches = int(np.count_nonzero((np.abs(rec.outcome_b) == 1) & (rec.outcome_b != rec.eve_outcome)))
     ok = rate_a == 1.0 and abs(rate_b - 0.5) <= 0.002 and mismatches == 0
     _criterion(
         6,

@@ -319,8 +319,8 @@ def test_chi2_sf_matches_scipy(dof):
 
 def _per_round_stderrs(rec):
     """The per-round stderr formulas the count-tensor closed forms replace."""
-    ca = rec.clicked_a.astype(np.float64)
-    cb = rec.clicked_b.astype(np.float64)
+    ca = (np.abs(rec.outcome_a) == 1).astype(np.float64)
+    cb = (np.abs(rec.outcome_b) == 1).astype(np.float64)
     n = len(rec)
     s = (ca + cb) / 2.0
     eta_stderr = np.std(s, ddof=1) / math.sqrt(n)

@@ -8,15 +8,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import blindsim
-from blindsim import cli
 from blindsim.cli import main, write_records_csv, write_summary
-from blindsim.protocol import ProtocolConfig, run_session
-from blindsim.sources import ScenarioConfig
+from blindsim.protocol import ProtocolConfig
+from blindsim.sources import CHUNK_ROUNDS, ScenarioConfig
 
 SQ2 = math.sqrt(2.0)
 
@@ -147,7 +147,7 @@ def test_run_csv_summary_format(capsys):
     assert "monitors.fair_sampling.verdict" in keys
 
 
-def test_exit_code_domain_errors(capsys):
+def test_exit_code_domain_errors(tmp_path, capsys):
     rc = main([
         "run", "--scenario", "honest", "--protocol", "bbm92", "--rounds", "0",
     ])
@@ -158,6 +158,13 @@ def test_exit_code_domain_errors(capsys):
     ])
     assert rc == 1
     assert "single-blinding" in capsys.readouterr().err
+    # the records writer refuses the pairing on its own, before opening the output
+    with pytest.raises(ValueError, match="single-blinding"):
+        write_records_csv(
+            ProtocolConfig(protocol="ekert", rounds=10), ScenarioConfig(kind="single-blinding"),
+            str(tmp_path / "rounds.csv"),
+        )
+    assert not (tmp_path / "rounds.csv").exists()
     rc = main([
         "sweep", "--axis", "delta", "--start", "0", "--stop", "1", "--steps", "0",
     ])
@@ -369,43 +376,42 @@ def test_summary_with_fair_sampling_never_loads_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("scenario,protocol,bytes_per_round", [
-    ("honest", "bbm92", 5), ("single-blinding", "bbm92", 6), ("double-ekert", "ekert", 13),
-])
-def test_records_refused_when_columns_exceed_physical_memory(
-    tmp_path, monkeypatch, capsys, scenario, protocol, bytes_per_round
-):
-    rounds = 3_000
-    physical = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": rounds * bytes_per_round - 1}
-    monkeypatch.setattr(os, "sysconf", lambda name: physical[name])
-    argv = [
-        "run", "--scenario", scenario, "--protocol", protocol, "--rounds", str(rounds),
-        "--out", str(tmp_path / "summary.json"), "--records", str(tmp_path / "rounds.csv"),
-    ]
-    real_run_session = cli.run_session
-
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated a session whose records cannot fit")
-
-    monkeypatch.setattr(cli, "run_session", no_simulation)
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert "--rounds" in err and "--records" in err
-    assert not (tmp_path / "rounds.csv").exists()
-    assert not (tmp_path / "summary.json").exists()
-    monkeypatch.setattr(cli, "run_session", real_run_session)
-    # a summary alone keeps no columns, so it needs no room for them
-    assert main(argv[:-2]) == 0
-    # columns that exactly fit are accepted
-    physical["SC_PHYS_PAGES"] += 1
-    assert main(argv) == 0
-    assert len(_read_csv(tmp_path / "rounds.csv")) == rounds
+def _records_dump(path, rounds, *extra):
+    """Run a seed-3 double-ekert Ekert session with an --eve-view records dump at path."""
+    rc = main([
+        "run", "--scenario", "double-ekert", "--protocol", "ekert", "--rounds", str(rounds),
+        "--seed", "3", "--out", os.devnull, "--records", str(path), "--eve-view", *extra,
+    ])
+    assert rc == 0
 
 
-def test_records_writer_refuses_a_counts_only_session(tmp_path):
-    pc = ProtocolConfig(protocol="ekert", rounds=1_000, seed=4)
-    session = run_session(pc, ScenarioConfig(kind="double-ekert"), keep_rounds=False)
-    for eve_view in (False, True):
-        with pytest.raises(ValueError, match="keep_rounds"):
-            write_records_csv(session, str(tmp_path / "rounds.csv"), eve_view=eve_view)
-    assert not (tmp_path / "rounds.csv").exists()
+def test_records_dump_memory_does_not_grow_with_rounds(tmp_path):
+    # the writer simulates, writes and drops one chunk at a time; a dump that
+    # kept the session's columns would grow by 13 bytes per round, and more
+    # for their text
+    peaks = []
+    for chunks in (2, 8):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _records_dump(tmp_path / "rounds.csv", chunks * CHUNK_ROUNDS)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2 * 2**20, peaks
+
+
+def test_records_dump_identical_for_any_worker_count(tmp_path):
+    paths = [tmp_path / f"rounds{workers}.csv" for workers in (1, 3)]
+    for path, workers in zip(paths, (1, 3)):
+        _records_dump(path, 3 * CHUNK_ROUNDS + 17, "--workers", str(workers))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_records_dump_rows_do_not_depend_on_the_round_count(tmp_path):
+    short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+    _records_dump(short, 1_000)
+    _records_dump(long, 70_000)
+    with open(long) as fh:
+        head = [next(fh) for _ in range(1_001)]
+    assert short.read_text() == "".join(head)

@@ -14,6 +14,7 @@ from blindsim.optics import (
     canon_angle,
     click_codes,
     malus_click_codes,
+    quarter_turn,
     split_intensities,
     window_codes,
     window_half_width,
@@ -55,6 +56,23 @@ def test_canon_angle_idempotent_and_in_range():
 def test_canon_angle_scalar_returns_float():
     assert isinstance(canon_angle(1.0), float)
     assert isinstance(canon_angle(np.float64(1.0)), float)
+
+
+def test_quarter_turn_equals_canon_angle_bit_for_bit():
+    # zero tolerance over [0, pi): a dense grid, random angles, and the
+    # points where theta + pi/2 reaches pi or sits one ulp either side of it
+    rng = np.random.default_rng(12)
+    ends = [0.0, np.nextafter(HALF_PERIOD, 0.0), HALF_PERIOD, np.nextafter(math.pi, 0.0)]
+    theta = np.concatenate([
+        ends,
+        np.linspace(0.0, math.pi, 100_001)[:-1],
+        rng.uniform(0.0, math.pi, 100_000),
+        HALF_PERIOD + np.arange(-64, 65) * np.spacing(HALF_PERIOD),
+    ])
+    assert np.all((theta >= 0.0) & (theta < math.pi))
+    out = quarter_turn(theta)
+    np.testing.assert_array_equal(out.view(np.int64), canon_angle(theta + HALF_PERIOD).view(np.int64))
+    assert np.all((out >= 0.0) & (out < math.pi))
 
 
 def test_wrap_diff_range_and_examples():
