@@ -15,6 +15,8 @@ import hashlib
 import pytest
 
 from blindsim.cli import main
+from blindsim.protocol import ProtocolConfig, run_session
+from blindsim.sources import ScenarioConfig
 
 SUMMARY_DIGESTS = {
     ("honest", "bbm92", 1): "8a750f3b8e1c0c4a04ae66728ef5308bc761008b7bfb3d9b06d6502ccc0298b5",
@@ -31,6 +33,25 @@ SUMMARY_DIGESTS = {
     ("double-ekert", "bbm92", 2): "834626f48aa29894ed0532d81733a7429834d615f02c21548e8dcb604c6b02be",
     ("double-ekert", "ekert", 1): "af05b5a9910a414e2d6bcb1a62d3558e546bb21f8c7c590e7f7f1f04f3720d3f",
     ("double-ekert", "ekert", 2): "445844e3cf72380d610ccfdbaff5eaa46b6be19c7bb2db78a3f897a644934c17",
+}
+
+# double-ekert ekert summaries, 150 000 rounds, seed 5, under the options the
+# default matrix leaves at their defaults
+OPTION_DIGESTS = {
+    ("--weak-side", "alternate"): "12dbdcfdaed48f03572684c9a48f467ade3850d3ed8620926e480f3814d3cc61",
+    ("--weak-side", "fixed-a"): "d2f08566a6393c0f5b1809e663cbea1deeaa09c8617d9c62837397279068792e",
+    ("--weak-side", "fixed-b"): "479f01898994d9e21953148fce691da9049b252cdf7ce96e7870797da94ffca9",
+    ("--alpha", "0.3"): "b6f136cdd01d61216bb4febccb900033f4781fb4a81560dd53d7b617d21a980c",
+}
+
+# `sweep --axis alpha` over [0.2, 0.7]: 4 steps, 70 000 rounds per point, seed 11
+ALPHA_SWEEP_DIGEST = "e2a7e2adfb401a480dea2e52bf996fc044481411eb9f48e97151e0c96123b4a1"
+
+# streamed sessions at strong_intensity 1.5, which no CLI flag reaches: the
+# little-endian int64 count tensor followed by repr(eve_tally), 150 000 rounds, seed 6
+STRONG_1_5_DIGESTS = {
+    ("double-bbm92", "bbm92"): "648f9f02931af035cb936978b4e6a4550aa8ab286a6e96e8108cd0e8fb0dff3f",
+    ("double-ekert", "ekert"): "e3e01e2ddbd14846e029aaeaf9d45c485de93f9568f92524fb803cf98cfa3228",
 }
 
 # --records --eve-view dumps at 70 000 rounds (one full chunk plus a partial one), seed 3
@@ -89,3 +110,36 @@ def test_delta_sweep_digest(capsys, scenario):
     assert rc == 0
     out = capsys.readouterr().out
     assert _sha256(out.encode()) == SWEEP_DIGESTS[scenario]
+
+
+@pytest.mark.parametrize("option", list(OPTION_DIGESTS), ids=lambda v: " ".join(v))
+def test_run_option_summary_digest(capsys, option):
+    for workers in (1, 2):
+        rc = main([
+            "run", "--scenario", "double-ekert", "--protocol", "ekert",
+            "--rounds", "150000", "--seed", "5", "--workers", str(workers), *option,
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert _sha256(out.encode()) == OPTION_DIGESTS[option], f"workers={workers}"
+
+
+def test_alpha_sweep_digest(capsys):
+    rc = main([
+        "sweep", "--axis", "alpha", "--scenario", "double-ekert",
+        "--start", "0.2", "--stop", "0.7", "--steps", "4", "--rounds", "70000", "--seed", "11",
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert _sha256(out.encode()) == ALPHA_SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("scenario,protocol", list(STRONG_1_5_DIGESTS), ids=lambda v: str(v))
+def test_strong_intensity_counts_digest(scenario, protocol):
+    pc = ProtocolConfig(protocol=protocol, rounds=150_000, seed=6)
+    sc = ScenarioConfig(kind=scenario, strong_intensity=1.5)
+    for workers in (1, 2):
+        session = run_session(pc, sc, workers, keep_rounds=False)
+        digest = hashlib.sha256(session.counts.astype("<i8").tobytes())
+        digest.update(repr(session.eve_tally).encode())
+        assert digest.hexdigest() == STRONG_1_5_DIGESTS[(scenario, protocol)], f"workers={workers}"
