@@ -14,7 +14,10 @@ splitting and the strict threshold (split_intensities, click_codes) remain
 the reference physics that Eve's predictions are computed with.
 malus_click_codes returns exactly the reference codes, but decides most
 rounds from float32 cosines and settles in float64 only the rounds whose
-cosine lies within a fixed margin of the click threshold.
+cosine lies within a fixed margin of the click threshold. A streamed
+double-blind session evaluates both arithmetics once per lambda bucket to
+build its tables, and per round only where a bucket straddles a window edge
+or a click threshold (protocol._bucket_tables).
 """
 
 from __future__ import annotations

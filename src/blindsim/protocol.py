@@ -3,15 +3,22 @@
 A session draws independent uniform settings for both stations each round,
 asks the configured source for that round's physics, and reduces each
 65536-round chunk to a count tensor and Eve-audit counters while the chunk
-is still in cache. The per-round transcript, plus whatever hidden
-side-information the scenario carries (the faked-state polarization, Eve's
-intercept results), is kept only on request. The correlation estimators
-only ever look at the public projection, and the parties' sifted bits only
-at the setting and outcome columns.
+is still in cache. A streamed double-blind chunk is counted by bins rather
+than round by round: every round is a function of its setting pair, its
+weak side and its hidden polarization lambda, and that function is constant
+over all but a few narrow bands of lambda, so per-session tables give the
+count-tensor cell and Eve's mismatches of each (a_idx, b_idx, weak_side,
+lambda bucket) bin, and only the rounds of bins that straddle a window edge
+or a click threshold are settled one by one. The per-round transcript, plus
+whatever hidden side-information the scenario carries (the faked-state
+polarization, Eve's intercept results), is kept only on request. The
+correlation estimators only ever look at the public projection, and the
+parties' sifted bits only at the setting and outcome columns.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
@@ -21,13 +28,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import Outcome, canon_angle, window_codes, window_half_width, wrap_diff
+from .optics import (
+    HALF_PERIOD,
+    PERIOD,
+    Outcome,
+    canon_angle,
+    click_codes,
+    split_intensities,
+    window_codes,
+    window_half_width,
+    wrap_diff,
+)
 from .sources import (
     CHUNK_ROUNDS,
     DOUBLE_BLIND_KINDS,
     ScenarioConfig,
     ScenarioKind,
     chunk_stream,
+    faked_pulse_params,
     honest_outcome_codes,
     intercept_click_codes,
     predict_outcome_codes,
@@ -234,8 +252,9 @@ class SessionRecords(SessionCounts):
     outcome) ride along for analysis and audits; the public statistics
     read public_view(). The constructor reduces the columns to
     the count tensor, and eve_tally reduces the Eve-audit counters on first
-    use, each one CHUNK_ROUNDS slice at a time, exactly as a streamed
-    session does.
+    use, each one CHUNK_ROUNDS slice at a time, as a streamed session
+    reduces its genuine-pair chunks and the rounds its double-blind tables
+    leave undecided.
     """
 
     def __init__(
@@ -302,6 +321,50 @@ def public_rounds(records) -> PublicRounds:
     return view() if callable(view) else records
 
 
+def _draw_double_blind(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
+    """A double-blind chunk's draws, in stream order, sliced as _simulate_chunk slices them.
+
+    Returns (lam, a_idx, b_idx, weak); the setting indices stay int64.
+    """
+    lo = chunk_index * CHUNK_ROUNDS
+    m = min(pc.rounds, lo + CHUNK_ROUNDS) - lo
+    g = chunk_stream(pc.seed, chunk_index)
+    lam = sample_lambda(g, CHUNK_ROUNDS)[:m]
+    coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
+    a_idx = g.integers(0, len(pc.alice_settings), CHUNK_ROUNDS)[:m]
+    b_idx = g.integers(0, len(pc.bob_settings), CHUNK_ROUNDS)[:m]
+    return lam, a_idx, b_idx, weak_side_codes(sc, coin, lo)
+
+
+def _window_widths(sc: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Window half-widths of Alice's and Bob's station, each indexed by WeakSide code."""
+    strong = window_half_width(sc.strong_intensity)
+    weak = strong
+    if sc.kind is ScenarioKind.DOUBLE_BLIND_EKERT:
+        weak = window_half_width(weak_intensity(sc.alpha))
+    # indexed by WeakSide code: NONE, A, B
+    return np.array([strong, weak, strong]), np.array([strong, strong, weak])
+
+
+def _window_rule(lam, theta_a, theta_b, w_a, w_b):
+    """The kernel's outcome codes of both stations (broadcasting, like window_codes)."""
+    out_a = window_codes(lam - theta_a, w_a)
+    # Bob's pulse is rotated by pi/2, which swaps his two windows
+    out_b = window_codes(lam - theta_b, w_b)
+    np.negative(out_b, out=out_b)
+    return out_a, out_b
+
+
+def _window_columns(pc: ProtocolConfig, sc: ScenarioConfig, lam, a_idx, b_idx, weak):
+    """Double-blind columns in _COLUMNS order, the outcomes decided by the window rule."""
+    w_a, w_b = _window_widths(sc)
+    out_a, out_b = _window_rule(
+        lam, np.asarray(pc.alice_settings).take(a_idx), np.asarray(pc.bob_settings).take(b_idx),
+        w_a.take(weak), w_b.take(weak),
+    )
+    return a_idx, b_idx, out_a, out_b, weak, lam, None
+
+
 def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     """Simulate rounds [chunk*CHUNK_ROUNDS, ...) of the session.
 
@@ -311,31 +374,14 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     slices afterwards, so per-round values never depend on how many rounds
     the final chunk actually covers.
     """
+    if sc.kind in DOUBLE_BLIND_KINDS:
+        return _window_columns(pc, sc, *_draw_double_blind(pc, sc, chunk_index))
+
     lo = chunk_index * CHUNK_ROUNDS
-    hi = min(pc.rounds, lo + CHUNK_ROUNDS)
-    m = hi - lo
+    m = min(pc.rounds, lo + CHUNK_ROUNDS) - lo
     g = chunk_stream(pc.seed, chunk_index)
     alice = np.asarray(pc.alice_settings)
     bob = np.asarray(pc.bob_settings)
-
-    if sc.kind in DOUBLE_BLIND_KINDS:
-        lam = sample_lambda(g, CHUNK_ROUNDS)[:m]
-        coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-        a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
-        b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
-        weak = weak_side_codes(sc, coin, lo)
-        w_a = w_b = window_half_width(sc.strong_intensity)
-        if sc.kind is ScenarioKind.DOUBLE_BLIND_EKERT:
-            w_weak = window_half_width(weak_intensity(sc.alpha))
-            # indexed by WeakSide code: NONE, A, B
-            w_a = np.array([w_a, w_weak, w_a]).take(weak)
-            w_b = np.array([w_b, w_b, w_weak]).take(weak)
-        out_a = window_codes(lam - alice[a_idx], w_a)
-        # Bob's pulse is rotated by pi/2, which swaps his two windows
-        out_b = window_codes(lam - bob[b_idx], w_b)
-        np.negative(out_b, out=out_b)
-        return a_idx, b_idx, out_a, out_b, weak, lam, None
-
     # genuine pairs; under single blinding Eve measures the second photon in
     # a basis from Bob's configured set, drawn right after Bob's setting
     single = sc.kind is ScenarioKind.SINGLE_BLINDING
@@ -354,6 +400,195 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     if single:  # Eve forwards her result to Bob's blinded station
         eve_out, out_b = out_b, intercept_click_codes(second, out_b, bob[b_idx], sc)
     return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, eve_out
+
+
+# lambda buckets per session of the bucketed double-blind reducer; halved
+# until a session's bins, (a_idx, b_idx, weak_side, bucket), number at most
+# _MAX_BINS, so the tables stay small for up to 127 x 127 settings. With one
+# bucket every round is settled
+_LAMBDA_BUCKETS = 1024
+_MAX_BINS = 1 << 16
+# slack on a bucket's reach in lambda: far beyond the few ulps of pi by which
+# a round's offset arithmetic, or its float bucket index, can be off
+_EDGE_SLACK = 1e-9
+# slack on Eve's cosines, as in optics.malus_click_codes: a float64 cosine or
+# intensity product is off by a few 1e-16, far below it
+_COSINE_SLACK = 2.0**-12
+
+
+@dataclass(frozen=True, eq=False)
+class _BucketTables:
+    """Per-session tables of the bucketed double-blind reducer.
+
+    A round with hidden polarization lam falls in bucket
+    floor(lam * scale) < buckets, and its bin is (a_idx, b_idx, weak_side,
+    bucket), flattened in that order. settle marks the bins whose rounds
+    the window rule (and with the audit, Eve's Malus/threshold physics) may
+    decide differently from one another; they are settled one by one. Every
+    round of any other bin lands in the same count-tensor cell, and the
+    cell map is stored run by run: the bins from starts[r] up to the next
+    start land in the flat cell cells[r], or in the settle bin one past the
+    last cell. mismatch holds, per run, the outcomes per round on which
+    Eve's prediction differs from the window rule (zero in correct code);
+    None without the audit.
+    """
+
+    buckets: int
+    scale: float
+    settle: np.ndarray
+    starts: np.ndarray
+    cells: np.ndarray
+    mismatch: np.ndarray | None
+
+
+def _near_a_window_edge(settings, widths, mid, reach, scale):
+    """Mark the buckets whose midpoint lies within reach of a window edge.
+
+    Indexed (setting, weak side, bucket). An edge is a lambda where
+    window_codes(lambda - setting, width) changes: the offset
+    u = |lambda - setting| lies in [0, pi), and the + and - windows change
+    at u = w, pi/2 - w, pi/2 + w and pi - w. reach is about half a bucket,
+    so only an edge's own bucket and its two neighbours can lie within
+    reach of it.
+    """
+    w = widths[:, None]
+    u = np.concatenate([w, HALF_PERIOD - w, HALF_PERIOD + w, PERIOD - w], axis=1)
+    edges = settings[:, None, None] + np.concatenate([u, -u], axis=1)  # (setting, weak side, edge)
+    near = np.zeros(edges.shape[:2] + mid.shape, bool)
+    bucket = np.floor(edges * scale).astype(np.intp)[..., None] + np.arange(-1, 2)
+    inside = (bucket >= 0) & (bucket < mid.size)
+    bucket[~inside] = 0
+    hit = inside & (np.abs(edges[..., None] - mid.take(bucket)) <= reach)
+    s, w = np.indices(hit.shape)[:2]
+    near[s[hit], w[hit], bucket[hit]] = True
+    return near
+
+
+def _malus_station(intensity, polarization, setting, reach):
+    """Eve's codes at the bucket midpoints, and the buckets whose rounds may differ from them.
+
+    A detector fires iff c = cos 2(pol - setting) lies beyond +-tau,
+    tau = 2/I - 1 (optics.malus_click_codes); over a bucket c moves by at
+    most 2 * reach from its midpoint value.
+    """
+    codes = click_codes(*split_intensities(intensity, polarization, setting))
+    c = np.cos(2.0 * (polarization - setting))
+    tau = 2.0 / intensity - 1.0
+    undecided = ~(np.abs(np.abs(c) - tau) > 2.0 * reach + _COSINE_SLACK)  # NaN included
+    return codes, undecided
+
+
+def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _BucketTables:
+    """Build a double-blind session's bin tables (_BucketTables).
+
+    The window rule is evaluated at each bucket's midpoint by _window_rule,
+    with the widths from window_half_width; a bucket is decided for a
+    station only if none of its window edges lies within reach of the
+    midpoint, reach being half a bucket plus _EDGE_SLACK. With the audit,
+    Eve's codes come from faked_pulse_params, split_intensities and
+    click_codes at the midpoint, and a bucket is decided for her only if the
+    midpoint cosine clears both thresholds by 2 * reach + _COSINE_SLACK.
+    """
+    alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
+    n_a, n_b = alice.size, bob.size
+    buckets = _LAMBDA_BUCKETS
+    while buckets > 1 and n_a * n_b * 3 * buckets > _MAX_BINS:
+        buckets //= 2
+    # the bucket of the largest lambda drawn, nextafter(pi, 0), must stay below buckets
+    scale = buckets / PERIOD
+    while math.nextafter(PERIOD, 0.0) * scale >= buckets:
+        scale = math.nextafter(scale, 0.0)
+    mid = (np.arange(buckets) + 0.5) / scale
+    reach = 0.5 / scale + _EDGE_SLACK
+
+    # station tables, indexed (setting, weak side, bucket)
+    w_a, w_b = _window_widths(sc)
+    code_a, code_b = _window_rule(mid, alice[:, None, None], bob[:, None, None], w_a[:, None], w_b[:, None])
+    undecided_a = _near_a_window_edge(alice, w_a, mid, reach, scale)
+    undecided_b = _near_a_window_edge(bob, w_b, mid, reach, scale)
+    if audit:
+        i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, np.arange(3))
+        eve_a, eve_undecided_a = _malus_station(i_a[:, None], pol_a, alice[:, None, None], reach)
+        eve_b, eve_undecided_b = _malus_station(i_b[:, None], pol_b, bob[:, None, None], reach)
+        undecided_a |= eve_undecided_a
+        undecided_b |= eve_undecided_b
+
+    # bin tables, indexed (a_idx, b_idx, weak side, bucket)
+    settle = undecided_a[:, None] | undecided_b[None, :]
+    n_cells = math.prod(_count_shape(pc))
+    pair = np.arange(n_a, dtype=np.int32)[:, None] * n_b + np.arange(n_b, dtype=np.int32)
+    cells = (pair[:, :, None, None] * 4 + code_a[:, None] + 1) * 4 + code_b[None, :] + 1
+    cells = cells * 3 + np.arange(3, dtype=np.int32)[:, None]
+    cells[settle] = n_cells
+    cells, settle = cells.reshape(-1), settle.reshape(-1)
+    # runs of consecutive bins with the same cell (and mismatch count)
+    change = np.ones(cells.size, bool)
+    np.not_equal(cells[1:], cells[:-1], out=change[1:])
+    mismatch = None
+    if audit:
+        mismatch = (eve_a != code_a).astype(np.int8)[:, None] + (eve_b != code_b).astype(np.int8)[None, :]
+        mismatch = mismatch.reshape(-1)
+        mismatch[settle] = 0
+        change[1:] |= mismatch[1:] != mismatch[:-1]
+    starts = np.flatnonzero(change).astype(np.int32)
+    return _BucketTables(
+        buckets, scale, settle, starts,
+        cells.take(starts).astype(np.int16 if n_cells < 2**15 else np.int32),
+        None if mismatch is None else mismatch.take(starts),
+    )
+
+
+def _reduce_bucketed(
+    pc: ProtocolConfig, sc: ScenarioConfig, tables: _BucketTables, audit: bool, chunk_index: int
+):
+    """_reduce_chunk(pc, sc, _simulate_chunk(pc, sc, chunk_index), audit), counted by bins.
+
+    One bincount of the chunk's flat bin keys, summed run by run and folded
+    through tables.cells, gives the count tensor of the decided bins, and
+    the run sums times tables.mismatch their Eve-audit counter. The rounds
+    of settle bins go through _window_columns and _reduce_chunk, the
+    kernel's and Eve's own per-round arithmetic, even when there are none.
+    """
+    lam, a_idx, b_idx, weak = _draw_double_blind(pc, sc, chunk_index)
+    # the flat bin of (a_idx, b_idx, weak, bucket), in place in int64
+    key = np.multiply(a_idx, len(pc.bob_settings))
+    key += b_idx
+    key *= 3
+    key += weak
+    key *= tables.buckets
+    key += np.multiply(lam, tables.scale).astype(np.intp)
+    runs = np.add.reduceat(np.bincount(key, minlength=tables.settle.size), tables.starts)
+    shape = _count_shape(pc)
+    counts = np.bincount(tables.cells, weights=runs, minlength=math.prod(shape) + 1)[:-1]
+    counts = counts.astype(np.int64).reshape(shape)
+
+    idx = np.flatnonzero(tables.settle.take(key))
+    part = _window_columns(pc, sc, lam[idx], a_idx[idx], b_idx[idx], weak[idx])
+    settled, tally = _reduce_chunk(pc, sc, part, audit)
+    counts += settled
+    if audit:
+        tally = (tally[0] + int(np.dot(runs, tables.mismatch)),)
+    return counts, tally
+
+
+def _in_chunk_order(fn, n_chunks: int, workers: int):
+    """fn(c) for each chunk c, in chunk order; with a pool, at most 2 chunks per worker in flight.
+
+    ThreadPoolExecutor.map submits all of its items at once, and each
+    pending future holds on to memory, so the pool is handed one chunk per
+    map call, no further ahead than the window.
+    """
+    if workers == 1:
+        yield from map(fn, range(n_chunks))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        window = collections.deque()
+        for c in range(n_chunks):
+            window.append(pool.map(fn, (c,)))
+            if len(window) == 2 * workers:
+                yield next(window.popleft())
+        for results in window:
+            yield next(results)
 
 
 def _assemble(parts, rounds: int) -> list:
@@ -396,8 +631,9 @@ def run_session(
     keep_rounds=True returns a SessionRecords with every per-round column;
     it reduces the Eve-audit counters from its columns when first asked.
     keep_rounds=False reduces each chunk to its count tensor while it is
-    in cache and returns a SessionCounts, whose memory does not grow with
-    the round count; audit=True also reduces the Eve-audit counters that
+    in cache (a double-blind chunk by bins, _reduce_bucketed) and returns a
+    SessionCounts, whose memory does not grow with the round count, at any
+    workers; audit=True also reduces the Eve-audit counters that
     eve_prediction_report reads, and without it that report raises
     ValueError. audit has no effect when keep_rounds is True.
     Deterministic for a given (protocol_cfg, scenario_cfg): the chunked RNG
@@ -406,24 +642,21 @@ def run_session(
     """
     if int(workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _check_pairing(protocol_cfg, scenario_cfg)
-
-    def chunk(c):
-        part = _simulate_chunk(protocol_cfg, scenario_cfg, c)
-        return part if keep_rounds else _reduce_chunk(protocol_cfg, scenario_cfg, part, audit)
-
-    def finish(parts):
-        if keep_rounds:
-            return SessionRecords(protocol_cfg, scenario_cfg, *_assemble(parts, protocol_cfg.rounds))
-        counts, tally = _merge(parts, _count_shape(protocol_cfg))
-        return SessionCounts(protocol_cfg, scenario_cfg, protocol_cfg.rounds, counts, tally)
-
-    n_chunks = -(-protocol_cfg.rounds // CHUNK_ROUNDS)
+    pc, sc = protocol_cfg, scenario_cfg
+    _check_pairing(pc, sc)
+    n_chunks = -(-pc.rounds // CHUNK_ROUNDS)
     workers = min(int(workers), n_chunks, os.cpu_count() or 1)
-    if workers == 1:
-        return finish(map(chunk, range(n_chunks)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return finish(pool.map(chunk, range(n_chunks)))
+
+    if keep_rounds:
+        parts = _in_chunk_order(functools.partial(_simulate_chunk, pc, sc), n_chunks, workers)
+        return SessionRecords(pc, sc, *_assemble(parts, pc.rounds))
+    if sc.kind in DOUBLE_BLIND_KINDS:
+        chunk = functools.partial(_reduce_bucketed, pc, sc, _bucket_tables(pc, sc, audit), audit)
+    else:
+        def chunk(c):
+            return _reduce_chunk(pc, sc, _simulate_chunk(pc, sc, c), audit)
+    counts, tally = _merge(_in_chunk_order(chunk, n_chunks, workers), _count_shape(pc))
+    return SessionCounts(pc, sc, pc.rounds, counts, tally)
 
 
 @dataclass(frozen=True)
@@ -590,7 +823,9 @@ def eve_prediction_report(records) -> dict | None:
     reference Malus/threshold physics (sources.predict_outcome_codes), is
     compared on every round to the recorded pair, which the simulation
     decided by the window rule (optics.window_codes); a mismatch means the
-    two arithmetics disagree. Single blinding: Bob's clicks are compared to
+    two arithmetics disagree. A streamed session counts the mismatches by
+    bins and settles near-edge rounds one by one (_reduce_bucketed), which
+    gives the same count. Single blinding: Bob's clicks are compared to
     her intercept outcome. None for honest sessions and public views;
     ValueError for a session that carries no audit (run with audit=False,
     or built without the column the audit reads).

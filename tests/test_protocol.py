@@ -31,7 +31,15 @@ from blindsim.protocol import (
     run_session,
     sift_bbm92,
 )
-from blindsim.sources import CHUNK_ROUNDS, ScenarioConfig, ScenarioKind, WeakSide, weak_intensity
+from blindsim.sources import (
+    CHUNK_ROUNDS,
+    DEFAULT_ALPHA,
+    ScenarioConfig,
+    ScenarioKind,
+    WeakSide,
+    WeakSidePolicy,
+    weak_intensity,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -575,3 +583,159 @@ def test_session_without_audit_refuses_the_eve_report():
             eve_prediction_report(session)
     honest = run_session(pc, ScenarioConfig(kind="honest"), keep_rounds=False, audit=False)
     assert eve_prediction_report(honest) is None
+
+
+def test_streamed_workers_session_memory_does_not_grow_with_chunks(monkeypatch):
+    # a pool gets at most two chunks per worker ahead; a future pending for
+    # every chunk of the session would hold about 1.7 KB each. Two workers'
+    # chunk arrays overlap in time by chance, which moves a real session's
+    # peak by about 1 MB either way, so each chunk is reduced by a stand-in
+    # that returns a fresh count tensor, and the peak is what the pool holds
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sc = ScenarioConfig(kind="double-bbm92")
+
+    def count_tensor(pc, sc, tables, audit, chunk_index):
+        return np.ones(protocol._count_shape(pc), np.int64), None
+
+    monkeypatch.setattr(protocol, "_reduce_bucketed", count_tensor)
+    peaks = []
+    for chunks in (32, 1024):
+        pc = ProtocolConfig(protocol="bbm92", rounds=chunks * CHUNK_ROUNDS, seed=45)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            session = run_session(pc, sc, 2, keep_rounds=False, audit=False)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert session.counts.sum() == chunks * session.counts.size
+    assert peaks[1] < peaks[0] + 2**16, peaks
+
+
+def _column_reference(pc, sc):
+    """The session's SessionRecords, built from _simulate_chunk's per-round columns."""
+    parts = (protocol._simulate_chunk(pc, sc, c) for c in range(-(-pc.rounds // CHUNK_ROUNDS)))
+    return SessionRecords(pc, sc, *protocol._assemble(parts, pc.rounds))
+
+
+def _assert_bucketed_matches_columns(pc, sc, workers=(1,)):
+    """Streamed counts and Eve-audit counters equal the column session's, with and without the audit."""
+    reference = _column_reference(pc, sc)
+    for w, audit in [(1, False)] + [(w, True) for w in workers]:
+        streamed = run_session(pc, sc, w, keep_rounds=False, audit=audit)
+        np.testing.assert_array_equal(streamed.counts, reference.counts)
+        assert streamed.eve_tally == (reference.eve_tally if audit else None), (w, audit)
+    return reference
+
+
+_BUCKET_ROUNDS = 2 * CHUNK_ROUNDS + 1234  # two full chunks and a partial one
+
+
+@pytest.mark.parametrize("policy", [p.value for p in WeakSidePolicy])
+@pytest.mark.parametrize("scenario,proto", [
+    ("double-bbm92", "bbm92"), ("double-bbm92", "ekert"),
+    ("double-ekert", "bbm92"), ("double-ekert", "ekert"),
+])
+def test_bucketed_reducer_matches_the_column_session(scenario, proto, policy):
+    # counts and Eve-audit counters of every bin equal those of the per-round columns
+    pc = ProtocolConfig(protocol=proto, rounds=_BUCKET_ROUNDS, seed=46)
+    for alpha in (0.2, DEFAULT_ALPHA, 0.7):
+        for strong in (2.0, 1.5):
+            sc = ScenarioConfig(kind=scenario, alpha=alpha, strong_intensity=strong, weak_side_policy=policy)
+            _assert_bucketed_matches_columns(pc, sc, workers=(1, 2))
+
+
+def _edge_draws(pc, sc):
+    """Hidden polarizations on and around every window edge, bucket boundary and end of [0, pi)."""
+    true_width = protocol.window_half_width
+    widths = [true_width(sc.strong_intensity), true_width(weak_intensity(sc.alpha))]
+    edges = np.array([
+        s + q + sign * w
+        for s in pc.alice_settings + pc.bob_settings for q in (0.0, math.pi / 2.0)
+        for sign in (1, -1) for w in widths
+    ])
+    tables = protocol._bucket_tables(pc, sc, True)
+    k = np.arange(tables.buckets + 1)
+    boundaries = np.concatenate([k * math.pi / tables.buckets, k / tables.scale])
+    exact = canon_angle(np.concatenate([edges, boundaries]))
+    exact = np.concatenate([exact, np.nextafter(exact, -1.0), np.nextafter(exact, 4.0)])
+    exact = np.append(exact, [0.0, math.nextafter(math.pi, 0.0)])
+    exact = exact[(exact >= 0.0) & (exact < math.pi)]
+
+    def draw(rng, size):
+        near = canon_angle(rng.choice(edges, size) + rng.uniform(-4e-6, 4e-6, size))
+        near[: exact.size] = exact  # the first rounds of every chunk
+        return near
+
+    return draw
+
+
+@pytest.mark.parametrize("scenario,proto", [("double-bbm92", "bbm92"), ("double-ekert", "ekert")])
+def test_bucketed_reducer_at_window_edges_and_bucket_boundaries(monkeypatch, scenario, proto):
+    # rounds on and within 4e-6 of a window edge (where Eve's Malus cosine
+    # crosses its threshold), on bucket boundaries and their float
+    # neighbours, at 0 and at nextafter(pi, 0); with the kernel's windows
+    # too wide by up to three buckets, so the audit's counters are exercised
+    pc = ProtocolConfig(protocol=proto, rounds=_BUCKET_ROUNDS, seed=47)
+    true_width = protocol.window_half_width
+    for strong in (2.0, 1.5):
+        sc = ScenarioConfig(kind=scenario, strong_intensity=strong)
+        monkeypatch.setattr(protocol, "sample_lambda", _edge_draws(pc, sc))
+        for extra in (0.0, 1e-6, 1e-3, 1e-2):
+            monkeypatch.setattr(protocol, "window_half_width", lambda i, extra=extra: true_width(i) + extra)
+            # rounds exactly on an edge may differ between the two
+            # arithmetics even without a fault; the counters must still agree
+            _assert_bucketed_matches_columns(pc, sc)
+        monkeypatch.setattr(protocol, "window_half_width", true_width)
+    # uniform draws: far from an edge the tables decide, and a window three
+    # buckets too wide shows in the bins they decide
+    monkeypatch.undo()
+    monkeypatch.setattr(protocol, "window_half_width", lambda i: true_width(i) + 1e-2)
+    sc = ScenarioConfig(kind=scenario)
+    tables = protocol._bucket_tables(pc, sc, True)
+    assert tables.mismatch.any()
+    assert _assert_bucketed_matches_columns(pc, sc).eve_tally[0] > 0
+
+
+@pytest.mark.parametrize("buckets", [1024, 1000, 5])
+def test_bucket_index_stays_in_range(monkeypatch, buckets):
+    # at 1000 or 5 buckets, buckets / pi times nextafter(pi, 0) rounds up to
+    # the bucket count, so the scale has to be lowered
+    monkeypatch.setattr(protocol, "_LAMBDA_BUCKETS", buckets)
+    sc = ScenarioConfig(kind="double-ekert")
+    top = math.nextafter(math.pi, 0.0)
+    for n_settings in (1, 2, 3, 8, 127):
+        settings = tuple(np.arange(n_settings) * math.pi / n_settings)
+        pc = ProtocolConfig(protocol="ekert", rounds=1, alice_settings=settings, bob_settings=settings)
+        tables = protocol._bucket_tables(pc, sc, False)
+        k = np.arange(tables.buckets + 1)
+        lam = np.concatenate([k * math.pi / tables.buckets, k / tables.scale, [top]])
+        lam = np.concatenate([lam, np.nextafter(lam, -1.0), np.nextafter(lam, 4.0)])
+        lam = lam[(lam >= 0.0) & (lam < math.pi)]
+        bucket = np.multiply(lam, tables.scale).astype(np.intp)
+        assert 0 <= bucket.min() and bucket.max() == tables.buckets - 1
+
+
+@pytest.mark.parametrize("buckets", [1, 1000])
+def test_bucketed_reducer_with_other_bucket_counts(monkeypatch, buckets):
+    # one bucket settles every round; 1000 buckets need a lowered scale
+    monkeypatch.setattr(protocol, "_LAMBDA_BUCKETS", buckets)
+    pc = ProtocolConfig(protocol="ekert", rounds=_BUCKET_ROUNDS, seed=48)
+    for scenario in ("double-bbm92", "double-ekert"):
+        sc = ScenarioConfig(kind=scenario)
+        for audit in (True, False):
+            assert protocol._bucket_tables(pc, sc, audit).settle.all() == (buckets == 1)
+        _assert_bucketed_matches_columns(pc, sc)
+
+
+def test_bucketed_reducer_for_one_and_for_127_settings_a_side():
+    sc = ScenarioConfig(kind="double-ekert")
+    one = ProtocolConfig(protocol="ekert", rounds=70_000, seed=49, alice_settings=(0.3,), bob_settings=(1.1,))
+    _assert_bucketed_matches_columns(one, sc)
+    many = tuple(np.arange(127) * math.pi / 127)
+    pc = ProtocolConfig(protocol="ekert", rounds=70_000, seed=49, alice_settings=many, bob_settings=many)
+    tables = protocol._bucket_tables(pc, sc, True)
+    table_bytes = sum(t.nbytes for t in (tables.settle, tables.starts, tables.cells, tables.mismatch))
+    assert tables.settle.size <= protocol._MAX_BINS
+    assert table_bytes <= 8 * protocol._MAX_BINS, table_bytes
+    _assert_bucketed_matches_columns(pc, sc)
