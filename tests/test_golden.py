@@ -62,6 +62,26 @@ RECORDS_DIGESTS = {
     ("double-ekert", "ekert"): "68f0d40c40b7b9bb68401293cba39752c558156db4a1601045b1b78fce23c92b",
 }
 
+# summaries outside the default matrix, 150 000 rounds, seed 4: the depolarized
+# genuine-pair kernels (replacement branch, single blinding's Alice-Eve pair)
+# and a --format csv summary
+EXTRA_SUMMARY_DIGESTS = {
+    ("honest", "bbm92", "--depolarize", "0.1"): "5612a0def8aa3d45deecc320c5f9fa5b5d17443f30b25454139b483e76cc1e85",
+    ("honest", "ekert", "--depolarize", "0.1"): "c064be2157ea852afc3082245619283aff6561c687eb7cd6b4e0e246490223df",
+    ("single-blinding", "bbm92", "--depolarize", "0.1"): "10b724ce4a8974aa5e608d3fb457c534042db116385e5df6ac44c593da1bdd39",
+    ("double-ekert", "ekert", "--format", "csv"): "b4b73b6397101c3e049133f93fc3d32241ff18e449a033d04ffa11d3e3c00074",
+}
+
+# --records dumps outside RECORDS_DIGESTS, 70 000 rounds, seed 3: depolarized
+# genuine pairs and the alternate weak-side policy with --eve-view, and the
+# writer's plain 6-column rows without it
+RECORDS_OPTION_DIGESTS = {
+    ("honest", "bbm92", "--depolarize", "0.1", "--eve-view"): "bf7628f38329eb2529ae84f08ca93888bc92ec91bad10f71e18e492669a3ac73",
+    ("single-blinding", "bbm92", "--depolarize", "0.1", "--eve-view"): "a76bf93a261856aedcaff1afea13c106f21521d55e19f6f283f02f21806b44ca",
+    ("double-ekert", "ekert", "--weak-side", "alternate", "--eve-view"): "e08be3d01ae459f2963ba67fe553f6d686e62346977dc21c5c803bfcde65d141",
+    ("double-ekert", "ekert"): "360699a5398aafa25290a496e06453ff2bc133a1ffa074ee711b30b600d3e4a4",
+}
+
 # `sweep --axis delta` tables over [-pi/2, pi/2]: 31 steps, 50 000 rounds per point, seed 9
 SWEEP_DIGESTS = {
     "double-bbm92": "a363d81b7abbdac06cdc06587bb92870d668ca3d0ade1ec9e549b3da546960c7",
@@ -98,6 +118,32 @@ def test_records_eve_view_digest(tmp_path, capsys, scenario, protocol):
     assert rc == 0
     capsys.readouterr()
     assert _sha256(path.read_bytes()) == RECORDS_DIGESTS[(scenario, protocol)]
+
+
+@pytest.mark.parametrize("config", list(EXTRA_SUMMARY_DIGESTS), ids=" ".join)
+def test_run_extra_summary_digest(capsys, config):
+    scenario, protocol, *options = config
+    for workers in (1, 2):
+        rc = main([
+            "run", "--scenario", scenario, "--protocol", protocol,
+            "--rounds", "150000", "--seed", "4", "--workers", str(workers), *options,
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert _sha256(out.encode()) == EXTRA_SUMMARY_DIGESTS[config], f"workers={workers}"
+
+
+@pytest.mark.parametrize("config", list(RECORDS_OPTION_DIGESTS), ids=" ".join)
+def test_records_option_digest(tmp_path, capsys, config):
+    scenario, protocol, *options = config
+    path = tmp_path / "rounds.csv"
+    rc = main([
+        "run", "--scenario", scenario, "--protocol", protocol,
+        "--rounds", "70000", "--seed", "3", "--records", str(path), *options,
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    assert _sha256(path.read_bytes()) == RECORDS_OPTION_DIGESTS[config]
 
 
 @pytest.mark.parametrize("scenario", list(SWEEP_DIGESTS))
