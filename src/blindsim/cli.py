@@ -1,7 +1,7 @@
 """Command-line front end: run sessions, sweep curves, print efficiency bounds.
 
-Exit codes: 0 success, 1 domain error (the message names the offending
-parameter), 2 usage error (bad flags, unknown subcommand).
+Exit codes: 0 success, 1 domain error or unwritable output (the message names
+the parameter or path at fault), 2 usage error (bad flags, unknown subcommand).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import enum
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -39,11 +40,9 @@ from .protocol import (
     correlation_estimate,
     eve_prediction_report,
     run_session,
-    _check_pairing,
-    _simulate_chunk,
+    session_chunks,
 )
 from .sources import (
-    CHUNK_ROUNDS,
     DOUBLE_BLIND_KINDS,
     ScenarioConfig,
     ScenarioKind,
@@ -151,16 +150,9 @@ def build_summary(records) -> dict:
 
 
 def _flatten(obj, prefix=""):
-    if isinstance(obj, dict):
-        rows = []
-        for k, v in obj.items():
-            rows.extend(_flatten(v, f"{prefix}{k}."))
-        return rows
-    if isinstance(obj, list):
-        rows = []
-        for i, v in enumerate(obj):
-            rows.extend(_flatten(v, f"{prefix}{i}."))
-        return rows
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [row for k, v in items for row in _flatten(v, f"{prefix}{k}.")]
     return [(prefix[:-1], "" if obj is None else obj)]
 
 
@@ -217,11 +209,12 @@ def write_records_csv(
     weak_side. --eve-view appends lambda, eve_pred_a, eve_pred_b; those cells
     stay empty for rounds/scenarios where Eve holds no such information.
     A path of "-" writes to stdout. Every per-round value depends only on
-    (seed, chunk index, config), so each chunk is simulated again, written
-    and dropped: memory does not grow with the round count.
+    (seed, chunk index, config), so each chunk of session_chunks is
+    simulated again, written and dropped: memory does not grow with the
+    round count. A bad pairing raises ValueError before the file is opened.
     """
     pc, sc = protocol_cfg, scenario_cfg
-    _check_pairing(pc, sc)
+    chunks = session_chunks(pc, sc)
     alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
     lam_view = eve_view and sc.kind in DOUBLE_BLIND_KINDS
     fields = ["round", "theta_a", "theta_b", "outcome_a", "outcome_b", "weak_side"]
@@ -250,9 +243,10 @@ def write_records_csv(
     row_format = "%d,%s,%s,%.9g,%s\n" if lam_view else "%d,%s,%s\n"
     with _output(path) as fh:
         fh.write(",".join(fields) + "\n")
-        for c in range(-(-pc.rounds // CHUNK_ROUNDS)):
-            a_idx, b_idx, out_a, out_b, weak, lam, _ = _simulate_chunk(pc, sc, c)
-            rounds = range(c * CHUNK_ROUNDS, c * CHUNK_ROUNDS + a_idx.size)
+        lo = 0
+        for a_idx, b_idx, out_a, out_b, weak, lam, _ in chunks:
+            rounds = range(lo, lo + a_idx.size)
+            lo = rounds.stop
             pairs = pair_txt.take(a_idx * bob.size + b_idx).tolist()
             cells = cell_txt.take(((out_a + 1) * 4 + out_b + 1) * 3 + weak).tolist()
             columns = [rounds, pairs, cells]
@@ -276,6 +270,9 @@ def _scenario_from_args(args) -> ScenarioConfig:
 def cmd_run(args) -> int:
     if args.records == "-" and args.out == "-":
         raise ValueError("--records - and --out - both write to stdout; send one of them to a file")
+    if args.records not in (None, "-") and args.out != "-":
+        if os.path.realpath(args.records) == os.path.realpath(args.out):
+            raise ValueError(f"--records and --out both name {args.out}; send them to different files")
     scenario_cfg = _scenario_from_args(args)
     protocol_cfg = ProtocolConfig(protocol=args.protocol, rounds=args.rounds, seed=args.seed)
     _keep_freed_heap()
@@ -466,7 +463,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -209,10 +209,7 @@ class SessionCounts:
     swallow a ValueError.
     """
 
-    _ROUND_FIELDS = (
-        "a_idx", "b_idx", "theta_a", "theta_b", "outcome_a", "outcome_b", "weak_side",
-        "hidden_lambda", "eve_outcome",
-    )
+    _ROUND_FIELDS = _COLUMNS + ("theta_a", "theta_b")
 
     def __init__(
         self, protocol: ProtocolConfig, scenario: ScenarioConfig, rounds: int, counts, eve_tally=None
@@ -321,14 +318,18 @@ def public_rounds(records) -> PublicRounds:
     return view() if callable(view) else records
 
 
+def _open_chunk(pc: ProtocolConfig, chunk_index: int):
+    """(first round, round count, generator) of one chunk of the session."""
+    lo = chunk_index * CHUNK_ROUNDS
+    return lo, min(pc.rounds, lo + CHUNK_ROUNDS) - lo, chunk_stream(pc.seed, chunk_index)
+
+
 def _draw_double_blind(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     """A double-blind chunk's draws, in stream order, sliced as _simulate_chunk slices them.
 
     Returns (lam, a_idx, b_idx, weak); the setting indices stay int64.
     """
-    lo = chunk_index * CHUNK_ROUNDS
-    m = min(pc.rounds, lo + CHUNK_ROUNDS) - lo
-    g = chunk_stream(pc.seed, chunk_index)
+    lo, m, g = _open_chunk(pc, chunk_index)
     lam = sample_lambda(g, CHUNK_ROUNDS)[:m]
     coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
     a_idx = g.integers(0, len(pc.alice_settings), CHUNK_ROUNDS)[:m]
@@ -377,9 +378,7 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     if sc.kind in DOUBLE_BLIND_KINDS:
         return _window_columns(pc, sc, *_draw_double_blind(pc, sc, chunk_index))
 
-    lo = chunk_index * CHUNK_ROUNDS
-    m = min(pc.rounds, lo + CHUNK_ROUNDS) - lo
-    g = chunk_stream(pc.seed, chunk_index)
+    _, m, g = _open_chunk(pc, chunk_index)
     alice = np.asarray(pc.alice_settings)
     bob = np.asarray(pc.bob_settings)
     # genuine pairs; under single blinding Eve measures the second photon in
@@ -609,13 +608,22 @@ def _assemble(parts, rounds: int) -> list:
     return columns
 
 
-def _check_pairing(protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig) -> None:
-    """Refuse a scenario that does not run under the protocol: ValueError."""
-    if (
-        scenario_cfg.kind is ScenarioKind.SINGLE_BLINDING
-        and protocol_cfg.protocol is not ProtocolKind.BBM92
-    ):
+def session_chunks(protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig, workers=1, per_chunk=None):
+    """per_chunk(c) for each chunk c of the session, in chunk order (_in_chunk_order).
+
+    per_chunk defaults to chunk c's columns (_simulate_chunk). workers < 1, or a
+    scenario that does not run under the protocol, raises ValueError here,
+    before any chunk runs. The chunks run on min(workers, chunks, CPUs) threads.
+    """
+    if int(workers) < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if scenario_cfg.kind is ScenarioKind.SINGLE_BLINDING and protocol_cfg.protocol is not ProtocolKind.BBM92:
         raise ValueError("scenario single-blinding runs under protocol bbm92 only")
+    n_chunks = -(-protocol_cfg.rounds // CHUNK_ROUNDS)
+    workers = min(int(workers), n_chunks, os.cpu_count() or 1)
+    if per_chunk is None:
+        per_chunk = functools.partial(_simulate_chunk, protocol_cfg, scenario_cfg)
+    return _in_chunk_order(per_chunk, n_chunks, workers)
 
 
 def run_session(
@@ -640,23 +648,16 @@ def run_session(
     scheme, and chunk reductions merged by integer addition, make the
     output byte-identical for any workers >= 1.
     """
-    if int(workers) < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     pc, sc = protocol_cfg, scenario_cfg
-    _check_pairing(pc, sc)
-    n_chunks = -(-pc.rounds // CHUNK_ROUNDS)
-    workers = min(int(workers), n_chunks, os.cpu_count() or 1)
-
     if keep_rounds:
-        parts = _in_chunk_order(functools.partial(_simulate_chunk, pc, sc), n_chunks, workers)
-        return SessionRecords(pc, sc, *_assemble(parts, pc.rounds))
+        return SessionRecords(pc, sc, *_assemble(session_chunks(pc, sc, workers), pc.rounds))
     if sc.kind in DOUBLE_BLIND_KINDS:
-        chunk = functools.partial(_reduce_bucketed, pc, sc, _bucket_tables(pc, sc, audit), audit)
+        per_chunk = functools.partial(_reduce_bucketed, pc, sc, _bucket_tables(pc, sc, audit), audit)
     else:
-        def chunk(c):
+        def per_chunk(c):
             return _reduce_chunk(pc, sc, _simulate_chunk(pc, sc, c), audit)
-    counts, tally = _merge(_in_chunk_order(chunk, n_chunks, workers), _count_shape(pc))
-    return SessionCounts(pc, sc, pc.rounds, counts, tally)
+    chunks = session_chunks(pc, sc, workers, per_chunk)
+    return SessionCounts(pc, sc, pc.rounds, *_merge(chunks, _count_shape(pc)))
 
 
 @dataclass(frozen=True)
@@ -694,8 +695,8 @@ def sift_bbm92(records) -> tuple[SiftedKey, float | None]:
     Alice's bit is 1 for a MINUS outcome; Bob's raw bit is flipped before
     comparison because the source anticorrelates the stations. The parties'
     bits read only the setting and outcome columns; Eve's bits also read
-    the hidden ones. Returns the key and bbm92_qber(records). A session
-    without per-round columns raises ValueError.
+    the hidden ones (None without hidden_lambda). Returns the key and
+    bbm92_qber(records). A session without per-round columns raises ValueError.
     """
     pc, scenario = records.protocol, records.scenario
     same_setting = np.equal.outer(pc.alice_settings, pc.bob_settings)
@@ -706,7 +707,7 @@ def sift_bbm92(records) -> tuple[SiftedKey, float | None]:
     bits_bob = (out_b[idx] != int(Outcome.MINUS)).astype(np.uint8)
 
     bits_eve = None
-    if scenario.kind in DOUBLE_BLIND_KINDS and idx.size:
+    if scenario.kind in DOUBLE_BLIND_KINDS and records.hidden_lambda is not None and idx.size:
         angle = np.asarray(pc.alice_settings)[records.a_idx[idx]]  # both stations' setting on kept rounds
         _, pred_b = predict_outcome_codes(
             records.hidden_lambda[idx], angle, angle, scenario, records.weak_side[idx]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import math
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import blindsim
+from blindsim import cli
 from blindsim.cli import main, write_records_csv, write_summary
 from blindsim.protocol import ProtocolConfig
 from blindsim.sources import CHUNK_ROUNDS, ScenarioConfig
@@ -338,6 +340,53 @@ def test_records_and_summary_cannot_share_stdout(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "--records" in err and "--out" in err
     assert not (tmp_path / "-").exists()
+
+
+def test_records_and_summary_cannot_share_a_file(tmp_path, monkeypatch, capsys):
+    # refused before simulating: the dump would overwrite the summary
+    def no_session(*args, **kwargs):
+        raise AssertionError("simulated a session")
+
+    monkeypatch.setattr(cli, "run_session", no_session)
+    path = tmp_path / "out.txt"
+    path.write_text("kept\n")
+    monkeypatch.chdir(tmp_path)
+    for out, records in ((str(path), str(path)), ("out.txt", str(tmp_path / "." / "out.txt"))):
+        rc = main([
+            "run", "--scenario", "honest", "--protocol", "bbm92", "--rounds", "1000",
+            "--out", out, "--records", records,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--records" in err and "--out" in err
+    assert path.read_text() == "kept\n"
+
+
+def test_unwritable_output_is_a_domain_error(tmp_path, capsys):
+    base = ["run", "--scenario", "honest", "--protocol", "bbm92", "--rounds", "1000"]
+    for flags in (
+        ["--out", str(tmp_path / "missing" / "s.json")],
+        ["--out", str(tmp_path)],
+        ["--out", os.devnull, "--records", str(tmp_path / "missing" / "rounds.csv")],
+    ):
+        rc = main(base + flags)
+        assert rc == 1, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, flags
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_imports_no_protocol_internals():
+    # the CLI reads sessions through protocol's public API only
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    ]
+    assert ("protocol", "session_chunks") in imported
+    private = [name for module, name in imported if module in ("protocol", "blindsim.protocol") and name.startswith("_")]
+    assert private == []
+    assert "CHUNK_ROUNDS" not in [name for _, name in imported]
 
 
 def test_write_summary_refuses_nan(tmp_path):

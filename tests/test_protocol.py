@@ -29,6 +29,7 @@ from blindsim.protocol import (
     eve_prediction_report,
     public_rounds,
     run_session,
+    session_chunks,
     sift_bbm92,
 )
 from blindsim.sources import (
@@ -129,6 +130,23 @@ def test_sift_bbm92_attack_yields_zero_qber_and_full_knowledge():
     assert key.bits_eve is not None
     np.testing.assert_array_equal(key.bits_eve, key.bits_bob)
     assert eve_knowledge_audit(rec, key) == 1.0
+
+
+def test_sift_bbm92_without_the_lambda_column_gives_eve_no_bits():
+    # a double-blind column session built without hidden_lambda: Eve has no
+    # prediction, and the parties' key is the one the full columns give
+    rec = _session("double-bbm92", "bbm92", 5_000, 7)
+    bare = SessionRecords(
+        rec.protocol, rec.scenario, rec.a_idx, rec.b_idx, rec.outcome_a, rec.outcome_b, rec.weak_side
+    )
+    key, qber = sift_bbm92(rec)
+    bare_key, bare_qber = sift_bbm92(bare)
+    assert bare_key.bits_eve is None
+    assert eve_knowledge_audit(bare, bare_key) is None
+    np.testing.assert_array_equal(bare_key.bits_alice, key.bits_alice)
+    np.testing.assert_array_equal(bare_key.bits_bob, key.bits_bob)
+    np.testing.assert_array_equal(bare_key.round_indices, key.round_indices)
+    assert bare_qber == qber == 0.0
 
 
 def test_sift_bbm92_honest_depolarized_qber():
@@ -438,6 +456,46 @@ def test_run_session_clamps_worker_pool(monkeypatch):
     assert _RecordingPool.requested == [2]
 
 
+def test_session_chunks_refuses_before_any_chunk_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(protocol, "_simulate_chunk", lambda pc, sc, c: calls.append(c))
+    honest = ScenarioConfig(kind="honest")
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            session_chunks(ProtocolConfig(protocol="bbm92", rounds=10), honest, workers)
+    with pytest.raises(ValueError, match="single-blinding runs under protocol bbm92 only"):
+        session_chunks(ProtocolConfig(protocol="ekert", rounds=10), ScenarioConfig(kind="single-blinding"))
+    assert calls == []
+    # a valid session runs no chunk until it is iterated
+    chunks = session_chunks(ProtocolConfig(protocol="bbm92", rounds=CHUNK_ROUNDS + 1), honest)
+    assert calls == []
+    assert list(chunks) == [None, None] and calls == [0, 1]
+
+
+@pytest.mark.parametrize("scenario,proto", [
+    ("honest", "ekert"), ("single-blinding", "bbm92"),
+    ("double-bbm92", "bbm92"), ("double-ekert", "ekert"),
+])
+def test_session_chunks_default_columns_are_the_session_columns(scenario, proto):
+    # two full chunks and a partial one, in chunk order at any worker count
+    pc = ProtocolConfig(protocol=proto, rounds=2 * CHUNK_ROUNDS + 1234, seed=47)
+    sc = ScenarioConfig(kind=scenario)
+    kept = run_session(pc, sc)
+    for workers in (1, 2):
+        parts = list(session_chunks(pc, sc, workers))
+        assert [part[0].size for part in parts] == [CHUNK_ROUNDS, CHUNK_ROUNDS, 1234]
+        for c, part in enumerate(parts):
+            for name, col, ref in zip(protocol._COLUMNS, part, protocol._simulate_chunk(pc, sc, c)):
+                assert (col is None) == (ref is None), name
+                if col is not None:
+                    np.testing.assert_array_equal(col, ref)
+        for name, col in zip(protocol._COLUMNS, protocol._assemble(parts, pc.rounds)):
+            if col is None:
+                assert getattr(kept, name) is None, name
+            else:
+                np.testing.assert_array_equal(col, getattr(kept, name))
+
+
 @pytest.mark.parametrize("scenario,proto", [
     ("honest", "ekert"), ("single-blinding", "bbm92"),
     ("double-bbm92", "bbm92"), ("double-ekert", "ekert"),
@@ -614,8 +672,7 @@ def test_streamed_workers_session_memory_does_not_grow_with_chunks(monkeypatch):
 
 def _column_reference(pc, sc):
     """The session's SessionRecords, built from _simulate_chunk's per-round columns."""
-    parts = (protocol._simulate_chunk(pc, sc, c) for c in range(-(-pc.rounds // CHUNK_ROUNDS)))
-    return SessionRecords(pc, sc, *protocol._assemble(parts, pc.rounds))
+    return SessionRecords(pc, sc, *protocol._assemble(session_chunks(pc, sc), pc.rounds))
 
 
 def _assert_bucketed_matches_columns(pc, sc, workers=(1,)):
