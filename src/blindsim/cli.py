@@ -268,6 +268,8 @@ def _scenario_from_args(args) -> ScenarioConfig:
 
 
 def cmd_run(args) -> int:
+    if args.eve_view and not args.records:
+        raise ValueError("--eve-view adds columns to the --records dump; give --records too")
     if args.records == "-" and args.out == "-":
         raise ValueError("--records - and --out - both write to stdout; send one of them to a file")
     if args.records not in (None, "-") and args.out != "-":
@@ -275,6 +277,11 @@ def cmd_run(args) -> int:
             raise ValueError(f"--records and --out both name {args.out}; send them to different files")
     scenario_cfg = _scenario_from_args(args)
     protocol_cfg = ProtocolConfig(protocol=args.protocol, rounds=args.rounds, seed=args.seed)
+    # a bad worker count or pairing, then an unwritable records path, fail
+    # before anything is simulated; opening for append truncates nothing
+    session_chunks(protocol_cfg, scenario_cfg, args.workers)
+    if args.records not in (None, "-"):
+        open(args.records, "a").close()
     _keep_freed_heap()
     # the summary needs only the count tensor and the Eve audit, reduced chunk
     # by chunk; the records dump simulates the chunks again, one at a time
@@ -330,6 +337,8 @@ def cmd_sweep(args) -> int:
     else:
         if ScenarioKind(args.scenario) is not ScenarioKind.DOUBLE_BLIND_EKERT:
             raise ValueError("alpha sweeps apply to scenario double-ekert only")
+        if args.alpha is not None:
+            raise ValueError("--alpha applies to delta sweeps; an alpha sweep takes its angles from the grid")
         for i, a in enumerate(grid):
             alpha = float(a)
             scenario_cfg = ScenarioConfig(

@@ -11,13 +11,11 @@ pulse polarization and setting: each detector fires inside a fixed angle
 window whose half-width depends only on the pulse intensity. The simulation
 kernel uses that window rule (window_half_width, window_codes); Malus
 splitting and the strict threshold (split_intensities, click_codes) remain
-the reference physics that Eve's predictions are computed with.
-malus_click_codes returns exactly the reference codes, but decides most
-rounds from float32 cosines and settles in float64 only the rounds whose
-cosine lies within a fixed margin of the click threshold. A streamed
-double-blind session evaluates both arithmetics once per lambda bucket to
-build its tables, and per round only where a bucket straddles a window edge
-or a click threshold (protocol._bucket_tables).
+the reference physics that Eve's predictions and single blinding's code
+table are computed with. A streamed double-blind session evaluates both
+arithmetics once per lambda bucket to build its tables, and per round only
+where a bucket straddles a window edge or a click threshold
+(protocol._bucket_tables).
 """
 
 from __future__ import annotations
@@ -111,61 +109,6 @@ def click_codes(i0, i1, threshold=1.0):
     c1 = np.asarray(i1) > threshold
     codes = c0.astype(np.int8) - c1.astype(np.int8)
     return np.where(c0 & c1, np.int8(Outcome.DOUBLE_CLICK), codes).astype(np.int8)
-
-
-# float32 cosines within this distance of the click threshold are settled in
-# float64. Below _SCREEN_ARG_MAX the float32 argument is off by at most
-# 2**-16 and numpy's float32 cosine by a few ulps (~2.4e-7), both far below it.
-_SCREEN_MARGIN = 2.0**-12
-_SCREEN_ARG_MAX = 2.0**8
-
-
-def malus_click_codes(intensity, polarization, setting):
-    """click_codes(*split_intensities(intensity, polarization, setting)), code for code.
-
-    A pulse of intensity I > 0 fires the + output iff I(1 + c)/2 > 1, i.e.
-    c > tau = 2/I - 1 with c = cos 2(pol - setting) (halving is exact), and
-    the - output iff -c > tau. Every round is first decided from c and tau
-    in float32, where numpy's cosine is vectorized; a round whose float32
-    |c| lies within _SCREEN_MARGIN of |tau| (or whose inputs give a NaN, an
-    argument beyond _SCREEN_ARG_MAX or tau <= -1) is undecided and
-    recomputed by split_intensities and click_codes. Outside the margin the
-    float32 and float64 cosines lie on the same side of the threshold, so
-    the codes equal the float64 reference on every round.
-    """
-    shape = np.broadcast_shapes(np.shape(intensity), np.shape(polarization), np.shape(setting))
-    intensity, polarization, setting = (
-        a.reshape(-1) for a in np.broadcast_arrays(intensity, polarization, setting)
-    )
-    # one float64 buffer: the argument 2(pol - setting), then tau as float32
-    x = np.subtract(polarization, setting, out=np.empty(setting.shape))
-    x *= 2.0
-    c = x.astype(np.float32)
-    np.cos(c, out=c)
-    np.abs(x, out=x)
-    c[x > _SCREEN_ARG_MAX] = np.nan
-    tau = x.view(np.float32)[: x.size]
-    with np.errstate(divide="ignore"):  # I = 0 gives tau = inf: never fires
-        np.divide(2.0, intensity, out=tau, casting="same_kind")
-    tau -= 1.0
-    # tau <= -1 (I < 0, I = -0.0, or 2/I too small for float32): the click
-    # no longer follows from c > tau, so the round is settled in float64
-    tau[tau <= -1.0] = np.nan
-    plus = c > tau
-    np.negative(tau, out=tau)
-    minus = c < tau
-    # distance of |c| from |tau|, the nearer of the two detectors' thresholds
-    np.abs(c, out=c)
-    np.abs(tau, out=tau)
-    c -= tau
-    np.abs(c, out=c)
-    undecided = ~(c > _SCREEN_MARGIN)  # NaN included
-    del x, tau, c
-    codes = np.subtract(plus.view(np.int8), minus.view(np.int8))
-    codes[plus & minus] = Outcome.DOUBLE_CLICK
-    idx = np.flatnonzero(undecided)
-    codes[idx] = click_codes(*split_intensities(intensity[idx], polarization[idx], setting[idx]))
-    return codes.reshape(shape)
 
 
 def window_half_width(intensity: float) -> float:

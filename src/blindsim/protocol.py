@@ -50,7 +50,7 @@ from .sources import (
     intercept_click_codes,
     predict_outcome_codes,
     sample_lambda,
-    weak_intensity,
+    station_intensities,
     weak_side_codes,
 )
 
@@ -339,12 +339,7 @@ def _draw_double_blind(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int)
 
 def _window_widths(sc: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Window half-widths of Alice's and Bob's station, each indexed by WeakSide code."""
-    strong = window_half_width(sc.strong_intensity)
-    weak = strong
-    if sc.kind is ScenarioKind.DOUBLE_BLIND_EKERT:
-        weak = window_half_width(weak_intensity(sc.alpha))
-    # indexed by WeakSide code: NONE, A, B
-    return np.array([strong, weak, strong]), np.array([strong, strong, weak])
+    return tuple(np.array([window_half_width(x) for x in table]) for table in station_intensities(sc))
 
 
 def _window_rule(lam, theta_a, theta_b, w_a, w_b):
@@ -386,18 +381,25 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     single = sc.kind is ScenarioKind.SINGLE_BLINDING
     a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
     b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
-    second = bob[g.integers(0, bob.size, CHUNK_ROUNDS)[:m]] if single else bob[b_idx]
+    second_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m] if single else b_idx
     a_coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
     u_flip = g.random(CHUNK_ROUNDS)[:m]
     depol_u = g.random(CHUNK_ROUNDS)[:m]
     a_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
     b_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
     out_a, out_b = honest_outcome_codes(
-        alice[a_idx], second, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
+        alice[a_idx], bob[second_idx], a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
     )
     eve_out = None
-    if single:  # Eve forwards her result to Bob's blinded station
-        eve_out, out_b = out_b, intercept_click_codes(second, out_b, bob[b_idx], sc)
+    if single:
+        # Bob's blinded station answers the pulse Eve forwards: a table of 2 |B|^2 codes
+        # per (her basis, her outcome, which is never 0, his setting), keyed in place in int64
+        table = intercept_click_codes(bob[:, None, None], np.array([[Outcome.MINUS], [Outcome.PLUS]]), bob, sc)
+        key = np.multiply(second_idx, 2)
+        key += out_b > 0
+        key *= bob.size
+        key += b_idx
+        eve_out, out_b = out_b, table.reshape(-1).take(key)
     return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, eve_out
 
 
@@ -410,8 +412,8 @@ _MAX_BINS = 1 << 16
 # slack on a bucket's reach in lambda: far beyond the few ulps of pi by which
 # a round's offset arithmetic, or its float bucket index, can be off
 _EDGE_SLACK = 1e-9
-# slack on Eve's cosines, as in optics.malus_click_codes: a float64 cosine or
-# intensity product is off by a few 1e-16, far below it
+# slack on Eve's cosines: a float64 cosine or intensity product is off by a
+# few 1e-16, far below it
 _COSINE_SLACK = 2.0**-12
 
 
@@ -466,9 +468,9 @@ def _near_a_window_edge(settings, widths, mid, reach, scale):
 def _malus_station(intensity, polarization, setting, reach):
     """Eve's codes at the bucket midpoints, and the buckets whose rounds may differ from them.
 
-    A detector fires iff c = cos 2(pol - setting) lies beyond +-tau,
-    tau = 2/I - 1 (optics.malus_click_codes); over a bucket c moves by at
-    most 2 * reach from its midpoint value.
+    A detector fires iff I(1 +- c)/2 > 1 (split_intensities, click_codes),
+    i.e. iff c = cos 2(pol - setting) lies beyond +-tau, tau = 2/I - 1; over
+    a bucket c moves by at most 2 * reach from its midpoint value.
     """
     codes = click_codes(*split_intensities(intensity, polarization, setting))
     c = np.cos(2.0 * (polarization - setting))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import PERIOD, Outcome, malus_click_codes, quarter_turn
+from .optics import PERIOD, Outcome, click_codes, quarter_turn, split_intensities
 
 # weak-pulse tuning angle that saturates the CHSH maximum reachable by the
 # coincidence-conditioned faked states
@@ -142,22 +142,30 @@ def weak_side_codes(cfg: ScenarioConfig, coin: np.ndarray, start_index: int) -> 
     return np.full(n, np.int8(WeakSide.B))
 
 
-def faked_pulse_params(lam, cfg: ScenarioConfig, weak_side):
-    """Intensities and polarizations of both faked pulses (vectorized).
+def station_intensities(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Faked-pulse intensities at Alice's and Bob's station, each indexed by WeakSide code.
 
-    Alice receives the hidden polarization as-is, Bob the pi/2-rotated copy;
-    the weakened side (if any) is driven at 1/cos^2(alpha). lam lies in
-    [0, pi), as sample_lambda draws it; weak_side holds one WeakSide code
-    per round.
+    Every pulse is strong, except that under double-ekert the weakened side
+    is driven at 1/cos^2(alpha).
     """
-    pol_a = np.asarray(lam, dtype=np.float64)
-    pol_b = quarter_turn(pol_a)
     strong = cfg.strong_intensity
     weak = weak_intensity(cfg.alpha) if cfg.kind is ScenarioKind.DOUBLE_BLIND_EKERT else strong
     # indexed by WeakSide code: NONE, A, B
-    intensity_a = np.array([strong, weak, strong]).take(weak_side)
-    intensity_b = np.array([strong, strong, weak]).take(weak_side)
-    return intensity_a, pol_a, intensity_b, pol_b
+    return np.array([strong, weak, strong]), np.array([strong, strong, weak])
+
+
+def faked_pulse_params(lam, cfg: ScenarioConfig, weak_side):
+    """Intensities and polarizations of both faked pulses (vectorized).
+
+    Alice receives the hidden polarization as-is, Bob the pi/2-rotated copy,
+    each at the intensity station_intensities gives the round's weak side.
+    lam lies in [0, pi), as sample_lambda draws it; weak_side holds one
+    WeakSide code per round.
+    """
+    pol_a = np.asarray(lam, dtype=np.float64)
+    pol_b = quarter_turn(pol_a)
+    intensity_a, intensity_b = station_intensities(cfg)
+    return intensity_a.take(weak_side), pol_a, intensity_b.take(weak_side), pol_b
 
 
 def honest_outcome_codes(
@@ -207,7 +215,7 @@ def intercept_click_codes(eve_basis, eve_outcome, theta_b, cfg: ScenarioConfig):
     stays silent.
     """
     direction = intercept_pulse_directions(eve_basis, eve_outcome)
-    return malus_click_codes(cfg.single_blind_intensity, direction, theta_b)
+    return click_codes(*split_intensities(cfg.single_blind_intensity, direction, theta_b))
 
 
 def predict_outcome_codes(lam, theta_a, theta_b, cfg: ScenarioConfig, weak_side):
@@ -217,11 +225,7 @@ def predict_outcome_codes(lam, theta_a, theta_b, cfg: ScenarioConfig, weak_side)
     reference physics, Malus splitting and the strict threshold. The
     simulation decides clicks by the window rule (optics.window_codes)
     instead, so comparing the two checks Eve's model of the stations rather
-    than replaying the simulation's own arithmetic. The reference codes come
-    from optics.malus_click_codes: a float32 screen decides the rounds whose
-    cosine lies clear of the click threshold, and split_intensities and
-    click_codes settle the rest in float64, so every code equals the float64
-    reference.
+    than replaying the simulation's own arithmetic.
     """
     ia, pa, ib, pb = faked_pulse_params(lam, cfg, weak_side)
-    return malus_click_codes(ia, pa, theta_a), malus_click_codes(ib, pb, theta_b)
+    return click_codes(*split_intensities(ia, pa, theta_a)), click_codes(*split_intensities(ib, pb, theta_b))

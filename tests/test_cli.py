@@ -376,6 +376,46 @@ def test_unwritable_output_is_a_domain_error(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def _no_session(*args, **kwargs):
+    raise AssertionError("a refused command simulated a session")
+
+
+def test_unwritable_records_path_fails_before_simulating(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    out = tmp_path / "s.json"
+    rc = main([
+        "run", "--scenario", "honest", "--protocol", "bbm92", "--rounds", "1000",
+        "--out", str(out), "--records", str(tmp_path / "missing" / "r.csv"),
+    ])
+    assert rc == 1
+    assert "r.csv" in capsys.readouterr().err
+    assert not out.exists()
+    # a bad pairing is refused before the records dump is opened
+    records = tmp_path / "r.csv"
+    rc = main([
+        "run", "--scenario", "single-blinding", "--protocol", "ekert", "--rounds", "1000",
+        "--out", str(out), "--records", str(records),
+    ])
+    assert rc == 1
+    assert "single-blinding" in capsys.readouterr().err
+    assert not records.exists() and not out.exists()
+
+
+def test_silently_dropped_flags_are_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    out = tmp_path / "out.txt"
+    for flag, argv in (
+        ("--alpha", ["sweep", "--axis", "alpha", "--scenario", "double-ekert", "--start", "0.3",
+                     "--stop", "0.6", "--steps", "2", "--alpha", "0.1"]),
+        ("--eve-view", ["run", "--scenario", "double-ekert", "--protocol", "ekert", "--eve-view"]),
+    ):
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 1, flag
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err, flag
+        assert not out.exists(), flag
+
+
 def test_cli_imports_no_protocol_internals():
     # the CLI reads sessions through protocol's public API only
     tree = ast.parse(Path(cli.__file__).read_text())

@@ -7,13 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from blindsim import optics
 from blindsim.optics import (
     HALF_PERIOD,
     Outcome,
     canon_angle,
     click_codes,
-    malus_click_codes,
     quarter_turn,
     split_intensities,
     window_codes,
@@ -315,65 +313,6 @@ def test_reference_physics_matches_its_first_form_bit_for_bit():
         pred_a, pred_b = predict_outcome_codes(lam, theta_a, theta_b, cfg, weak)
         np.testing.assert_array_equal(pred_a, click_codes(*_old_split_intensities(old[0], old[1], theta_a)))
         np.testing.assert_array_equal(pred_b, click_codes(*_old_split_intensities(old[2], old[3], theta_b)))
-
-
-def _screen_vs_reference():
-    """Per (intensity, setting, station): rounds where malus_click_codes and the float64 reference differ.
-
-    Intensities: strong pulses at 2 and 1.5, weak pulses at three alpha and
-    the default single-blinding pulse; every default setting; hidden
-    polarizations packed around every window edge plus 100k uniform ones,
-    sent as-is (Alice) and rotated by pi/2 (Bob).
-    """
-    intensities = (2.0, 1.5, ScenarioConfig(kind="single-blinding").single_blind_intensity) + tuple(
-        1.0 / math.cos(a) ** 2 for a in (0.2, math.pi / (4.0 * math.sqrt(2.0)), 0.7)
-    )
-    lams = [_edge_grid(intensity, theta)[0] for intensity in intensities for theta in _DEFAULT_SETTINGS]
-    lam = np.concatenate(lams + [np.random.default_rng(20).uniform(0.0, math.pi, 100_000)])
-    for pol in (lam, canon_angle(lam + math.pi / 2.0)):
-        for intensity in intensities:
-            for theta in _DEFAULT_SETTINGS:
-                got = malus_click_codes(intensity, pol, theta)
-                want = click_codes(*split_intensities(intensity, pol, theta))
-                assert got.dtype == want.dtype and got.shape == want.shape
-                yield got != want
-
-
-def test_malus_click_codes_equal_the_float64_reference_bit_for_bit():
-    assert not any(np.any(bad) for bad in _screen_vs_reference())
-
-
-def test_malus_click_codes_need_the_float64_settling(monkeypatch):
-    # with no margin every round is decided from float32 cosines, which put
-    # some rounds within ulps of a window edge on the wrong side
-    monkeypatch.setattr(optics, "_SCREEN_MARGIN", 0.0)
-    assert sum(int(np.count_nonzero(bad)) for bad in _screen_vs_reference()) > 0
-
-
-def test_malus_click_codes_match_the_reference_on_odd_inputs():
-    # per-round intensities, scalars and 2-d shapes; intensities above 2
-    # (double clicks), at or below 0, infinite or NaN; NaN, infinite and
-    # wide angles
-    rng = np.random.default_rng(21)
-    intensity = rng.choice([2.0, 1.5, 1.2, 3.0, 0.7, 0.0, -0.0, -1.5, np.inf, -np.inf, np.nan], 50_000)
-    pol = rng.uniform(-1.0, 1.0, 50_000) * rng.choice([400.0, 1e5], 50_000)
-    pol[:30] = [np.nan, np.inf, -np.inf] * 10
-    setting = rng.choice(_DEFAULT_SETTINGS, 50_000)
-    cases = [
-        (intensity, pol, setting),
-        (intensity, canon_angle(pol[30:]).tolist() + [0.0] * 30, setting),
-        (2.0, math.pi / 4.0, 0.0),
-        (2.0, 3.0 * math.pi / 4.0, 0.0),
-        (1.5, np.linspace(0.0, math.pi, 6).reshape(2, 3), np.array([[0.0], [math.pi / 8.0]])),
-    ]
-    for args in cases:
-        with np.errstate(invalid="ignore"):  # cosines of infinite angles
-            want = click_codes(*split_intensities(*args))
-            got = malus_click_codes(*args)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        np.testing.assert_array_equal(got, want)
-        if args[0] is intensity:
-            assert np.any(got == int(Outcome.DOUBLE_CLICK))
 
 
 def test_window_codes_strong_pulse_silent_only_on_the_diagonals():

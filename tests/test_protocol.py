@@ -39,6 +39,9 @@ from blindsim.sources import (
     ScenarioKind,
     WeakSide,
     WeakSidePolicy,
+    chunk_stream,
+    honest_outcome_codes,
+    intercept_click_codes,
     weak_intensity,
 )
 
@@ -413,6 +416,44 @@ def test_single_blinding_session_statistics():
     key, qber = sift_bbm92(rec)
     # Bob only clicks when Eve guessed his basis, and then he copies her
     assert qber == 0.0
+
+
+def _single_blinding_reference(pc, sc, chunk_index):
+    """A single-blinding chunk's columns, Bob's codes from intercept_click_codes round by round."""
+    lo = chunk_index * CHUNK_ROUNDS
+    m = min(pc.rounds, lo + CHUNK_ROUNDS) - lo
+    g = chunk_stream(pc.seed, chunk_index)
+    alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
+    a_idx, b_idx, eve_idx = (g.integers(0, n, CHUNK_ROUNDS)[:m] for n in (alice.size, bob.size, bob.size))
+    a_coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
+    u_flip, depol_u = g.random(CHUNK_ROUNDS)[:m], g.random(CHUNK_ROUNDS)[:m]
+    a_repl, b_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m], g.integers(0, 2, CHUNK_ROUNDS)[:m]
+    out_a, eve_out = honest_outcome_codes(
+        alice[a_idx], bob[eve_idx], a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
+    )
+    out_b = intercept_click_codes(bob[eve_idx], eve_out, bob[b_idx], sc)
+    return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, eve_out
+
+
+@pytest.mark.parametrize("bob_settings", [None, (0.1, 0.9, 2.0)])
+@pytest.mark.parametrize("intensity", [1.2, 1.9])
+@pytest.mark.parametrize("depolarize", [0.0, 0.1])
+def test_single_blinding_table_matches_per_round_intercepts(bob_settings, intensity, depolarize):
+    # two full chunks and a partial one, off the default settings and pulse
+    pc = ProtocolConfig(protocol="bbm92", rounds=2 * CHUNK_ROUNDS + 17, seed=41, bob_settings=bob_settings)
+    sc = ScenarioConfig(kind="single-blinding", single_blind_intensity=intensity, depolarize_prob=depolarize)
+    codes = set()
+    for c in range(3):
+        got = protocol._simulate_chunk(pc, sc, c)
+        for name, col, ref in zip(protocol._COLUMNS, got, _single_blinding_reference(pc, sc, c)):
+            if ref is None:
+                assert col is None, name
+                continue
+            assert col.dtype == ref.dtype, name
+            np.testing.assert_array_equal(col, ref, err_msg=name)
+        codes.update(np.unique(got[3]).tolist())
+    # Bob's station both clicks and stays silent
+    assert {-1, 0, 1} <= codes
 
 
 def test_chsh_score_matches_settings_modulo_pi():
