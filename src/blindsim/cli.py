@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import enum
 import itertools
 import json
@@ -257,14 +258,40 @@ def write_records_csv(
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
+    """The scenario the flags name; a flag that the scenario would ignore raises ValueError."""
+    kind = ScenarioKind(args.scenario)
+    if args.alpha is not None and kind is not ScenarioKind.DOUBLE_BLIND_EKERT:
+        raise ValueError(f"--alpha tunes the weak pulse of scenario double-ekert; {kind.value} has none")
+    if args.depolarize != 0.0 and kind in DOUBLE_BLIND_KINDS:
+        raise ValueError(f"--depolarize applies to genuine pairs; scenario {kind.value} emits none")
     kwargs = {
-        "kind": args.scenario,
+        "kind": kind,
         "weak_side_policy": args.weak_side,
         "depolarize_prob": args.depolarize,
     }
     if args.alpha is not None:
         kwargs["alpha"] = args.alpha
     return ScenarioConfig(**kwargs)
+
+
+def _probe_outputs(*paths) -> None:
+    """Open each output file path for append, which truncates nothing.
+
+    An unwritable path raises OSError, and the files that the probe created
+    before it are removed, so a refused command leaves none behind.
+    """
+    created = []
+    try:
+        for path in paths:
+            if path not in (None, "-"):
+                new = not os.path.exists(path)
+                open(path, "a").close()
+                if new:
+                    created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
 
 
 def cmd_run(args) -> int:
@@ -277,11 +304,10 @@ def cmd_run(args) -> int:
             raise ValueError(f"--records and --out both name {args.out}; send them to different files")
     scenario_cfg = _scenario_from_args(args)
     protocol_cfg = ProtocolConfig(protocol=args.protocol, rounds=args.rounds, seed=args.seed)
-    # a bad worker count or pairing, then an unwritable records path, fail
-    # before anything is simulated; opening for append truncates nothing
+    # a bad worker count or pairing, then an unwritable output path, fail
+    # before anything is simulated
     session_chunks(protocol_cfg, scenario_cfg, args.workers)
-    if args.records not in (None, "-"):
-        open(args.records, "a").close()
+    _probe_outputs(args.records, args.out)
     _keep_freed_heap()
     # the summary needs only the count tensor and the Eve audit, reduced chunk
     # by chunk; the records dump simulates the chunks again, one at a time
@@ -302,66 +328,59 @@ def _sweep_grid(args) -> np.ndarray:
 
 def cmd_sweep(args) -> int:
     grid = _sweep_grid(args)
-    _keep_freed_heap()
-    rows = []
+    # every grid point's configs are built, and so checked, before the first is simulated
     if args.axis == "delta":
-        scenario_kind = ScenarioKind(args.scenario)
-        if scenario_kind is ScenarioKind.SINGLE_BLINDING:
+        if ScenarioKind(args.scenario) is ScenarioKind.SINGLE_BLINDING:
             raise ValueError("scenario single-blinding has no analyzer-offset curve to sweep")
         if args.start < -_HALF_PI - 1e-12 or args.stop > _HALF_PI + 1e-12:
             raise ValueError("delta sweep grid must lie within [-pi/2, pi/2]")
-        for i, d in enumerate(grid):
-            delta = float(d)
-            scenario_cfg = _scenario_from_args(args)
-            protocol_cfg = ProtocolConfig(
-                protocol="bbm92",
-                rounds=args.rounds,
-                seed=args.seed + i,
-                alice_settings=(0.0,),
-                bob_settings=(delta,),
-            )
-            records = run_session(
-                protocol_cfg, scenario_cfg, workers=args.workers, keep_rounds=False, audit=False
-            )
-            est = correlation_estimate(records, 0.0, delta)
-            corr_fn = oracle_corr_fn(scenario_cfg)
-            rows.append(
-                {
-                    "delta": delta,
-                    "n_coincidences": est.n_coincidences,
-                    "estimate": est.value,
-                    "stderr": est.stderr,
-                    "oracle": corr_fn(wrap_diff(delta)),
-                }
-            )
+        scenario_cfg = _scenario_from_args(args)
+        points = [
+            (float(d), scenario_cfg, ProtocolConfig(
+                protocol="bbm92", rounds=args.rounds, seed=args.seed + i,
+                alice_settings=(0.0,), bob_settings=(float(d),),
+            ))
+            for i, d in enumerate(grid)
+        ]
     else:
         if ScenarioKind(args.scenario) is not ScenarioKind.DOUBLE_BLIND_EKERT:
             raise ValueError("alpha sweeps apply to scenario double-ekert only")
         if args.alpha is not None:
             raise ValueError("--alpha applies to delta sweeps; an alpha sweep takes its angles from the grid")
-        for i, a in enumerate(grid):
-            alpha = float(a)
-            scenario_cfg = ScenarioConfig(
-                kind=ScenarioKind.DOUBLE_BLIND_EKERT,
-                alpha=alpha,
-                weak_side_policy=args.weak_side,
+        base = _scenario_from_args(args)
+        points = [
+            (float(a), dataclasses.replace(base, alpha=float(a)),
+             ProtocolConfig(protocol="ekert", rounds=args.rounds, seed=args.seed + i))
+            for i, a in enumerate(grid)
+        ]
+    _keep_freed_heap()
+    rows = []
+    for x, scenario_cfg, protocol_cfg in points:
+        records = run_session(protocol_cfg, scenario_cfg, workers=args.workers, keep_rounds=False, audit=False)
+        if args.axis == "delta":
+            est = correlation_estimate(records, 0.0, x)
+            rows.append(
+                {
+                    "delta": x,
+                    "n_coincidences": est.n_coincidences,
+                    "estimate": est.value,
+                    "stderr": est.stderr,
+                    "oracle": oracle_corr_fn(scenario_cfg)(wrap_diff(x)),
+                }
             )
-            protocol_cfg = ProtocolConfig(protocol="ekert", rounds=args.rounds, seed=args.seed + i)
-            records = run_session(
-                protocol_cfg, scenario_cfg, workers=args.workers, keep_rounds=False, audit=False
-            )
+        else:
             eff = estimate_efficiencies(records, n_emitted=len(records))
             rows.append(
                 {
-                    "alpha": alpha,
+                    "alpha": x,
                     "eta_estimate": eff.eta,
                     "eta_stderr": eff.eta_stderr,
-                    "eta_oracle": oracle_eta(alpha),
+                    "eta_oracle": oracle_eta(x),
                     "eta_21_estimate": eff.eta_21,
                     "eta_21_stderr": eff.eta_21_stderr,
-                    "eta_21_oracle": oracle_eta_conditional(alpha),
+                    "eta_21_oracle": oracle_eta_conditional(x),
                     "weak_rate_estimate": weak_side_detection_rate(records),
-                    "weak_rate_oracle": oracle_weak_detection_prob(alpha),
+                    "weak_rate_oracle": oracle_weak_detection_prob(x),
                 }
             )
     _write_table(rows, list(rows[0]), args.out, args.format)  # steps >= 1, so rows is never empty

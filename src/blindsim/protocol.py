@@ -425,7 +425,8 @@ class _BucketTables:
     floor(lam * scale) < buckets, and its bin is (a_idx, b_idx, weak_side,
     bucket), flattened in that order. settle marks the bins whose rounds
     the window rule (and with the audit, Eve's Malus/threshold physics) may
-    decide differently from one another; they are settled one by one. Every
+    decide differently from one another: those in which a compared quantity
+    may reach a threshold (_undecided); they are settled one by one. Every
     round of any other bin lands in the same count-tensor cell, and the
     cell map is stored run by run: the bins from starts[r] up to the next
     start land in the flat cell cells[r], or in the settle bin one past the
@@ -442,27 +443,13 @@ class _BucketTables:
     mismatch: np.ndarray | None
 
 
-def _near_a_window_edge(settings, widths, mid, reach, scale):
-    """Mark the buckets whose midpoint lies within reach of a window edge.
+def _undecided(x, thresholds, margin):
+    """Mark the buckets where x, given at their midpoints, may reach one of the thresholds.
 
-    Indexed (setting, weak side, bucket). An edge is a lambda where
-    window_codes(lambda - setting, width) changes: the offset
-    u = |lambda - setting| lies in [0, pi), and the + and - windows change
-    at u = w, pi/2 - w, pi/2 + w and pi - w. reach is about half a bucket,
-    so only an edge's own bucket and its two neighbours can lie within
-    reach of it.
+    x moves by at most margin across a bucket, so a bucket is decided only
+    if x clears every threshold by more than margin; NaN counts as undecided.
     """
-    w = widths[:, None]
-    u = np.concatenate([w, HALF_PERIOD - w, HALF_PERIOD + w, PERIOD - w], axis=1)
-    edges = settings[:, None, None] + np.concatenate([u, -u], axis=1)  # (setting, weak side, edge)
-    near = np.zeros(edges.shape[:2] + mid.shape, bool)
-    bucket = np.floor(edges * scale).astype(np.intp)[..., None] + np.arange(-1, 2)
-    inside = (bucket >= 0) & (bucket < mid.size)
-    bucket[~inside] = 0
-    hit = inside & (np.abs(edges[..., None] - mid.take(bucket)) <= reach)
-    s, w = np.indices(hit.shape)[:2]
-    near[s[hit], w[hit], bucket[hit]] = True
-    return near
+    return functools.reduce(np.logical_or, [~(np.abs(x - t) > margin) for t in thresholds])
 
 
 def _malus_station(intensity, polarization, setting, reach):
@@ -474,21 +461,21 @@ def _malus_station(intensity, polarization, setting, reach):
     """
     codes = click_codes(*split_intensities(intensity, polarization, setting))
     c = np.cos(2.0 * (polarization - setting))
-    tau = 2.0 / intensity - 1.0
-    undecided = ~(np.abs(np.abs(c) - tau) > 2.0 * reach + _COSINE_SLACK)  # NaN included
-    return codes, undecided
+    return codes, _undecided(np.abs(c), [2.0 / intensity - 1.0], 2.0 * reach + _COSINE_SLACK)
 
 
 def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _BucketTables:
     """Build a double-blind session's bin tables (_BucketTables).
 
     The window rule is evaluated at each bucket's midpoint by _window_rule,
-    with the widths from window_half_width; a bucket is decided for a
-    station only if none of its window edges lies within reach of the
-    midpoint, reach being half a bucket plus _EDGE_SLACK. With the audit,
-    Eve's codes come from faked_pulse_params, split_intensities and
-    click_codes at the midpoint, and a bucket is decided for her only if the
-    midpoint cosine clears both thresholds by 2 * reach + _COSINE_SLACK.
+    with the widths from window_half_width, and with the audit Eve's codes
+    by faked_pulse_params, split_intensities and click_codes. One margin
+    rule (_undecided) decides a bucket for both arithmetics: at the
+    midpoint, the quantity each compares must clear its thresholds by more
+    than it can move across the bucket. window_codes' distance
+    ||lambda - setting| - pi/2| must clear w and pi/2 - w by reach, half a
+    bucket plus _EDGE_SLACK; Eve's |cos 2(pol - setting)| must clear
+    2/I - 1 by 2 * reach + _COSINE_SLACK.
     """
     alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
     n_a, n_b = alice.size, bob.size
@@ -505,8 +492,10 @@ def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _Buck
     # station tables, indexed (setting, weak side, bucket)
     w_a, w_b = _window_widths(sc)
     code_a, code_b = _window_rule(mid, alice[:, None, None], bob[:, None, None], w_a[:, None], w_b[:, None])
-    undecided_a = _near_a_window_edge(alice, w_a, mid, reach, scale)
-    undecided_b = _near_a_window_edge(bob, w_b, mid, reach, scale)
+    undecided_a, undecided_b = (
+        _undecided(np.abs(np.abs(mid - s[:, None, None]) - HALF_PERIOD), [w, HALF_PERIOD - w], reach)
+        for s, w in ((alice, w_a[:, None]), (bob, w_b[:, None]))
+    )
     if audit:
         i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, np.arange(3))
         eve_a, eve_undecided_a = _malus_station(i_a[:, None], pol_a, alice[:, None, None], reach)

@@ -381,17 +381,25 @@ def _no_session(*args, **kwargs):
 
 
 def test_unwritable_records_path_fails_before_simulating(tmp_path, monkeypatch, capsys):
+    # either unwritable output path fails the command before it simulates,
+    # and no file that the command created is left behind
     monkeypatch.setattr(cli, "run_session", _no_session)
-    out = tmp_path / "s.json"
-    rc = main([
-        "run", "--scenario", "honest", "--protocol", "bbm92", "--rounds", "1000",
-        "--out", str(out), "--records", str(tmp_path / "missing" / "r.csv"),
-    ])
-    assert rc == 1
-    assert "r.csv" in capsys.readouterr().err
-    assert not out.exists()
+    base = ["run", "--scenario", "honest", "--protocol", "bbm92", "--rounds", "1000"]
+    out, records, missing = tmp_path / "s.json", tmp_path / "r.csv", tmp_path / "missing"
+    for flags, named in (
+        (["--out", str(out), "--records", str(missing / "r.csv")], "r.csv"),
+        (["--out", str(missing / "s.json"), "--records", str(records)], "s.json"),
+    ):
+        rc = main(base + flags)
+        assert rc == 1, flags
+        assert named in capsys.readouterr().err
+        assert not out.exists() and not records.exists(), flags
+    # a file that was there before stays as it was
+    records.write_text("kept\n")
+    assert main(base + ["--out", str(tmp_path), "--records", str(records)]) == 1
+    assert records.read_text() == "kept\n"
+    records.unlink()
     # a bad pairing is refused before the records dump is opened
-    records = tmp_path / "r.csv"
     rc = main([
         "run", "--scenario", "single-blinding", "--protocol", "ekert", "--rounds", "1000",
         "--out", str(out), "--records", str(records),
@@ -401,6 +409,20 @@ def test_unwritable_records_path_fails_before_simulating(tmp_path, monkeypatch, 
     assert not records.exists() and not out.exists()
 
 
+def test_sweep_refuses_a_bad_grid_point_before_simulating(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    for needle, argv in (
+        ("0.8", ["--axis", "alpha", "--scenario", "double-ekert", "--start", "0.2", "--stop", "0.9",
+                 "--steps", "8"]),
+        ("seed", ["--axis", "delta", "--scenario", "honest", "--seed", str(2**64 - 2), "--start", "0",
+                  "--stop", "1", "--steps", "3"]),
+    ):
+        rc = main(["sweep", "--rounds", "1000", "--out", os.devnull] + argv)
+        assert rc == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err, err
+
+
 def test_silently_dropped_flags_are_refused(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_session", _no_session)
     out = tmp_path / "out.txt"
@@ -408,6 +430,16 @@ def test_silently_dropped_flags_are_refused(tmp_path, monkeypatch, capsys):
         ("--alpha", ["sweep", "--axis", "alpha", "--scenario", "double-ekert", "--start", "0.3",
                      "--stop", "0.6", "--steps", "2", "--alpha", "0.1"]),
         ("--eve-view", ["run", "--scenario", "double-ekert", "--protocol", "ekert", "--eve-view"]),
+        ("--alpha", ["run", "--scenario", "double-bbm92", "--protocol", "bbm92", "--alpha", "nan"]),
+        ("--alpha", ["run", "--scenario", "honest", "--protocol", "bbm92", "--alpha", "5"]),
+        ("--depolarize", ["run", "--scenario", "double-ekert", "--protocol", "ekert", "--depolarize", "0.5"]),
+        ("--depolarize", ["run", "--scenario", "double-bbm92", "--protocol", "ekert", "--depolarize", "0.1"]),
+        ("--alpha", ["sweep", "--axis", "delta", "--scenario", "double-bbm92", "--start", "0", "--stop", "1",
+                     "--steps", "2", "--alpha", "9"]),
+        ("--depolarize", ["sweep", "--axis", "delta", "--scenario", "double-ekert", "--start", "0",
+                          "--stop", "1", "--steps", "2", "--depolarize", "0.2"]),
+        ("--depolarize", ["sweep", "--axis", "alpha", "--scenario", "double-ekert", "--start", "0.3",
+                          "--stop", "0.6", "--steps", "2", "--depolarize", "0.2"]),
     ):
         rc = main(argv + ["--out", str(out)])
         assert rc == 1, flag

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tracemalloc
@@ -743,15 +744,19 @@ def test_bucketed_reducer_matches_the_column_session(scenario, proto, policy):
             _assert_bucketed_matches_columns(pc, sc, workers=(1, 2))
 
 
+def _window_edges(settings, widths):
+    """The lambdas s + q + sign * w where a window changes, indexed (s, q, sign, w); not canonicalized."""
+    return np.array([
+        [[[s + q + sign * w for w in widths] for sign in (1, -1)] for q in (0.0, math.pi / 2.0)]
+        for s in settings
+    ])
+
+
 def _edge_draws(pc, sc):
     """Hidden polarizations on and around every window edge, bucket boundary and end of [0, pi)."""
     true_width = protocol.window_half_width
     widths = [true_width(sc.strong_intensity), true_width(weak_intensity(sc.alpha))]
-    edges = np.array([
-        s + q + sign * w
-        for s in pc.alice_settings + pc.bob_settings for q in (0.0, math.pi / 2.0)
-        for sign in (1, -1) for w in widths
-    ])
+    edges = _window_edges(pc.alice_settings + pc.bob_settings, widths).reshape(-1)
     tables = protocol._bucket_tables(pc, sc, True)
     k = np.arange(tables.buckets + 1)
     boundaries = np.concatenate([k * math.pi / tables.buckets, k / tables.scale])
@@ -793,6 +798,50 @@ def test_bucketed_reducer_at_window_edges_and_bucket_boundaries(monkeypatch, sce
     tables = protocol._bucket_tables(pc, sc, True)
     assert tables.mismatch.any()
     assert _assert_bucketed_matches_columns(pc, sc).eve_tally[0] > 0
+
+
+@pytest.mark.parametrize("scenario", ["double-bbm92", "double-ekert"])
+def test_every_bucket_holding_a_window_edge_is_settled(scenario):
+    # the bucket that holds a window edge of a setting and weak side is
+    # settled in every bin of that setting and weak side, with and without
+    # Eve's arithmetic
+    true_width = protocol.window_half_width
+    eight = tuple(0.1 + np.arange(8) * math.pi / 8)
+    setting_sets = [("bbm92", {}), ("ekert", {}), ("ekert", {"alice_settings": eight, "bob_settings": eight})]
+    for alpha, strong, (proto, settings), audit in itertools.product(
+        (1e-4, 0.2, DEFAULT_ALPHA, 0.7), (1.01, 1.5, 2.0), setting_sets, (True, False)
+    ):
+        pc = ProtocolConfig(protocol=proto, rounds=1, **settings)
+        sc = ScenarioConfig(kind=scenario, alpha=alpha, strong_intensity=strong)
+        tables = protocol._bucket_tables(pc, sc, audit)
+        settle = tables.settle.reshape(len(pc.alice_settings), len(pc.bob_settings), 3, tables.buckets)
+        weak = weak_intensity(alpha) if scenario == "double-ekert" else strong
+        for station, station_settings, weak_code in (
+            (0, pc.alice_settings, WeakSide.A), (1, pc.bob_settings, WeakSide.B)
+        ):
+            for code in WeakSide:
+                width = true_width(weak if code is weak_code else strong)
+                edges = canon_angle(_window_edges(station_settings, [width]))
+                held = np.multiply(edges, tables.scale).astype(np.intp).reshape(len(station_settings), -1)
+                for i, buckets in enumerate(held):
+                    bins = settle[i, :, code] if station == 0 else settle[:, i, code]
+                    assert bins[:, buckets].all(), (alpha, strong, proto, audit, station, code, i)
+
+
+@pytest.mark.parametrize("scenario,proto,kwargs,audited,unaudited,bins", [
+    ("double-ekert", "ekert", {}, 280, 208, 27_648),
+    ("double-bbm92", "bbm92", {}, 72, 72, 12_288),
+    ("double-ekert", "ekert", {"alpha": 1e-4}, 1056, 192, 27_648),
+    ("double-ekert", "ekert", {"strong_intensity": 1.01}, 824, 208, 27_648),
+])
+def test_settle_bin_counts(scenario, proto, kwargs, audited, unaudited, bins):
+    # a looser settle rule costs speed and a tighter one correctness: both
+    # move these counts
+    pc = ProtocolConfig(protocol=proto, rounds=1)
+    sc = ScenarioConfig(kind=scenario, **kwargs)
+    for audit, expected in ((True, audited), (False, unaudited)):
+        settle = protocol._bucket_tables(pc, sc, audit).settle
+        assert (int(settle.sum()), settle.size) == (expected, bins), audit
 
 
 @pytest.mark.parametrize("buckets", [1024, 1000, 5])
