@@ -10,7 +10,10 @@ third, so chunk slicing and concatenation are covered.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
+import json
 
 import pytest
 
@@ -35,6 +38,26 @@ SUMMARY_DIGESTS = {
     ("double-ekert", "ekert", 2): "445844e3cf72380d610ccfdbaff5eaa46b6be19c7bb2db78a3f897a644934c17",
 }
 
+# the digests above with the "oracle" block removed (_without_oracle): what the
+# sessions measured, which a change to the expected values leaves alone. The
+# same holds for each *_NO_ORACLE table below
+SUMMARY_NO_ORACLE_DIGESTS = {
+    ("honest", "bbm92", 1): "7f0d593b293d79a264144c16945a446b951ca00d6c1c75e813f6c0f24ceef3db",
+    ("honest", "bbm92", 2): "46ed8f687010ac86b614a9aaa772d2764ac9568c61a2a9e3d38d49a0e3ac94b8",
+    ("honest", "ekert", 1): "4596e134c48b269ec9b016f82b92ea336309ecccd2dd4dc3d90118429cf2568d",
+    ("honest", "ekert", 2): "6836a1e0a9319d23ccc6b511a942d49d3e9eccccfd5f9703b7c09cd05a0e7114",
+    ("single-blinding", "bbm92", 1): "b1e8a448af968b9d17c4ecb3eaeca1db8717a1fcdc7efe59043aadc4d07ccb47",
+    ("single-blinding", "bbm92", 2): "1e1d6314fe23289a7f5b2d333d41524a68ed6144ec9ea7a003a735bb2d8a6e95",
+    ("double-bbm92", "bbm92", 1): "465756a9746307f56f61dd13ef11023c5c78be0cb76f9508e540f538dbb0fd27",
+    ("double-bbm92", "bbm92", 2): "18c296d0422cb0415f99b4b6f342f02fe4437e121c986fdbc5e353dcc3cc254d",
+    ("double-bbm92", "ekert", 1): "02a356fe7db33d2e9c2dd038d5106470651350bf7d4fe45642658aa4344bcca8",
+    ("double-bbm92", "ekert", 2): "de67fe33d8e8023ba1138b95ce74182f95a6106d914c1fac493644120a37b27d",
+    ("double-ekert", "bbm92", 1): "a93cecda7592195df5e8a7f2259e83a0fe7277f84b6da543c9f7e3efca24a4e8",
+    ("double-ekert", "bbm92", 2): "af28a0e138d83cccd16ec316fc45cebf8cb12a34041c92290c419e336a4ccd32",
+    ("double-ekert", "ekert", 1): "7b6e6dfcbcbc71c63d118d57bc2866b6916537f85bdcc0e6ca4fa42794f1b5b7",
+    ("double-ekert", "ekert", 2): "a5cd6ac0037a1b7e0de3b210abb32c1de9fc20c7bc088f8af8b4b71c1ad34741",
+}
+
 # double-ekert ekert summaries, 150 000 rounds, seed 5, under the options the
 # default matrix leaves at their defaults
 OPTION_DIGESTS = {
@@ -44,8 +67,16 @@ OPTION_DIGESTS = {
     ("--alpha", "0.3"): "b6f136cdd01d61216bb4febccb900033f4781fb4a81560dd53d7b617d21a980c",
 }
 
+OPTION_NO_ORACLE_DIGESTS = {
+    ("--weak-side", "alternate"): "498d018242c99df7f3dbaef27325b0226df0c0a248ec6c0975256e2ba9a83ffb",
+    ("--weak-side", "fixed-a"): "3d504c761559c522b04a56c0463a33536a7723280abd346e2f1aa90289313478",
+    ("--weak-side", "fixed-b"): "51539abc96f1c34d6f2541bbe4475f64bef23abf991a5ce75bc8f4c005bab125",
+    ("--alpha", "0.3"): "f12e1322079821ea14fa77518492182d1a5233d9b15858fb09040816de6bb66a",
+}
+
 # `sweep --axis alpha` over [0.2, 0.7]: 4 steps, 70 000 rounds per point, seed 11
 ALPHA_SWEEP_DIGEST = "e2a7e2adfb401a480dea2e52bf996fc044481411eb9f48e97151e0c96123b4a1"
+ALPHA_SWEEP_NO_ORACLE_DIGEST = "e16e60b4023510c55119dc03447080ba101972efdab3f52bfbee5f296aaa15ac"
 
 # streamed sessions at strong_intensity 1.5, which no CLI flag reaches: the
 # little-endian int64 count tensor followed by repr(eve_tally), 150 000 rounds, seed 6
@@ -72,6 +103,13 @@ EXTRA_SUMMARY_DIGESTS = {
     ("double-ekert", "ekert", "--format", "csv"): "b4b73b6397101c3e049133f93fc3d32241ff18e449a033d04ffa11d3e3c00074",
 }
 
+EXTRA_SUMMARY_NO_ORACLE_DIGESTS = {
+    ("honest", "bbm92", "--depolarize", "0.1"): "2524ed5257c95c17afd6dd81eb8a8936b5fe33e78b10f74dbd76589692719ac3",
+    ("honest", "ekert", "--depolarize", "0.1"): "d811a97ae5b525d9fbdf84975e623610ff741e45ad84beb27e03d8135783e1f5",
+    ("single-blinding", "bbm92", "--depolarize", "0.1"): "73940674db2207817f159806bcd7167d2456f2ae9baa4e8eede392695fa2bd11",
+    ("double-ekert", "ekert", "--format", "csv"): "4abc99e7ab57d6fafc1d204b34064350f0b5ad868c9a547ff076bb41add8ab66",
+}
+
 # --records dumps outside RECORDS_DIGESTS, 70 000 rounds, seed 3: depolarized
 # genuine pairs and the alternate weak-side policy with --eve-view, and the
 # writer's plain 6-column rows without it
@@ -88,9 +126,35 @@ SWEEP_DIGESTS = {
     "double-ekert": "5ed0ce3f42dde1d3b5dc1fae9d5f74a94d8561c256acba0b0788ff4b4c2d9296",
 }
 
+SWEEP_NO_ORACLE_DIGESTS = {
+    "double-bbm92": "768a1708e8f96d926cfe9284fe6902abbe2858a52ba772f1383e3f08c97a9ccf",
+    "double-ekert": "4f9b8b260957ecd588d7405bff118133e1bff4f78afa83e58b6bd2c73b38c285",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _without_oracle(out: str, fmt: str) -> str:
+    """The output with its expected values removed: the rest must not move when they do.
+
+    json: the summary's "oracle" key; csv-summary: its oracle.* rows; csv-table:
+    the sweep's *oracle columns.
+    """
+    if fmt == "json":
+        summary = json.loads(out)
+        del summary["oracle"]
+        return json.dumps(summary, indent=2) + "\n"
+    rows = list(csv.reader(io.StringIO(out)))
+    if fmt == "csv-summary":
+        rows = [row for row in rows if not row[0].startswith("oracle.")]
+    else:
+        keep = [i for i, name in enumerate(rows[0]) if not name.endswith("oracle")]
+        rows = [[row[i] for i in keep] for row in rows]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -106,6 +170,8 @@ def test_run_summary_digest(capsys, scenario, protocol, seed):
         assert rc == 0
         out = capsys.readouterr().out
         assert _sha256(out.encode()) == expected, f"workers={workers}"
+        no_oracle = _without_oracle(out, "json").encode()
+        assert _sha256(no_oracle) == SUMMARY_NO_ORACLE_DIGESTS[(scenario, protocol, seed)], f"workers={workers}"
 
 
 @pytest.mark.parametrize("scenario,protocol", list(RECORDS_DIGESTS), ids=lambda v: str(v))
@@ -131,6 +197,8 @@ def test_run_extra_summary_digest(capsys, config):
         assert rc == 0
         out = capsys.readouterr().out
         assert _sha256(out.encode()) == EXTRA_SUMMARY_DIGESTS[config], f"workers={workers}"
+        no_oracle = _without_oracle(out, "csv-summary" if "csv" in options else "json").encode()
+        assert _sha256(no_oracle) == EXTRA_SUMMARY_NO_ORACLE_DIGESTS[config], f"workers={workers}"
 
 
 @pytest.mark.parametrize("config", list(RECORDS_OPTION_DIGESTS), ids=" ".join)
@@ -156,6 +224,7 @@ def test_delta_sweep_digest(capsys, scenario):
     assert rc == 0
     out = capsys.readouterr().out
     assert _sha256(out.encode()) == SWEEP_DIGESTS[scenario]
+    assert _sha256(_without_oracle(out, "csv-table").encode()) == SWEEP_NO_ORACLE_DIGESTS[scenario]
 
 
 @pytest.mark.parametrize("option", list(OPTION_DIGESTS), ids=lambda v: " ".join(v))
@@ -168,6 +237,8 @@ def test_run_option_summary_digest(capsys, option):
         assert rc == 0
         out = capsys.readouterr().out
         assert _sha256(out.encode()) == OPTION_DIGESTS[option], f"workers={workers}"
+        no_oracle = _without_oracle(out, "json").encode()
+        assert _sha256(no_oracle) == OPTION_NO_ORACLE_DIGESTS[option], f"workers={workers}"
 
 
 def test_alpha_sweep_digest(capsys):
@@ -178,6 +249,7 @@ def test_alpha_sweep_digest(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert _sha256(out.encode()) == ALPHA_SWEEP_DIGEST
+    assert _sha256(_without_oracle(out, "csv-table").encode()) == ALPHA_SWEEP_NO_ORACLE_DIGEST
 
 
 @pytest.mark.parametrize("scenario,protocol", list(STRONG_1_5_DIGESTS), ids=lambda v: str(v))
