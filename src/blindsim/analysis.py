@@ -1,9 +1,10 @@
-"""Closed-form predictions, efficiency estimators, and detection bounds.
+"""Expected counts, closed-form predictions, efficiency estimators, and detection bounds.
 
-The oracle_* functions are the independent targets the Monte-Carlo engine
-is tested against; they are evaluated straight from the model geometry and
-never share code with the simulator; oracle_block collects them into the
-expected values a session summary reports. The chsh_bound_* functions give the
+expected_counts is the probability of each cell of a session's count tensor,
+worked out from the model geometry without the simulator's code; oracle_block
+reads a summary's expected values off it with the statistics that read the
+simulated counts. The oracle_* closed forms, the paper's, hold at the default
+intensities and settings. The chsh_bound_* functions give the
 largest CHSH value a local model exploiting undetected rounds can fake at
 a given efficiency, which is what makes the weak-pulse attack's operating
 point interesting: its efficiencies sit exactly on both thresholds.
@@ -17,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optics import wrap_diff
-from .protocol import CHSH_QUAD, ProtocolKind, chsh_value, public_rounds
+from .protocol import (
+    ProtocolConfig, ProtocolKind, SessionCounts, bbm92_qber, chsh_score, correlation_estimate, public_rounds,
+)
 from .sources import DOUBLE_BLIND_KINDS, ScenarioConfig, ScenarioKind, WeakSide
 
 QUANTUM_CHSH_MAX = 2.0 * math.sqrt(2.0)
@@ -94,61 +97,85 @@ def oracle_eta_conditional(alpha: float) -> float:
     return oracle_weak_detection_prob(alpha) / oracle_eta(alpha)
 
 
-def oracle_corr_fn(scenario: ScenarioConfig):
-    """Closed-form correlation vs analyzer offset for the scenario, or None."""
-    kind = scenario.kind
-    if kind is ScenarioKind.DOUBLE_BLIND_BBM92:
-        return oracle_corr_bbm92
-    if kind is ScenarioKind.DOUBLE_BLIND_EKERT:
-        return lambda d: oracle_corr_ekert(d, scenario.alpha)
-    if kind is ScenarioKind.HONEST_SINGLET:
-        return lambda d: oracle_corr_honest(d, scenario.depolarize_prob)
-    return None
+def expected_counts(pc: ProtocolConfig, sc: ScenarioConfig) -> np.ndarray:
+    """Probability of every cell of the session's count tensor (SessionCounts.counts).
+
+    From the model, not the simulation kernel. Faked states: a station fires
+    + (-) while its pulse, along a uniform lambda at Alice and lambda + pi/2 at
+    Bob, lies within w of its setting (of the orthogonal) modulo pi, where
+    w = acos(2/I - 1)/2 for a strong pulse and alpha for the weak one. Genuine
+    pairs follow the singlet law; under single blinding Eve measures Alice's
+    partner in one of Bob's bases and forwards the result to his threshold.
+    """
+    alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
+    probs = np.zeros((alice.size, bob.size, 4, 4, 3))
+    if sc.kind in DOUBLE_BLIND_KINDS:
+        # per WeakSide code (NONE, A, B): the share of rounds, and each station's half-width
+        strong = 0.5 * math.acos(2.0 / sc.strong_intensity - 1.0)
+        weak, law = strong, (1.0, 0.0, 0.0)
+        if sc.kind is ScenarioKind.DOUBLE_BLIND_EKERT:
+            alternate = -(-pc.rounds // 2) / pc.rounds  # A on the even rounds
+            on_a = {"random": 0.5, "alternate": alternate, "fixed-a": 1.0, "fixed-b": 0.0}[sc.weak_side_policy]
+            weak, law = sc.alpha, (0.0, on_a, 1.0 - on_a)
+        # axes (a_idx, b_idx, weak side, piece of lambda); (setting, half-width, pulse turn)
+        stations = (
+            (alice.reshape(-1, 1, 1, 1), np.reshape([strong, weak, strong], (1, 1, 3, 1)), 0.0),
+            (bob.reshape(1, -1, 1, 1), np.reshape([strong, strong, weak], (1, 1, 3, 1)), _HALF),
+        )
+        # the window edges s -+ w, s + pi/2 -+ w cut [0, pi) into pieces on which both verdicts are constant
+        signs, quarters = np.array([-1.0, 1.0, -1.0, 1.0]), np.array([0.0, 0.0, _HALF, _HALF])
+        cuts = np.full((alice.size, bob.size, 3, 10), math.pi)
+        cuts[..., 0] = 0.0
+        cuts[..., 1:5], cuts[..., 5:9] = (np.mod(s + quarters + signs * w, math.pi) for s, w, _ in stations)
+        cuts.sort()
+        mid = (cuts[..., 1:] + cuts[..., :-1]) / 2.0
+
+        def verdict(u, w):  # u: pulse polarization minus setting, modulo pi
+            return ((u < w) | (u > math.pi - w)).astype(int) - (np.abs(u - _HALF) < w)
+
+        out_a, out_b = (verdict(np.mod(mid + turn - s, math.pi), w) for s, w, turn in stations)
+        # each piece's flat cell of (a_idx, b_idx, out_a + 1, out_b + 1, weak side)
+        pair = np.arange(alice.size).reshape(-1, 1, 1, 1) * bob.size + np.arange(bob.size).reshape(1, -1, 1, 1)
+        cell = ((pair * 4 + out_a + 1) * 4 + out_b + 1) * 3 + np.arange(3).reshape(1, 1, 3, 1)
+        weight = np.diff(cuts) / math.pi * np.reshape(law, (1, 1, 3, 1))
+        probs = np.bincount(cell.ravel(), weight.ravel(), probs.size).reshape(probs.shape)
+    else:
+        # singlet law of Alice's outcome x and her partner's z, measured at e in Bob's set
+        xz = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        p = sc.depolarize_prob
+        law = (1.0 - p) * (1.0 - xz * np.cos(2.0 * (alice[:, None] - bob))[..., None, None]) / 4.0 + p / 4.0
+        if sc.kind is ScenarioKind.SINGLE_BLINDING:
+            # Eve's pulse d has cos 2(d - b) = z cos 2(e - b): + above 2/I - 1, - below 1 - 2/I
+            c = np.reshape([-1.0, 1.0], (1, 2, 1)) * np.cos(2.0 * (bob[:, None] - bob))[:, None, :]
+            tau = 2.0 / sc.single_blind_intensity - 1.0
+            # one-hot over the outcome code (-1, 0, 1, 2) of each index y of Bob's outcome axis
+            out_b = ((c > tau).astype(int) - (c < -tau))[..., None] == np.arange(-1, 3)  # (e, z, b_idx, y)
+            probs[:, :, ::2, :, 0] = np.einsum("aexz,ezby->abxy", law, out_b) / bob.size
+        else:
+            probs[:, :, ::2, ::2, 0] = law
+    return probs / (alice.size * bob.size)
 
 
 def oracle_block(records) -> dict:
-    """Expected values for the configured parameters, per scenario."""
+    """The session's statistics of expected_counts, None where their rounds cannot occur."""
     pc, sc = records.protocol, records.scenario
-    corr_fn = oracle_corr_fn(sc)
-    block: dict = {}
-
-    if sc.kind is ScenarioKind.DOUBLE_BLIND_EKERT:
-        block["alpha"] = sc.alpha
-        block["weak_detection_prob"] = oracle_weak_detection_prob(sc.alpha)
-        block["eta"] = oracle_eta(sc.alpha)
-        block["eta_21"] = oracle_eta_conditional(sc.alpha)
-    elif sc.kind is ScenarioKind.SINGLE_BLINDING:
-        block["rate_a"] = 1.0
-        block["rate_b"] = 0.5
-    else:
-        block["eta"] = 1.0
-        block["eta_21"] = 1.0
-
-    if corr_fn is not None:
-        block["corr_pairs"] = [
-            {
-                "theta_a": a,
-                "theta_b": b,
-                "delta": wrap_diff(b - a),
-                "value": corr_fn(wrap_diff(b - a)),
-            }
+    expected = SessionCounts(pc, sc, 1, expected_counts(pc, sc))
+    eff = _efficiencies(expected, 1)
+    block = {"alpha": sc.alpha} if sc.kind is ScenarioKind.DOUBLE_BLIND_EKERT else {}
+    block |= {
+        "eta": eff.eta, "eta_21": eff.eta_21, "rate_a": eff.rate_a, "rate_b": eff.rate_b,
+        "weak_detection_prob": weak_side_detection_rate(expected),
+        "corr_pairs": [
+            {"theta_a": a, "theta_b": b, "delta": wrap_diff(b - a),
+             "value": correlation_estimate(expected, a, b).value}
             for a in pc.alice_settings
             for b in pc.bob_settings
-        ]
-
+        ],
+    }
     if pc.protocol is ProtocolKind.BBM92:
-        if sc.kind in DOUBLE_BLIND_KINDS:
-            block["qber"] = 0.0
-        else:
-            block["qber"] = sc.depolarize_prob / 2.0
-    if pc.protocol is ProtocolKind.EKERT and corr_fn is not None:
-        a, a_prime, b, b_prime = CHSH_QUAD
-        block["chsh"] = chsh_value(
-            corr_fn(wrap_diff(b - a)),
-            corr_fn(wrap_diff(b_prime - a)),
-            corr_fn(wrap_diff(b - a_prime)),
-            corr_fn(wrap_diff(b_prime - a_prime)),
-        )
+        block["qber"] = bbm92_qber(expected)
+    else:
+        block["chsh"] = chsh_score(expected).value
     return block
 
 
@@ -212,12 +239,25 @@ def estimate_efficiencies(records, n_emitted: int | None = None) -> EfficiencyRe
     how many pairs the source produced. Every recorded round was emitted, so
     n_emitted below the number of records is an error.
     """
+    if n_emitted is not None:
+        n_emitted = int(n_emitted)
+        if n_emitted < 1:
+            raise ValueError(f"n_emitted must be >= 1, got {n_emitted}")
+        n_rounds = int(public_rounds(records).counts.sum())
+        if n_emitted < n_rounds:
+            raise ValueError(f"n_emitted={n_emitted} is below the {n_rounds} recorded rounds")
+    return _efficiencies(records, n_emitted)
+
+
+def _efficiencies(records, n_emitted) -> EfficiencyReport:
+    """estimate_efficiencies unchecked: probabilities may sum to just over one emission."""
     t = public_rounds(records).counts.sum(axis=(0, 1))  # rounds per (outcome_a + 1, outcome_b + 1)
-    # outcome index 0 is code -1 and index 2 is +1, so [::2] selects the clicks
-    singles_a = int(t[::2].sum())
-    singles_b = int(t[:, ::2].sum())
-    coincidences = int(t[::2, ::2].sum())
-    n_rounds = int(t.sum())
+    # item() keeps the table's type: int for rounds, float for probabilities.
+    # Outcome index 0 is code -1 and index 2 is +1, so [::2] selects the clicks
+    singles_a = t[::2].sum().item()
+    singles_b = t[:, ::2].sum().item()
+    coincidences = t[::2, ::2].sum().item()
+    n_rounds = t.sum().item()
     one_click = singles_a + singles_b - 2 * coincidences
 
     eta_21 = None
@@ -233,13 +273,6 @@ def estimate_efficiencies(records, n_emitted: int | None = None) -> EfficiencyRe
 
     eta = rate_a = rate_b = eta_stderr = None
     if n_emitted is not None:
-        n_emitted = int(n_emitted)
-        if n_emitted < 1:
-            raise ValueError(f"n_emitted must be >= 1, got {n_emitted}")
-        if n_emitted < n_rounds:
-            raise ValueError(
-                f"n_emitted={n_emitted} is below the {n_rounds} recorded rounds"
-            )
         eta = (singles_a + singles_b) / (2.0 * n_emitted)
         rate_a = singles_a / n_emitted
         rate_b = singles_b / n_emitted
@@ -266,11 +299,11 @@ def weak_side_detection_rate(records) -> float | None:
     None when the session contains no weak-pulse rounds.
     """
     c = records.counts.sum(axis=(0, 1))  # rounds per (outcome_a + 1, outcome_b + 1, weak_side)
-    n_weak = int(c[..., WeakSide.A].sum() + c[..., WeakSide.B].sum())
+    n_weak = (c[..., WeakSide.A].sum() + c[..., WeakSide.B].sum()).item()
     if n_weak == 0:
         return None
     # outcome index 0 is code -1 and index 2 is +1, so [::2] selects the clicks
-    hits = int(c[::2, :, WeakSide.A].sum() + c[:, ::2, WeakSide.B].sum())
+    hits = (c[::2, :, WeakSide.A].sum() + c[:, ::2, WeakSide.B].sum()).item()
     return hits / n_weak
 
 

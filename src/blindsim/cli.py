@@ -21,21 +21,20 @@ import numpy as np
 
 from .analysis import (
     QUANTUM_CHSH_MAX,
+    _efficiencies,
     chsh_bound_conditional,
     chsh_bound_detection,
     estimate_efficiencies,
+    expected_counts,
     fair_sampling_monitor,
     oracle_block,
-    oracle_corr_fn,
-    oracle_eta,
-    oracle_eta_conditional,
-    oracle_weak_detection_prob,
     weak_side_detection_rate,
 )
-from .optics import Outcome, wrap_diff
+from .optics import Outcome
 from .protocol import (
     ProtocolConfig,
     ProtocolKind,
+    SessionCounts,
     bbm92_qber,
     chsh_score,
     correlation_estimate,
@@ -353,10 +352,13 @@ def cmd_sweep(args) -> int:
              ProtocolConfig(protocol="ekert", rounds=args.rounds, seed=args.seed + i))
             for i, a in enumerate(grid)
         ]
+    _probe_outputs(args.out)
     _keep_freed_heap()
     rows = []
     for x, scenario_cfg, protocol_cfg in points:
         records = run_session(protocol_cfg, scenario_cfg, workers=args.workers, keep_rounds=False, audit=False)
+        # the oracle columns are the same statistics of the expected counts
+        expected = SessionCounts(protocol_cfg, scenario_cfg, 1, expected_counts(protocol_cfg, scenario_cfg))
         if args.axis == "delta":
             est = correlation_estimate(records, 0.0, x)
             rows.append(
@@ -365,22 +367,23 @@ def cmd_sweep(args) -> int:
                     "n_coincidences": est.n_coincidences,
                     "estimate": est.value,
                     "stderr": est.stderr,
-                    "oracle": oracle_corr_fn(scenario_cfg)(wrap_diff(x)),
+                    "oracle": correlation_estimate(expected, 0.0, x).value,
                 }
             )
         else:
             eff = estimate_efficiencies(records, n_emitted=len(records))
+            want = _efficiencies(expected, 1)
             rows.append(
                 {
                     "alpha": x,
                     "eta_estimate": eff.eta,
                     "eta_stderr": eff.eta_stderr,
-                    "eta_oracle": oracle_eta(x),
+                    "eta_oracle": want.eta,
                     "eta_21_estimate": eff.eta_21,
                     "eta_21_stderr": eff.eta_21_stderr,
-                    "eta_21_oracle": oracle_eta_conditional(x),
+                    "eta_21_oracle": want.eta_21,
                     "weak_rate_estimate": weak_side_detection_rate(records),
-                    "weak_rate_oracle": oracle_weak_detection_prob(x),
+                    "weak_rate_oracle": weak_side_detection_rate(expected),
                 }
             )
     _write_table(rows, list(rows[0]), args.out, args.format)  # steps >= 1, so rows is never empty

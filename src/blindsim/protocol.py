@@ -676,8 +676,9 @@ def bbm92_qber(records) -> float | None:
     pub = public_rounds(records)
     same_setting = np.equal.outer(pub.alice_settings, pub.bob_settings)
     c = pub.counts[same_setting][:, ::2, ::2].sum(axis=0)
-    n = int(c.sum())
-    return int(c[0, 0] + c[1, 1]) / n if n else None
+    # item() keeps the tensor's type: int for rounds, float for probabilities
+    n = c.sum().item()
+    return (c[0, 0] + c[1, 1]).item() / n if n else None
 
 
 def sift_bbm92(records) -> tuple[SiftedKey, float | None]:
@@ -739,10 +740,11 @@ def correlation_estimate(records, theta_a: float, theta_b: float) -> Correlation
     b = canon_angle(float(theta_b)) if j is None else pub.bob_settings[j]
     # outcome index 0 is code -1 and index 2 is +1, so [::2, ::2] holds the coincidences
     c = pub.counts[i, j, ::2, ::2] if None not in (i, j) else np.zeros((2, 2), int)
-    n = int(c.sum())
+    # item() keeps the tensor's type: int for rounds, float for probabilities
+    n = c.sum().item()
     if n == 0:
         return CorrelationEstimate(a, b, None, None, 0)
-    value = int(c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0]) / n
+    value = (c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0]).item() / n
     stderr = math.sqrt(max(0.0, 1.0 - value * value) / n)
     return CorrelationEstimate(a, b, value, stderr, n)
 

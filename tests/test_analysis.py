@@ -14,20 +14,23 @@ from blindsim.analysis import (
     chsh_bound_conditional,
     chsh_bound_detection,
     estimate_efficiencies,
+    expected_counts,
     fair_sampling_monitor,
     oracle_block,
     oracle_corr_bbm92,
     oracle_corr_ekert,
-    oracle_corr_fn,
     oracle_corr_honest,
     oracle_eta,
     oracle_eta_conditional,
     oracle_weak_detection_prob,
     weak_side_detection_rate,
 )
+from blindsim.optics import wrap_diff
 from blindsim.protocol import (
     ProtocolConfig,
+    SessionCounts,
     SessionRecords,
+    bbm92_qber,
     chsh_score,
     correlation_estimate,
     eve_prediction_report,
@@ -62,15 +65,13 @@ def test_oracle_corr_honest_cosine_law():
         oracle_corr_honest(2.0, 0.0)
     with pytest.raises(ValueError, match="depolarize_prob"):
         oracle_corr_honest(0.0, 1.5)
-    # the summary's oracle picks this law for honest sources, none for single blinding
+    # the summary's oracle block reads this law off the expected counts of honest sources
     honest = ScenarioConfig(kind="honest", depolarize_prob=0.2)
-    assert oracle_corr_fn(honest)(0.3) == oracle_corr_honest(0.3, 0.2)
-    assert oracle_corr_fn(ScenarioConfig(kind="single-blinding")) is None
     rec = run_session(ProtocolConfig(protocol="ekert", rounds=10, seed=1), honest)
     block = oracle_block(rec)
     assert block["chsh"] == pytest.approx(0.8 * 2.0 * SQ2, abs=1e-12)
     for pair in block["corr_pairs"]:
-        assert pair["value"] == oracle_corr_honest(pair["delta"], 0.2)
+        assert pair["value"] == pytest.approx(oracle_corr_honest(pair["delta"], 0.2), abs=1e-12)
 
 
 def test_oracle_corr_ekert_shape():
@@ -116,6 +117,126 @@ def test_oracle_efficiencies_monotone_in_alpha():
     assert all(x < y for x, y in zip(pw, pw[1:]))
     assert all(x < y for x, y in zip(eta, eta[1:]))
     assert all(x < y for x, y in zip(eta21, eta21[1:]))
+
+
+# configurations outside the paper's closed forms: strong pulses below
+# intensity 2, and single blinding with a custom Bob setting set
+_OFF_DOMAIN = {
+    "double-ekert-1.5": (
+        ProtocolConfig(protocol="ekert", rounds=400_000, seed=1),
+        ScenarioConfig(kind="double-ekert", strong_intensity=1.5),
+    ),
+    "double-bbm92-1.5": (
+        ProtocolConfig(protocol="bbm92", rounds=400_000, seed=1),
+        ScenarioConfig(kind="double-bbm92", strong_intensity=1.5),
+    ),
+    "single-blinding-custom-bob": (
+        ProtocolConfig(protocol="bbm92", rounds=400_000, seed=1, bob_settings=(0.1, 0.9, 2.0)),
+        ScenarioConfig(kind="single-blinding"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_OFF_DOMAIN))
+def test_oracle_block_outside_the_closed_forms(name):
+    pc, sc = _OFF_DOMAIN[name]
+    session = run_session(pc, sc, keep_rounds=False, audit=False)
+    block = oracle_block(session)
+    eff = estimate_efficiencies(session, n_emitted=len(session))
+    if name == "double-ekert-1.5":
+        # beyond Tsirelson's 2 sqrt(2): the closed forms said 2.83, 0.854 and 0.828
+        assert block["chsh"] == pytest.approx(4.0, abs=1e-12)
+        assert block["eta"] == pytest.approx(0.7454, abs=1e-4)
+        assert block["eta_21"] == pytest.approx(0.7263, abs=1e-4)
+        chsh = chsh_score(session)
+        assert chsh.value == pytest.approx(block["chsh"], abs=5.0 * chsh.stderr + 1e-12)
+        assert eff.eta_21 == pytest.approx(block["eta_21"], abs=5.0 * eff.eta_21_stderr)
+    elif name == "double-bbm92-1.5":
+        assert block["eta"] == pytest.approx(0.7837, abs=1e-4)  # the closed form said 1.0
+        assert block["qber"] == 0.0
+        assert bbm92_qber(session) == 0.0
+    else:
+        assert block["rate_b"] == pytest.approx(0.7778, abs=1e-4)  # the closed form said 0.5
+        assert block["qber"] is None  # no setting of Bob's equals one of Alice's
+        assert bbm92_qber(session) is None
+        n = len(session)
+        rate_b = block["rate_b"]
+        assert eff.rate_b == pytest.approx(rate_b, abs=5.0 * math.sqrt(rate_b * (1.0 - rate_b) / n))
+    assert eff.eta == pytest.approx(block["eta"], abs=5.0 * eff.eta_stderr)
+
+
+# (protocol kwargs, scenario kwargs): every scenario and protocol, each
+# weak-side policy, several alpha, strong_intensity and single_blind_intensity
+# values, and custom setting sets
+_FIT_CASES = [
+    ({"protocol": "ekert"}, {"kind": "double-ekert"}),
+    ({"protocol": "ekert"}, {"kind": "double-ekert", "strong_intensity": 1.5}),
+    ({"protocol": "bbm92"}, {"kind": "double-bbm92", "strong_intensity": 1.2}),
+    ({"protocol": "ekert"}, {"kind": "double-bbm92"}),
+    (
+        {"protocol": "bbm92", "rounds": 300_001},
+        {"kind": "double-ekert", "weak_side_policy": "alternate", "alpha": 0.3},
+    ),
+    (
+        {"protocol": "ekert"},
+        {"kind": "double-ekert", "weak_side_policy": "fixed-a", "alpha": 0.1, "strong_intensity": 1.7},
+    ),
+    (
+        {"protocol": "ekert", "alice_settings": (0.3, 1.1), "bob_settings": (0.2, 2.9, 1.0)},
+        {"kind": "double-ekert", "weak_side_policy": "fixed-b", "alpha": 0.7, "strong_intensity": 1.01},
+    ),
+    ({"protocol": "ekert"}, {"kind": "honest"}),
+    ({"protocol": "bbm92"}, {"kind": "honest", "depolarize_prob": 0.1}),
+    (
+        {"protocol": "ekert", "alice_settings": (0.0, 1.3), "bob_settings": (0.4, 2.2)},
+        {"kind": "honest", "depolarize_prob": 0.3},
+    ),
+    ({"protocol": "bbm92"}, {"kind": "single-blinding"}),
+    ({"protocol": "bbm92"}, {"kind": "single-blinding", "single_blind_intensity": 1.9, "depolarize_prob": 0.1}),
+    (
+        {"protocol": "bbm92", "bob_settings": (0.1, 0.9, 2.0)},
+        {"kind": "single-blinding", "single_blind_intensity": 1.2},
+    ),
+]
+
+
+@pytest.mark.parametrize("protocol_kwargs,scenario_kwargs", _FIT_CASES)
+def test_expected_counts_fit_simulated_sessions(protocol_kwargs, scenario_kwargs):
+    # a likelihood-ratio (G) test of the whole count tensor against its expected cells
+    pc = ProtocolConfig(**{"rounds": 300_000, "seed": 17, **protocol_kwargs})
+    sc = ScenarioConfig(**scenario_kwargs)
+    probs = expected_counts(pc, sc)
+    assert probs.shape == (len(pc.alice_settings), len(pc.bob_settings), 4, 4, 3)
+    assert probs.min() >= 0.0 and probs.sum() == pytest.approx(1.0, abs=1e-12)
+    counts = run_session(pc, sc, keep_rounds=False, audit=False).counts
+    assert counts[probs == 0.0].sum() == 0  # no round in a cell that cannot occur
+    possible = probs > 0.0
+    observed, expected = counts[possible], probs[possible] * pc.rounds
+    seen = observed > 0
+    g = 2.0 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
+    assert _chi2_sf(int(possible.sum()) - 1, g) > 5.7e-7  # two-sided 5 sigma
+
+
+def test_expected_counts_give_the_closed_forms_at_the_defaults():
+    pc = ProtocolConfig(protocol="ekert", rounds=1)
+    block = oracle_block(SessionCounts(pc, ScenarioConfig(kind="double-ekert"), 1, None))
+    assert block["eta"] == pytest.approx(oracle_eta(DEFAULT_ALPHA), abs=1e-12)
+    assert block["eta"] == pytest.approx(0.853553, abs=1e-6)
+    assert block["eta_21"] == pytest.approx(2.0 * SQ2 - 2.0, abs=1e-12)
+    weak = oracle_weak_detection_prob(DEFAULT_ALPHA)
+    assert block["weak_detection_prob"] == pytest.approx(weak, abs=1e-12)
+    assert block["chsh"] == pytest.approx(QUANTUM_CHSH_MAX, abs=1e-12)
+    for pair in block["corr_pairs"]:
+        assert pair["value"] == pytest.approx(oracle_corr_ekert(pair["delta"], DEFAULT_ALPHA), abs=1e-12)
+    # at intensity 2 Eve gets the whole BBM92 key at unit efficiency, and E is linear in |delta|
+    grid = tuple(np.linspace(-math.pi / 2.0, math.pi / 2.0, 13)[1:])
+    pc = ProtocolConfig(protocol="bbm92", rounds=1, alice_settings=(0.0,), bob_settings=grid)
+    block = oracle_block(SessionCounts(pc, ScenarioConfig(kind="double-bbm92"), 1, None))
+    assert block["qber"] == pytest.approx(0.0, abs=1e-12)
+    assert block["eta"] == pytest.approx(1.0, abs=1e-12)
+    assert block["eta_21"] == pytest.approx(1.0, abs=1e-12)
+    for pair in block["corr_pairs"]:
+        assert pair["value"] == pytest.approx(oracle_corr_bbm92(wrap_diff(pair["delta"])), abs=1e-12)
 
 
 def test_bounds_saturate_at_the_operating_point():

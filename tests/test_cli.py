@@ -409,6 +409,17 @@ def test_unwritable_records_path_fails_before_simulating(tmp_path, monkeypatch, 
     assert not records.exists() and not out.exists()
 
 
+def test_sweep_refuses_an_unwritable_out_before_simulating(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    rc = main([
+        "sweep", "--axis", "delta", "--scenario", "double-bbm92", "--start", "0", "--stop", "1",
+        "--steps", "3", "--rounds", "1000", "--out", str(tmp_path / "missing" / "x.csv"),
+    ])
+    assert rc == 1
+    assert "x.csv" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_refuses_a_bad_grid_point_before_simulating(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_session", _no_session)
     for needle, argv in (

@@ -22,20 +22,20 @@ from blindsim.protocol import ProtocolConfig, run_session
 from blindsim.sources import ScenarioConfig
 
 SUMMARY_DIGESTS = {
-    ("honest", "bbm92", 1): "8a750f3b8e1c0c4a04ae66728ef5308bc761008b7bfb3d9b06d6502ccc0298b5",
-    ("honest", "bbm92", 2): "2463ec831d630b577b8a7911e3046de99a7d7f7d1534fdd6cb8e02d3f5111e4f",
-    ("honest", "ekert", 1): "ede00b5dd4ac487a36afbe3c7c7e7940c2d83f6608577d51385a5b3a13ed0674",
-    ("honest", "ekert", 2): "bc2a74c2a2471a94e926a6e2ff57f92a99e57d62207b02c5ee89a0a6615cd3d5",
-    ("single-blinding", "bbm92", 1): "e9c4b9cffd991256784ad38a65282729182969d4937b16d70d6e362c76409c67",
-    ("single-blinding", "bbm92", 2): "1123e34bcbfcd53e0694852a6a4a8c31fcf5beab7267fb60920c7f533e6d023c",
-    ("double-bbm92", "bbm92", 1): "6c0f71c99b892fd5fb6b47ae36b433d97514a4f6b794345f71683c9ea3f709d4",
-    ("double-bbm92", "bbm92", 2): "bb5c881154f5d3d562b7f190a1c2ac60321345f85f4e1a0c4be6814bc67e22f6",
-    ("double-bbm92", "ekert", 1): "3b870eb2e58bfb4b4c355e5abe421a9876fe59bd1bfa8ee49a24ba0341840076",
-    ("double-bbm92", "ekert", 2): "e9d85fa83e0837eb652fff190e87a9455ae2faf20ffac9d522fab769d8b769a3",
-    ("double-ekert", "bbm92", 1): "1385c1fba9e4efc64b049694128302b4bf3adf0a8183cb9f9e7e18c78257dead",
-    ("double-ekert", "bbm92", 2): "834626f48aa29894ed0532d81733a7429834d615f02c21548e8dcb604c6b02be",
-    ("double-ekert", "ekert", 1): "af05b5a9910a414e2d6bcb1a62d3558e546bb21f8c7c590e7f7f1f04f3720d3f",
-    ("double-ekert", "ekert", 2): "445844e3cf72380d610ccfdbaff5eaa46b6be19c7bb2db78a3f897a644934c17",
+    ("honest", "bbm92", 1): "e469b3a6cd56cc929ed436b7becedb7041ca0901e70cb2f77b19555c656a928b",
+    ("honest", "bbm92", 2): "644397f9af49c09c3b2ded12a071a922f3a358bcff2a547cdb4c06db84d084e4",
+    ("honest", "ekert", 1): "857c25d732175a5f154ce09ad1bdcd03d3500d0459ec77e4519c43a033c17033",
+    ("honest", "ekert", 2): "99fbc09cb3de5bdba689bc2da878709ca94bfae3c68b2ca449b8e6a408a3a94d",
+    ("single-blinding", "bbm92", 1): "0ba9fc6a32c76deb0f204775d26137d3bbfe990d8bb652b7cfdb32c6f290ad10",
+    ("single-blinding", "bbm92", 2): "fdd075e5f181052adec58bc1d757306960c4abbf1dad93ce9bdd29cf476e8c26",
+    ("double-bbm92", "bbm92", 1): "22c926c47c63cb8cddb3184b4bb92d522aac0ad426ee6fde6fe9dcd7be71d185",
+    ("double-bbm92", "bbm92", 2): "b0cae596fe3f0b557a6ea560e2c7945eaca92026eb12009ec1ac9da807163abb",
+    ("double-bbm92", "ekert", 1): "b2becee8d2972f4eb43ed4da4a8ebc2055ff16988f688fff039b88fbbe124307",
+    ("double-bbm92", "ekert", 2): "2d6cd358624bb380011d80d57a78202095d47fcd5594372af8d2dcaf32ee5962",
+    ("double-ekert", "bbm92", 1): "892d6d39237ba3900f3f096f391123d5542cefa87f4001411309d5b0995e693a",
+    ("double-ekert", "bbm92", 2): "2f78fcd1900efefe83af427ef7c805c8fd062fa03d5899acae957fdfa23fe329",
+    ("double-ekert", "ekert", 1): "b3050af314ac5757c3269996414bada286d113e0be2d562a230a2a3d75c68935",
+    ("double-ekert", "ekert", 2): "7da4b509e8a27e4ead24d678593ed66395284767730d0d132a375150e146978e",
 }
 
 # the digests above with the "oracle" block removed (_without_oracle): what the
@@ -61,10 +61,10 @@ SUMMARY_NO_ORACLE_DIGESTS = {
 # double-ekert ekert summaries, 150 000 rounds, seed 5, under the options the
 # default matrix leaves at their defaults
 OPTION_DIGESTS = {
-    ("--weak-side", "alternate"): "12dbdcfdaed48f03572684c9a48f467ade3850d3ed8620926e480f3814d3cc61",
-    ("--weak-side", "fixed-a"): "d2f08566a6393c0f5b1809e663cbea1deeaa09c8617d9c62837397279068792e",
-    ("--weak-side", "fixed-b"): "479f01898994d9e21953148fce691da9049b252cdf7ce96e7870797da94ffca9",
-    ("--alpha", "0.3"): "b6f136cdd01d61216bb4febccb900033f4781fb4a81560dd53d7b617d21a980c",
+    ("--weak-side", "alternate"): "22e4cebd71939c4c516ebf944e41bb45361c509a6781cec0a139ce1c59a1ca53",
+    ("--weak-side", "fixed-a"): "d2b24a4c728b2e7908dd61ab99374bf56adedf368fb4f338854498f1ea888f87",
+    ("--weak-side", "fixed-b"): "d784488c83eaa94c096c139685f7259350116e1bc7a5372356856157c436eec2",
+    ("--alpha", "0.3"): "71044488876cac30954f5c7e186e7f3598939bc7d294cca770fca6937f6cbc84",
 }
 
 OPTION_NO_ORACLE_DIGESTS = {
@@ -75,7 +75,7 @@ OPTION_NO_ORACLE_DIGESTS = {
 }
 
 # `sweep --axis alpha` over [0.2, 0.7]: 4 steps, 70 000 rounds per point, seed 11
-ALPHA_SWEEP_DIGEST = "e2a7e2adfb401a480dea2e52bf996fc044481411eb9f48e97151e0c96123b4a1"
+ALPHA_SWEEP_DIGEST = "256d16d35540d63c90e8c6872524beda9ab9991a3560b09214f4b134c5a41323"
 ALPHA_SWEEP_NO_ORACLE_DIGEST = "e16e60b4023510c55119dc03447080ba101972efdab3f52bfbee5f296aaa15ac"
 
 # streamed sessions at strong_intensity 1.5, which no CLI flag reaches: the
@@ -97,10 +97,10 @@ RECORDS_DIGESTS = {
 # genuine-pair kernels (replacement branch, single blinding's Alice-Eve pair)
 # and a --format csv summary
 EXTRA_SUMMARY_DIGESTS = {
-    ("honest", "bbm92", "--depolarize", "0.1"): "5612a0def8aa3d45deecc320c5f9fa5b5d17443f30b25454139b483e76cc1e85",
-    ("honest", "ekert", "--depolarize", "0.1"): "c064be2157ea852afc3082245619283aff6561c687eb7cd6b4e0e246490223df",
-    ("single-blinding", "bbm92", "--depolarize", "0.1"): "10b724ce4a8974aa5e608d3fb457c534042db116385e5df6ac44c593da1bdd39",
-    ("double-ekert", "ekert", "--format", "csv"): "b4b73b6397101c3e049133f93fc3d32241ff18e449a033d04ffa11d3e3c00074",
+    ("honest", "bbm92", "--depolarize", "0.1"): "f532eaaf5a9cdd6c1cb9c9b794eda27325c147c4e597ab35539e27aa684a780e",
+    ("honest", "ekert", "--depolarize", "0.1"): "97ded12e4a8a24140cb371e5e90c6e6a05a23d47c82019702b394aabeb7ae27d",
+    ("single-blinding", "bbm92", "--depolarize", "0.1"): "0c73307f96d45674fc66b50e73544f3b2518cc82c96a70ddc2aa34bf0feb9cef",
+    ("double-ekert", "ekert", "--format", "csv"): "4c22e45d9e90b3b8072ac0201210f59a2d774571315d463b9326754960c07e2c",
 }
 
 EXTRA_SUMMARY_NO_ORACLE_DIGESTS = {
@@ -122,8 +122,8 @@ RECORDS_OPTION_DIGESTS = {
 
 # `sweep --axis delta` tables over [-pi/2, pi/2]: 31 steps, 50 000 rounds per point, seed 9
 SWEEP_DIGESTS = {
-    "double-bbm92": "a363d81b7abbdac06cdc06587bb92870d668ca3d0ade1ec9e549b3da546960c7",
-    "double-ekert": "5ed0ce3f42dde1d3b5dc1fae9d5f74a94d8561c256acba0b0788ff4b4c2d9296",
+    "double-bbm92": "59b15765055d1985d279c2c2d833d1600d72c5d08cbcbe19a9c65c1f9958b713",
+    "double-ekert": "5ad8a2bed69ac2281d88f1caaf21e0545a87c12d7a674b24d4247442b24b5645",
 }
 
 SWEEP_NO_ORACLE_DIGESTS = {
