@@ -6,14 +6,15 @@ asks the configured source for that round's physics, and reduces each
 is still in cache. A streamed double-blind chunk is counted by bins rather
 than round by round: every round is a function of its setting pair, its
 weak side and its hidden polarization lambda, and that function is constant
-over all but a few narrow bands of lambda, so per-session tables give the
-count-tensor cell and Eve's mismatches of each (a_idx, b_idx, weak_side,
-lambda bucket) bin, and only the rounds of bins that straddle a window edge
-or a click threshold are settled one by one. The per-round transcript, plus
-whatever hidden side-information the scenario carries (the faked-state
-polarization, Eve's intercept results), is kept only on request. The
-correlation estimators only ever look at the public projection, and the
-parties' sifted bits only at the setting and outcome columns.
+over all but a few narrow bands of lambda, so a per-session table gives the
+count-tensor cell of each (a_idx, b_idx, weak_side, lambda bucket) bin; only
+the rounds of bins that straddle a window edge or a click threshold, or
+where Eve's prediction differs, are settled and audited one by one. The
+per-round transcript, plus whatever hidden side-information the scenario
+carries (the faked-state polarization, Eve's intercept results), is kept
+only on request. The correlation estimators only ever look at the public
+projection, and the parties' sifted bits only at the setting and outcome
+columns.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .optics import (
     split_intensities,
     window_codes,
     window_half_width,
-    wrap_diff,
 )
 from .sources import (
     CHUNK_ROUNDS,
@@ -72,11 +72,19 @@ CHSH_QUAD = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 _SETTING_TOL = 1e-12
 
 
+def _angle_gap(x: float, y: float) -> float:
+    """|wrap_diff(x - y)| on Python floats: how far apart two angles lie modulo pi."""
+    return abs((x - y + HALF_PERIOD) % PERIOD - HALF_PERIOD)
+
+
 def _canon_settings(name: str, values) -> tuple[float, ...]:
-    settings = tuple(canon_angle(float(v)) for v in values)
+    raw = tuple(map(float, values))
+    if not all(map(math.isfinite, raw)):
+        raise ValueError(f"{name} must be finite angles, got {values}")
+    settings = tuple(map(canon_angle, raw))
     if not 1 <= len(settings) <= 127:  # indices are stored as int8
         raise ValueError(f"{name} must hold 1 to 127 angles, got {len(settings)}")
-    if any(abs(wrap_diff(s - t)) < _SETTING_TOL for i, s in enumerate(settings) for t in settings[:i]):
+    if any(_angle_gap(s, t) < _SETTING_TOL for i, s in enumerate(settings) for t in settings[:i]):
         raise ValueError(f"{name} must be distinct angles modulo pi, got {values}")
     return settings
 
@@ -419,28 +427,18 @@ _COSINE_SLACK = 2.0**-12
 
 @dataclass(frozen=True, eq=False)
 class _BucketTables:
-    """Per-session tables of the bucketed double-blind reducer.
+    """Per-session table of the bucketed double-blind reducer.
 
     A round with hidden polarization lam falls in bucket
     floor(lam * scale) < buckets, and its bin is (a_idx, b_idx, weak_side,
-    bucket), flattened in that order. settle marks the bins whose rounds
-    the window rule (and with the audit, Eve's Malus/threshold physics) may
-    decide differently from one another: those in which a compared quantity
-    may reach a threshold (_undecided); they are settled one by one. Every
-    round of any other bin lands in the same count-tensor cell, and the
-    cell map is stored run by run: the bins from starts[r] up to the next
-    start land in the flat cell cells[r], or in the settle bin one past the
-    last cell. mismatch holds, per run, the outcomes per round on which
-    Eve's prediction differs from the window rule (zero in correct code);
-    None without the audit.
+    bucket), flattened in that order. cells[bin] is the flat count-tensor
+    cell of every round in the bin, or n_cells, one past the last cell, for
+    a bin whose rounds are settled one by one (_bucket_tables says which).
     """
 
     buckets: int
     scale: float
-    settle: np.ndarray
-    starts: np.ndarray
     cells: np.ndarray
-    mismatch: np.ndarray | None
 
 
 def _undecided(x, thresholds, margin):
@@ -452,20 +450,20 @@ def _undecided(x, thresholds, margin):
     return functools.reduce(np.logical_or, [~(np.abs(x - t) > margin) for t in thresholds])
 
 
-def _malus_station(intensity, polarization, setting, reach):
-    """Eve's codes at the bucket midpoints, and the buckets whose rounds may differ from them.
+def _malus_station(intensity, polarization, setting, reach, window_code):
+    """Mark the buckets where Eve's codes may differ from window_code, the midpoints' window rule.
 
     A detector fires iff I(1 +- c)/2 > 1 (split_intensities, click_codes),
     i.e. iff c = cos 2(pol - setting) lies beyond +-tau, tau = 2/I - 1; over
     a bucket c moves by at most 2 * reach from its midpoint value.
     """
     codes = click_codes(*split_intensities(intensity, polarization, setting))
-    c = np.cos(2.0 * (polarization - setting))
-    return codes, _undecided(np.abs(c), [2.0 / intensity - 1.0], 2.0 * reach + _COSINE_SLACK)
+    c = np.abs(np.cos(2.0 * (polarization - setting)))
+    return (codes != window_code) | _undecided(c, [2.0 / intensity - 1.0], 2.0 * reach + _COSINE_SLACK)
 
 
 def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _BucketTables:
-    """Build a double-blind session's bin tables (_BucketTables).
+    """Build a double-blind session's bin table (_BucketTables).
 
     The window rule is evaluated at each bucket's midpoint by _window_rule,
     with the widths from window_half_width, and with the audit Eve's codes
@@ -475,7 +473,8 @@ def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _Buck
     than it can move across the bucket. window_codes' distance
     ||lambda - setting| - pi/2| must clear w and pi/2 - w by reach, half a
     bucket plus _EDGE_SLACK; Eve's |cos 2(pol - setting)| must clear
-    2/I - 1 by 2 * reach + _COSINE_SLACK.
+    2/I - 1 by 2 * reach + _COSINE_SLACK. With the audit, a bucket where
+    Eve's midpoint code differs from the window rule's is undecided too.
     """
     alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
     n_a, n_b = alice.size, bob.size
@@ -498,34 +497,16 @@ def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _Buck
     )
     if audit:
         i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, np.arange(3))
-        eve_a, eve_undecided_a = _malus_station(i_a[:, None], pol_a, alice[:, None, None], reach)
-        eve_b, eve_undecided_b = _malus_station(i_b[:, None], pol_b, bob[:, None, None], reach)
-        undecided_a |= eve_undecided_a
-        undecided_b |= eve_undecided_b
+        undecided_a |= _malus_station(i_a[:, None], pol_a, alice[:, None, None], reach, code_a)
+        undecided_b |= _malus_station(i_b[:, None], pol_b, bob[:, None, None], reach, code_b)
 
-    # bin tables, indexed (a_idx, b_idx, weak side, bucket)
-    settle = undecided_a[:, None] | undecided_b[None, :]
+    # the bin table, indexed (a_idx, b_idx, weak side, bucket)
     n_cells = math.prod(_count_shape(pc))
     pair = np.arange(n_a, dtype=np.int32)[:, None] * n_b + np.arange(n_b, dtype=np.int32)
     cells = (pair[:, :, None, None] * 4 + code_a[:, None] + 1) * 4 + code_b[None, :] + 1
     cells = cells * 3 + np.arange(3, dtype=np.int32)[:, None]
-    cells[settle] = n_cells
-    cells, settle = cells.reshape(-1), settle.reshape(-1)
-    # runs of consecutive bins with the same cell (and mismatch count)
-    change = np.ones(cells.size, bool)
-    np.not_equal(cells[1:], cells[:-1], out=change[1:])
-    mismatch = None
-    if audit:
-        mismatch = (eve_a != code_a).astype(np.int8)[:, None] + (eve_b != code_b).astype(np.int8)[None, :]
-        mismatch = mismatch.reshape(-1)
-        mismatch[settle] = 0
-        change[1:] |= mismatch[1:] != mismatch[:-1]
-    starts = np.flatnonzero(change).astype(np.int32)
-    return _BucketTables(
-        buckets, scale, settle, starts,
-        cells.take(starts).astype(np.int16 if n_cells < 2**15 else np.int32),
-        None if mismatch is None else mismatch.take(starts),
-    )
+    cells[undecided_a[:, None] | undecided_b[None, :]] = n_cells
+    return _BucketTables(buckets, scale, cells.reshape(-1).astype(np.int16 if n_cells < 2**15 else np.int32))
 
 
 def _reduce_bucketed(
@@ -533,11 +514,11 @@ def _reduce_bucketed(
 ):
     """_reduce_chunk(pc, sc, _simulate_chunk(pc, sc, chunk_index), audit), counted by bins.
 
-    One bincount of the chunk's flat bin keys, summed run by run and folded
-    through tables.cells, gives the count tensor of the decided bins, and
-    the run sums times tables.mismatch their Eve-audit counter. The rounds
-    of settle bins go through _window_columns and _reduce_chunk, the
-    kernel's and Eve's own per-round arithmetic, even when there are none.
+    tables.cells gives each round's cell by its flat bin key, and one
+    bincount of the cells counts the decided rounds. The settled rounds go
+    through _window_columns and _reduce_chunk, the kernel's and Eve's own
+    per-round arithmetic, even when there are none; their tally is the
+    chunk's, since a decided round has Eve's prediction equal to its outcome.
     """
     lam, a_idx, b_idx, weak = _draw_double_blind(pc, sc, chunk_index)
     # the flat bin of (a_idx, b_idx, weak, bucket), in place in int64
@@ -547,18 +528,16 @@ def _reduce_bucketed(
     key += weak
     key *= tables.buckets
     key += np.multiply(lam, tables.scale).astype(np.intp)
-    runs = np.add.reduceat(np.bincount(key, minlength=tables.settle.size), tables.starts)
     shape = _count_shape(pc)
-    counts = np.bincount(tables.cells, weights=runs, minlength=math.prod(shape) + 1)[:-1]
-    counts = counts.astype(np.int64).reshape(shape)
+    n_cells = math.prod(shape)
+    cell = tables.cells.take(key)
+    del key  # bincount copies cell to intp: free the int64 keys first, for a lower peak
+    counts = np.bincount(cell, minlength=n_cells + 1)[:-1].reshape(shape)
 
-    idx = np.flatnonzero(tables.settle.take(key))
+    idx = np.flatnonzero(cell == n_cells)
     part = _window_columns(pc, sc, lam[idx], a_idx[idx], b_idx[idx], weak[idx])
     settled, tally = _reduce_chunk(pc, sc, part, audit)
-    counts += settled
-    if audit:
-        tally = (tally[0] + int(np.dot(runs, tables.mismatch)),)
-    return counts, tally
+    return counts + settled, tally
 
 
 def _in_chunk_order(fn, n_chunks: int, workers: int):
@@ -722,7 +701,7 @@ class CorrelationEstimate:
 
 def _setting_index(value: float, settings: tuple[float, ...]) -> int | None:
     """Index of the configured setting within _SETTING_TOL of value modulo pi, else None."""
-    gaps = [abs(wrap_diff(float(value) - s)) for s in settings]
+    gaps = [_angle_gap(float(value), s) for s in settings]
     return gaps.index(min(gaps)) if min(gaps) < _SETTING_TOL else None
 
 
@@ -817,10 +796,11 @@ def eve_prediction_report(records) -> dict | None:
     reference Malus/threshold physics (sources.predict_outcome_codes), is
     compared on every round to the recorded pair, which the simulation
     decided by the window rule (optics.window_codes); a mismatch means the
-    two arithmetics disagree. A streamed session counts the mismatches by
-    bins and settles near-edge rounds one by one (_reduce_bucketed), which
-    gives the same count. Single blinding: Bob's clicks are compared to
-    her intercept outcome. None for honest sessions and public views;
+    two arithmetics disagree. A streamed session compares only the rounds
+    it settles one by one (_reduce_bucketed), which gives the same count:
+    its table decides no bin where Eve's midpoint prediction differs from
+    the window rule's. Single blinding: Bob's clicks are compared to her
+    intercept outcome. None for honest sessions and public views;
     ValueError for a session that carries no audit (run with audit=False,
     or built without the column the audit reads).
     """

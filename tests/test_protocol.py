@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from blindsim import protocol
-from blindsim.optics import Outcome, canon_angle
+from blindsim.optics import Outcome, canon_angle, wrap_diff
 from blindsim.protocol import (
     BBM92_SETTINGS,
     CHSH_QUAD,
@@ -78,8 +78,29 @@ def test_protocol_config_validation_messages():
     with pytest.raises(ValueError, match="alice_settings"):
         # closer than the matching tolerance modulo pi: one setting, not two
         ProtocolConfig(protocol="bbm92", rounds=1, alice_settings=(0.0, math.pi - 1e-13))
+    for bad in (math.nan, math.inf, -math.inf):
+        # a station at a non-finite angle would never click
+        with pytest.raises(ValueError, match="alice_settings"):
+            ProtocolConfig(protocol="bbm92", rounds=1, alice_settings=(bad, 0.5))
+        with pytest.raises(ValueError, match="bob_settings"):
+            ProtocolConfig(protocol="ekert", rounds=1, bob_settings=(0.1, 0.2, bad))
     with pytest.raises(ValueError):
         ProtocolConfig(protocol="e91", rounds=1)
+
+
+def test_angle_gap_equals_wrap_diff_bit_for_bit():
+    # one tolerance rule both accepts a setting (_canon_settings) and counts
+    # its rounds (_setting_index): the Python-float gap equals |wrap_diff|
+    # on random values and on the edges of the wrap, NaN and inf included
+    edges = [
+        0.0, 1e-20, -1e-20, math.pi - 1e-13, 1e-13 - math.pi, math.pi / 2, -math.pi / 2,
+        math.pi, -math.pi, 1e300, -1e300, math.nan, math.inf, -math.inf,
+    ]
+    values = np.concatenate([np.random.default_rng(50).uniform(-20.0, 20.0, 2000), edges]).tolist()
+    for y in (0.0, 0.3, math.pi / 2, math.nextafter(math.pi, 0.0)):
+        gaps = [protocol._angle_gap(x, y) for x in values]
+        with np.errstate(invalid="ignore"):  # np.mod warns on inf
+            np.testing.assert_array_equal(gaps, [abs(wrap_diff(x - y)) for x in values])
 
 
 def test_run_session_shapes_and_indexing():
@@ -730,6 +751,11 @@ def _assert_bucketed_matches_columns(pc, sc, workers=(1,)):
 _BUCKET_ROUNDS = 2 * CHUNK_ROUNDS + 1234  # two full chunks and a partial one
 
 
+def _settled_bins(pc, tables):
+    """The bins of a bin table whose rounds are settled one by one: those holding the cell past the last."""
+    return tables.cells == math.prod(protocol._count_shape(pc))
+
+
 @pytest.mark.parametrize("policy", [p.value for p in WeakSidePolicy])
 @pytest.mark.parametrize("scenario,proto", [
     ("double-bbm92", "bbm92"), ("double-bbm92", "ekert"),
@@ -790,13 +816,19 @@ def test_bucketed_reducer_at_window_edges_and_bucket_boundaries(monkeypatch, sce
             # arithmetics even without a fault; the counters must still agree
             _assert_bucketed_matches_columns(pc, sc)
         monkeypatch.setattr(protocol, "window_half_width", true_width)
-    # uniform draws: far from an edge the tables decide, and a window three
-    # buckets too wide shows in the bins they decide
+    # uniform draws: a window three buckets too wide puts Eve's midpoint
+    # prediction at odds with the kernel's outcome in whole buckets, which
+    # the audited table settles (on top of every bin the unaudited one
+    # settles), so the audit counts their mismatches round by round
     monkeypatch.undo()
     monkeypatch.setattr(protocol, "window_half_width", lambda i: true_width(i) + 1e-2)
     sc = ScenarioConfig(kind=scenario)
-    tables = protocol._bucket_tables(pc, sc, True)
-    assert tables.mismatch.any()
+    with_audit, without = (
+        _settled_bins(pc, protocol._bucket_tables(pc, sc, audit)) for audit in (True, False)
+    )
+    pinned = {"double-bbm92": (288, 72), "double-ekert": (904, 208)}[scenario]
+    assert (int(with_audit.sum()), int(without.sum())) == pinned
+    assert with_audit[without].all()
     assert _assert_bucketed_matches_columns(pc, sc).eve_tally[0] > 0
 
 
@@ -814,7 +846,7 @@ def test_every_bucket_holding_a_window_edge_is_settled(scenario):
         pc = ProtocolConfig(protocol=proto, rounds=1, **settings)
         sc = ScenarioConfig(kind=scenario, alpha=alpha, strong_intensity=strong)
         tables = protocol._bucket_tables(pc, sc, audit)
-        settle = tables.settle.reshape(len(pc.alice_settings), len(pc.bob_settings), 3, tables.buckets)
+        settle = _settled_bins(pc, tables).reshape(len(pc.alice_settings), len(pc.bob_settings), 3, -1)
         weak = weak_intensity(alpha) if scenario == "double-ekert" else strong
         for station, station_settings, weak_code in (
             (0, pc.alice_settings, WeakSide.A), (1, pc.bob_settings, WeakSide.B)
@@ -840,7 +872,7 @@ def test_settle_bin_counts(scenario, proto, kwargs, audited, unaudited, bins):
     pc = ProtocolConfig(protocol=proto, rounds=1)
     sc = ScenarioConfig(kind=scenario, **kwargs)
     for audit, expected in ((True, audited), (False, unaudited)):
-        settle = protocol._bucket_tables(pc, sc, audit).settle
+        settle = _settled_bins(pc, protocol._bucket_tables(pc, sc, audit))
         assert (int(settle.sum()), settle.size) == (expected, bins), audit
 
 
@@ -871,7 +903,7 @@ def test_bucketed_reducer_with_other_bucket_counts(monkeypatch, buckets):
     for scenario in ("double-bbm92", "double-ekert"):
         sc = ScenarioConfig(kind=scenario)
         for audit in (True, False):
-            assert protocol._bucket_tables(pc, sc, audit).settle.all() == (buckets == 1)
+            assert _settled_bins(pc, protocol._bucket_tables(pc, sc, audit)).all() == (buckets == 1)
         _assert_bucketed_matches_columns(pc, sc)
 
 
@@ -882,7 +914,6 @@ def test_bucketed_reducer_for_one_and_for_127_settings_a_side():
     many = tuple(np.arange(127) * math.pi / 127)
     pc = ProtocolConfig(protocol="ekert", rounds=70_000, seed=49, alice_settings=many, bob_settings=many)
     tables = protocol._bucket_tables(pc, sc, True)
-    table_bytes = sum(t.nbytes for t in (tables.settle, tables.starts, tables.cells, tables.mismatch))
-    assert tables.settle.size <= protocol._MAX_BINS
-    assert table_bytes <= 8 * protocol._MAX_BINS, table_bytes
+    assert tables.cells.size <= protocol._MAX_BINS
+    assert tables.cells.nbytes <= 8 * protocol._MAX_BINS, tables.cells.nbytes
     _assert_bucketed_matches_columns(pc, sc)
