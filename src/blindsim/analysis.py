@@ -28,6 +28,7 @@ QUANTUM_CHSH_MAX = 2.0 * math.sqrt(2.0)
 _QUARTER = math.pi / 4.0
 _HALF = math.pi / 2.0
 _TOL = 1e-12
+MIN_CELL = 100  # rounds every setting cell of the fair-sampling monitor needs for its check to conclude
 
 
 def _check_delta(delta: float) -> float:
@@ -156,11 +157,11 @@ def expected_counts(pc: ProtocolConfig, sc: ScenarioConfig) -> np.ndarray:
     return probs / (alice.size * bob.size)
 
 
-def oracle_block(records) -> dict:
-    """The session's statistics of expected_counts, None where their rounds cannot occur."""
-    pc, sc = records.protocol, records.scenario
+def oracle_block(protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig) -> dict:
+    """The statistics of expected_counts, read as one emission; None where their rounds cannot occur."""
+    pc, sc = protocol_cfg, scenario_cfg
     expected = SessionCounts(pc, sc, 1, expected_counts(pc, sc))
-    eff = _efficiencies(expected, 1)
+    eff = estimate_efficiencies(expected, 1)
     block = {"alpha": sc.alpha} if sc.kind is ScenarioKind.DOUBLE_BLIND_EKERT else {}
     block |= {
         "eta": eff.eta, "eta_21": eff.eta_21, "rate_a": eff.rate_a, "rate_b": eff.rate_b,
@@ -236,21 +237,10 @@ def estimate_efficiencies(records, n_emitted: int | None = None) -> EfficiencyRe
 
     Pass n_emitted=len(records) when the record list covers every emission
     (true for the simulator's sessions); None models parties who never learn
-    how many pairs the source produced. Every recorded round was emitted, so
-    n_emitted below the number of records is an error.
+    how many pairs the source produced. n_emitted must be a whole number no
+    less than the int() of the rounds recorded, since each was emitted; an
+    expected_counts tensor sums to 0 or 1 and is read with n_emitted=1.
     """
-    if n_emitted is not None:
-        n_emitted = int(n_emitted)
-        if n_emitted < 1:
-            raise ValueError(f"n_emitted must be >= 1, got {n_emitted}")
-        n_rounds = int(public_rounds(records).counts.sum())
-        if n_emitted < n_rounds:
-            raise ValueError(f"n_emitted={n_emitted} is below the {n_rounds} recorded rounds")
-    return _efficiencies(records, n_emitted)
-
-
-def _efficiencies(records, n_emitted) -> EfficiencyReport:
-    """estimate_efficiencies unchecked: probabilities may sum to just over one emission."""
     t = public_rounds(records).counts.sum(axis=(0, 1))  # rounds per (outcome_a + 1, outcome_b + 1)
     # item() keeps the table's type: int for rounds, float for probabilities.
     # Outcome index 0 is code -1 and index 2 is +1, so [::2] selects the clicks
@@ -258,6 +248,14 @@ def _efficiencies(records, n_emitted) -> EfficiencyReport:
     singles_b = t[:, ::2].sum().item()
     coincidences = t[::2, ::2].sum().item()
     n_rounds = t.sum().item()
+    if n_emitted is not None:
+        if not float(n_emitted).is_integer():
+            raise ValueError(f"n_emitted must be a whole number, got {n_emitted}")
+        n_emitted = int(n_emitted)
+        if n_emitted < 1:
+            raise ValueError(f"n_emitted must be >= 1, got {n_emitted}")
+        if n_emitted < int(n_rounds):
+            raise ValueError(f"n_emitted={n_emitted} is below the {int(n_rounds)} recorded rounds")
     one_click = singles_a + singles_b - 2 * coincidences
 
     eta_21 = None
@@ -339,14 +337,13 @@ class FairSamplingReport:
     """Chi-square fair-sampling monitor output."""
 
     significance: float
-    min_cell: int
     checks: tuple[RateCheck, ...]
     verdict: str
 
     def to_dict(self) -> dict:
         return {
             "significance": self.significance,
-            "min_cell": self.min_cell,
+            "min_cell": MIN_CELL,
             "verdict": self.verdict,
             "checks": [c.to_dict() for c in self.checks],
         }
@@ -372,11 +369,11 @@ def _chi2_sf(dof: int, statistic: float) -> float:
     return min(total, 1.0)
 
 
-def _rate_check(name: str, labels, trials, hits, significance: float, min_cell: int) -> RateCheck:
+def _rate_check(name: str, labels, trials, hits, significance: float) -> RateCheck:
     trials = np.asarray(trials, dtype=np.int64)
     hits = np.asarray(hits, dtype=np.int64)
     dof = trials.size - 1
-    if np.any(trials < max(min_cell, 1)):
+    if np.any(trials < MIN_CELL):
         return RateCheck(
             name, tuple(labels), tuple(int(t) for t in trials), tuple(int(h) for h in hits),
             None, dof, None, "inconclusive",
@@ -398,14 +395,14 @@ def _rate_check(name: str, labels, trials, hits, significance: float, min_cell: 
     )
 
 
-def fair_sampling_monitor(records, significance: float = 0.01, min_cell: int = 100) -> FairSamplingReport:
+def fair_sampling_monitor(records, significance: float = 0.01) -> FairSamplingReport:
     """Test whether click and coincidence rates depend on the local settings.
 
     Chi-square homogeneity across the configured setting cells, one check per
     side plus one for coincidences across setting pairs. Any cell with fewer
-    than min_cell rounds, or none at all, makes that check (and at best the
-    report) inconclusive. The blinding attacks are engineered to pass this
-    monitor; an efficiency mismatch between settings fails it.
+    than MIN_CELL rounds makes that check (and at best the report)
+    inconclusive. The blinding attacks are engineered to pass this monitor;
+    an efficiency mismatch between settings fails it.
     """
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must lie in (0, 1), got {significance}")
@@ -426,7 +423,7 @@ def fair_sampling_monitor(records, significance: float = 0.01, min_cell: int = 1
         ("bob-click-rate", [f"{b:.9g}" for b in bob], trials.sum(axis=0), clicks_b.sum(axis=0)),
         ("coincidence-rate", [f"{a:.9g}/{b:.9g}" for a in alice for b in bob], trials.ravel(), coinc.ravel()),
     )
-    checks = [_rate_check(name, labels, t, h, significance, min_cell) for name, labels, t, h in cells]
+    checks = [_rate_check(name, labels, t, h, significance) for name, labels, t, h in cells]
 
     verdicts = [c.verdict for c in checks]
     if "fail" in verdicts:
@@ -435,4 +432,4 @@ def fair_sampling_monitor(records, significance: float = 0.01, min_cell: int = 1
         overall = "inconclusive"
     else:
         overall = "pass"
-    return FairSamplingReport(significance, min_cell, tuple(checks), overall)
+    return FairSamplingReport(significance, tuple(checks), overall)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .analysis import (
     QUANTUM_CHSH_MAX,
-    _efficiencies,
     chsh_bound_conditional,
     chsh_bound_detection,
     estimate_efficiencies,
@@ -144,7 +143,7 @@ def build_summary(records) -> dict:
             "fair_sampling": fair_sampling_monitor(records).to_dict(),
             "eve_audit": eve_prediction_report(records),
         },
-        "oracle": oracle_block(records),
+        "oracle": oracle_block(pc, sc),
     }
     return _jsonify(summary)
 
@@ -203,7 +202,7 @@ def _format_rows(row_format: str, columns) -> str:
 def write_records_csv(
     protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig, path, eve_view: bool = False
 ) -> None:
-    """Dump the per-round records of run_session(protocol_cfg, scenario_cfg).
+    """Dump the per-round records of SessionRecords.simulate(protocol_cfg, scenario_cfg).
 
     Default columns: round, theta_a, theta_b, outcome_a, outcome_b,
     weak_side. --eve-view appends lambda, eve_pred_a, eve_pred_b; those cells
@@ -310,7 +309,7 @@ def cmd_run(args) -> int:
     _keep_freed_heap()
     # the summary needs only the count tensor and the Eve audit, reduced chunk
     # by chunk; the records dump simulates the chunks again, one at a time
-    session = run_session(protocol_cfg, scenario_cfg, workers=args.workers, keep_rounds=False, audit=True)
+    session = run_session(protocol_cfg, scenario_cfg, workers=args.workers)
     write_summary(build_summary(session), args.out, args.format)
     if args.records:
         write_records_csv(protocol_cfg, scenario_cfg, args.records, eve_view=args.eve_view)
@@ -356,7 +355,7 @@ def cmd_sweep(args) -> int:
     _keep_freed_heap()
     rows = []
     for x, scenario_cfg, protocol_cfg in points:
-        records = run_session(protocol_cfg, scenario_cfg, workers=args.workers, keep_rounds=False, audit=False)
+        records = run_session(protocol_cfg, scenario_cfg, workers=args.workers, audit=False)
         # the oracle columns are the same statistics of the expected counts
         expected = SessionCounts(protocol_cfg, scenario_cfg, 1, expected_counts(protocol_cfg, scenario_cfg))
         if args.axis == "delta":
@@ -372,7 +371,7 @@ def cmd_sweep(args) -> int:
             )
         else:
             eff = estimate_efficiencies(records, n_emitted=len(records))
-            want = _efficiencies(expected, 1)
+            want = estimate_efficiencies(expected, 1)
             rows.append(
                 {
                     "alpha": x,

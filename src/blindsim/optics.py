@@ -28,6 +28,7 @@ import numpy as np
 # polarization angles are pi-periodic
 PERIOD = math.pi
 HALF_PERIOD = math.pi / 2.0
+CLICK_THRESHOLD = 1.0  # intensities are in units of the click threshold
 
 
 def canon_angle(theta):
@@ -103,10 +104,10 @@ def split_intensities(intensity, polarization, setting):
     return i0, i1
 
 
-def click_codes(i0, i1, threshold=1.0):
-    """Outcome codes for intensity pairs against a strict click threshold."""
-    c0 = np.asarray(i0) > threshold
-    c1 = np.asarray(i1) > threshold
+def click_codes(i0, i1):
+    """Outcome codes for intensity pairs in threshold units: a detector fires iff above CLICK_THRESHOLD."""
+    c0 = np.asarray(i0) > CLICK_THRESHOLD
+    c1 = np.asarray(i1) > CLICK_THRESHOLD
     codes = c0.astype(np.int8) - c1.astype(np.int8)
     return np.where(c0 & c1, np.int8(Outcome.DOUBLE_CLICK), codes).astype(np.int8)
 

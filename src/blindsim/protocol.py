@@ -12,9 +12,9 @@ the rounds of bins that straddle a window edge or a click threshold, or
 where Eve's prediction differs, are settled and audited one by one. The
 per-round transcript, plus whatever hidden side-information the scenario
 carries (the faked-state polarization, Eve's intercept results), is kept
-only on request. The correlation estimators only ever look at the public
-projection, and the parties' sifted bits only at the setting and outcome
-columns.
+only by SessionRecords.simulate. The correlation estimators only ever look
+at public_rounds, and the parties' sifted bits only at the setting and
+outcome columns.
 """
 
 from __future__ import annotations
@@ -207,10 +207,10 @@ def _merge(reductions, shape):
 class SessionCounts:
     """A session reduced to its count tensor and Eve-audit counters.
 
-    run_session(..., keep_rounds=False) returns one: it holds no per-round
-    column, so its memory does not grow with the round count. counts holds
-    the number of rounds per (a_idx, b_idx, outcome_a + 1, outcome_b + 1,
-    weak_side); every public statistic reads it. eve_tally holds the
+    run_session returns one: it holds no per-round column, so its memory
+    does not grow with the round count. counts holds the number of rounds
+    per (a_idx, b_idx, outcome_a + 1, outcome_b + 1, weak_side); every
+    public statistic reads it. eve_tally holds the
     counters eve_prediction_report reads, or None when the session was run
     without the audit. Reading a per-round column (or sifting a key) raises
     ValueError; so do hasattr() and getattr() with a default, which do not
@@ -234,18 +234,12 @@ class SessionCounts:
         if name in self._ROUND_FIELDS:
             raise ValueError(
                 f"{name} is per-round data and this session kept no per-round columns; "
-                "run it with keep_rounds=True"
+                "build it with SessionRecords.simulate"
             )
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __len__(self) -> int:
         return self.rounds
-
-    def public_view(self) -> PublicRounds:
-        """Strip all source-side information."""
-        return PublicRounds(
-            self.protocol.alice_settings, self.protocol.bob_settings, self.counts.sum(axis=4)
-        )
 
 
 class SessionRecords(SessionCounts):
@@ -255,7 +249,7 @@ class SessionRecords(SessionCounts):
     (a_idx, b_idx); theta_a/theta_b are derived from them. Hidden columns
     (the faked-state polarization, the weakened side, Eve's intercept
     outcome) ride along for analysis and audits; the public statistics
-    read public_view(). The constructor reduces the columns to
+    read public_rounds(). The constructor reduces the columns to
     the count tensor, and eve_tally reduces the Eve-audit counters on first
     use, each one CHUNK_ROUNDS slice at a time, as a streamed session
     reduces its genuine-pair chunks and the rounds its double-blind tables
@@ -299,6 +293,12 @@ class SessionRecords(SessionCounts):
         reductions = (_reduce_chunk(protocol, scenario, part, False) for part in self._slices())
         self.counts, _ = _merge(reductions, _count_shape(protocol))
 
+    @classmethod
+    def simulate(cls, protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig, workers: int = 1):
+        """Simulate a full session keeping every per-round column: run_session's counts, at any workers."""
+        pc, sc = protocol_cfg, scenario_cfg
+        return cls(pc, sc, *_assemble(session_chunks(pc, sc, workers), pc.rounds))
+
     def _slices(self):
         """The columns in _COLUMNS order, one CHUNK_ROUNDS slice at a time."""
         columns = [getattr(self, name) for name in _COLUMNS]
@@ -321,9 +321,11 @@ class SessionRecords(SessionCounts):
 
 
 def public_rounds(records) -> PublicRounds:
-    """The public projection of a record set (pass-through for PublicRounds)."""
-    view = getattr(records, "public_view", None)
-    return view() if callable(view) else records
+    """The public projection of a session, all source-side information stripped; PublicRounds pass through."""
+    if isinstance(records, PublicRounds):
+        return records
+    pc = records.protocol
+    return PublicRounds(pc.alice_settings, pc.bob_settings, records.counts.sum(axis=4))
 
 
 def _open_chunk(pc: ProtocolConfig, chunk_index: int):
@@ -597,30 +599,21 @@ def session_chunks(protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig, w
 
 
 def run_session(
-    protocol_cfg: ProtocolConfig,
-    scenario_cfg: ScenarioConfig,
-    workers: int = 1,
-    *,
-    keep_rounds: bool = True,
-    audit: bool = True,
+    protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig, workers: int = 1, *, audit: bool = True
 ) -> SessionCounts:
-    """Simulate a full session.
+    """Simulate a full session, streamed: its count tensor and Eve-audit counters.
 
-    keep_rounds=True returns a SessionRecords with every per-round column;
-    it reduces the Eve-audit counters from its columns when first asked.
-    keep_rounds=False reduces each chunk to its count tensor while it is
-    in cache (a double-blind chunk by bins, _reduce_bucketed) and returns a
-    SessionCounts, whose memory does not grow with the round count, at any
-    workers; audit=True also reduces the Eve-audit counters that
-    eve_prediction_report reads, and without it that report raises
-    ValueError. audit has no effect when keep_rounds is True.
+    Each chunk is reduced to its count tensor while it is in cache (a
+    double-blind chunk by bins, _reduce_bucketed), so the returned
+    SessionCounts does not grow with the round count, at any workers.
+    audit=True also reduces the Eve-audit counters that
+    eve_prediction_report reads; without it that report raises ValueError.
+    SessionRecords.simulate keeps the per-round columns instead.
     Deterministic for a given (protocol_cfg, scenario_cfg): the chunked RNG
     scheme, and chunk reductions merged by integer addition, make the
     output byte-identical for any workers >= 1.
     """
     pc, sc = protocol_cfg, scenario_cfg
-    if keep_rounds:
-        return SessionRecords(pc, sc, *_assemble(session_chunks(pc, sc, workers), pc.rounds))
     if sc.kind in DOUBLE_BLIND_KINDS:
         per_chunk = functools.partial(_reduce_bucketed, pc, sc, _bucket_tables(pc, sc, audit), audit)
     else:
@@ -709,9 +702,13 @@ def correlation_estimate(records, theta_a: float, theta_b: float) -> Correlation
     """E-hat at one setting pair, conditioned on both stations clicking.
 
     Angles within 1e-12 of a configured setting count that setting's rounds
-    and report its angle. Standard error is sqrt((1 - E^2) / n); value and
-    stderr are None when the pair has no coincidences.
+    and report its angle; NaN or an infinite angle raises ValueError.
+    Standard error is sqrt((1 - E^2) / n); value and stderr are None when
+    the pair has no coincidences.
     """
+    for name, value in (("theta_a", theta_a), ("theta_b", theta_b)):
+        if not math.isfinite(float(value)):
+            raise ValueError(f"{name} must be a finite angle, got {value}")
     pub = public_rounds(records)
     i = _setting_index(theta_a, pub.alice_settings)
     j = _setting_index(theta_b, pub.bob_settings)

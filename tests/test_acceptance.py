@@ -35,7 +35,6 @@ from blindsim.protocol import (
     chsh_score,
     correlation_estimate,
     eve_prediction_report,
-    run_session,
     sift_bbm92,
 )
 from blindsim.sources import DEFAULT_ALPHA, ScenarioConfig
@@ -63,31 +62,31 @@ def _criterion(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def attack_bbm92():
     pc = ProtocolConfig(protocol="bbm92", rounds=N_ROUNDS, seed=ACCEPT_SEED)
-    return run_session(pc, ScenarioConfig(kind="double-bbm92"))
+    return SessionRecords.simulate(pc, ScenarioConfig(kind="double-bbm92"))
 
 
 @pytest.fixture(scope="module")
 def attack_ekert():
     pc = ProtocolConfig(protocol="ekert", rounds=N_ROUNDS, seed=ACCEPT_SEED)
-    return run_session(pc, ScenarioConfig(kind="double-ekert"))
+    return SessionRecords.simulate(pc, ScenarioConfig(kind="double-ekert"))
 
 
 @pytest.fixture(scope="module")
 def attack_ekert_under_bbm92():
     pc = ProtocolConfig(protocol="bbm92", rounds=N_ROUNDS, seed=ACCEPT_SEED)
-    return run_session(pc, ScenarioConfig(kind="double-ekert"))
+    return SessionRecords.simulate(pc, ScenarioConfig(kind="double-ekert"))
 
 
 @pytest.fixture(scope="module")
 def single_blind():
     pc = ProtocolConfig(protocol="bbm92", rounds=N_ROUNDS, seed=ACCEPT_SEED)
-    return run_session(pc, ScenarioConfig(kind="single-blinding"))
+    return SessionRecords.simulate(pc, ScenarioConfig(kind="single-blinding"))
 
 
 @pytest.fixture(scope="module")
 def honest_ekert():
     pc = ProtocolConfig(protocol="ekert", rounds=N_ROUNDS, seed=ACCEPT_SEED)
-    return run_session(pc, ScenarioConfig(kind="honest"))
+    return SessionRecords.simulate(pc, ScenarioConfig(kind="honest"))
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +100,7 @@ def curve_sessions():
             alice_settings=(0.0,),
             bob_settings=(delta,),
         )
-        sessions.append((delta, run_session(pc, ScenarioConfig(kind="double-bbm92"))))
+        sessions.append((delta, SessionRecords.simulate(pc, ScenarioConfig(kind="double-bbm92"))))
     return sessions
 
 
@@ -269,7 +268,7 @@ def test_acceptance_09_property_suites(
         alice_settings=tuple(s + phi for s in EKERT_ALICE_SETTINGS),
         bob_settings=tuple(s + phi for s in EKERT_BOB_SETTINGS),
     )
-    rot = run_session(pc_rot, ScenarioConfig(kind="double-ekert"))
+    rot = SessionRecords.simulate(pc_rot, ScenarioConfig(kind="double-ekert"))
     quad_rot = (phi, phi + math.pi / 4.0, phi + math.pi / 8.0, phi + 3.0 * math.pi / 8.0)
     base_res = chsh_score(attack_ekert)
     rot_res = chsh_score(rot, quad=quad_rot)
@@ -293,7 +292,7 @@ def test_acceptance_09_property_suites(
 
     # seed determinism: worker count never changes a single byte
     pc = ProtocolConfig(protocol="ekert", rounds=N_ROUNDS, seed=ACCEPT_SEED)
-    wide = run_session(pc, ScenarioConfig(kind="double-ekert"), workers=4)
+    wide = SessionRecords.simulate(pc, ScenarioConfig(kind="double-ekert"), workers=4)
     det_ok = all(
         getattr(attack_ekert, col).tobytes() == getattr(wide, col).tobytes()
         for col in ("theta_a", "theta_b", "outcome_a", "outcome_b", "weak_side", "hidden_lambda")

@@ -28,7 +28,6 @@ from blindsim.analysis import (
 from blindsim.optics import wrap_diff
 from blindsim.protocol import (
     ProtocolConfig,
-    SessionCounts,
     SessionRecords,
     bbm92_qber,
     chsh_score,
@@ -67,8 +66,7 @@ def test_oracle_corr_honest_cosine_law():
         oracle_corr_honest(0.0, 1.5)
     # the summary's oracle block reads this law off the expected counts of honest sources
     honest = ScenarioConfig(kind="honest", depolarize_prob=0.2)
-    rec = run_session(ProtocolConfig(protocol="ekert", rounds=10, seed=1), honest)
-    block = oracle_block(rec)
+    block = oracle_block(ProtocolConfig(protocol="ekert", rounds=10, seed=1), honest)
     assert block["chsh"] == pytest.approx(0.8 * 2.0 * SQ2, abs=1e-12)
     for pair in block["corr_pairs"]:
         assert pair["value"] == pytest.approx(oracle_corr_honest(pair["delta"], 0.2), abs=1e-12)
@@ -140,8 +138,8 @@ _OFF_DOMAIN = {
 @pytest.mark.parametrize("name", list(_OFF_DOMAIN))
 def test_oracle_block_outside_the_closed_forms(name):
     pc, sc = _OFF_DOMAIN[name]
-    session = run_session(pc, sc, keep_rounds=False, audit=False)
-    block = oracle_block(session)
+    session = run_session(pc, sc, audit=False)
+    block = oracle_block(pc, sc)
     eff = estimate_efficiencies(session, n_emitted=len(session))
     if name == "double-ekert-1.5":
         # beyond Tsirelson's 2 sqrt(2): the closed forms said 2.83, 0.854 and 0.828
@@ -208,7 +206,7 @@ def test_expected_counts_fit_simulated_sessions(protocol_kwargs, scenario_kwargs
     probs = expected_counts(pc, sc)
     assert probs.shape == (len(pc.alice_settings), len(pc.bob_settings), 4, 4, 3)
     assert probs.min() >= 0.0 and probs.sum() == pytest.approx(1.0, abs=1e-12)
-    counts = run_session(pc, sc, keep_rounds=False, audit=False).counts
+    counts = run_session(pc, sc, audit=False).counts
     assert counts[probs == 0.0].sum() == 0  # no round in a cell that cannot occur
     possible = probs > 0.0
     observed, expected = counts[possible], probs[possible] * pc.rounds
@@ -219,7 +217,7 @@ def test_expected_counts_fit_simulated_sessions(protocol_kwargs, scenario_kwargs
 
 def test_expected_counts_give_the_closed_forms_at_the_defaults():
     pc = ProtocolConfig(protocol="ekert", rounds=1)
-    block = oracle_block(SessionCounts(pc, ScenarioConfig(kind="double-ekert"), 1, None))
+    block = oracle_block(pc, ScenarioConfig(kind="double-ekert"))
     assert block["eta"] == pytest.approx(oracle_eta(DEFAULT_ALPHA), abs=1e-12)
     assert block["eta"] == pytest.approx(0.853553, abs=1e-6)
     assert block["eta_21"] == pytest.approx(2.0 * SQ2 - 2.0, abs=1e-12)
@@ -231,7 +229,7 @@ def test_expected_counts_give_the_closed_forms_at_the_defaults():
     # at intensity 2 Eve gets the whole BBM92 key at unit efficiency, and E is linear in |delta|
     grid = tuple(np.linspace(-math.pi / 2.0, math.pi / 2.0, 13)[1:])
     pc = ProtocolConfig(protocol="bbm92", rounds=1, alice_settings=(0.0,), bob_settings=grid)
-    block = oracle_block(SessionCounts(pc, ScenarioConfig(kind="double-bbm92"), 1, None))
+    block = oracle_block(pc, ScenarioConfig(kind="double-bbm92"))
     assert block["qber"] == pytest.approx(0.0, abs=1e-12)
     assert block["eta"] == pytest.approx(1.0, abs=1e-12)
     assert block["eta_21"] == pytest.approx(1.0, abs=1e-12)
@@ -284,7 +282,7 @@ def test_bounds_monotone_decreasing():
 def _ekert_attack_session(rounds=200_000, seed=33):
     pc = ProtocolConfig(protocol="ekert", rounds=rounds, seed=seed)
     sc = ScenarioConfig(kind="double-ekert")
-    return run_session(pc, sc)
+    return SessionRecords.simulate(pc, sc)
 
 
 def test_estimate_efficiencies_matches_oracles():
@@ -323,6 +321,18 @@ def test_estimate_efficiencies_rejects_fewer_emissions_than_records():
     assert estimate_efficiencies(rec, n_emitted=2 * len(rec)).eta < 0.5
 
 
+def test_estimate_efficiencies_refuses_a_fractional_emission_count():
+    # int() would truncate len + 0.9 to len and report that count's eta
+    pc = ProtocolConfig(protocol="ekert", rounds=20_000, seed=34)
+    session = run_session(pc, ScenarioConfig(kind="double-ekert"), audit=False)
+    for bad in (len(session) + 0.9, len(session) + 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="n_emitted"):
+            estimate_efficiencies(session, n_emitted=bad)
+    # a whole number in float form is that count
+    whole = estimate_efficiencies(session, n_emitted=float(len(session)))
+    assert whole == estimate_efficiencies(session, n_emitted=len(session))
+
+
 def test_counting_inequality_between_efficiencies():
     # coincidences >= singles_a + singles_b - rounds forces
     # eta_21 >= 2 - 1/eta whenever every emission is recorded
@@ -337,15 +347,15 @@ def test_weak_side_detection_rate():
     rate = weak_side_detection_rate(rec)
     assert rate == pytest.approx(oracle_weak_detection_prob(DEFAULT_ALPHA), abs=0.005)
     pc = ProtocolConfig(protocol="bbm92", rounds=1_000, seed=1)
-    strong = run_session(pc, ScenarioConfig(kind="double-bbm92"))
+    strong = SessionRecords.simulate(pc, ScenarioConfig(kind="double-bbm92"))
     assert weak_side_detection_rate(strong) is None
-    honest = run_session(pc, ScenarioConfig(kind="honest"))
+    honest = SessionRecords.simulate(pc, ScenarioConfig(kind="honest"))
     assert weak_side_detection_rate(honest) is None
 
 
 def test_fair_sampling_passes_for_honest_sessions():
     pc = ProtocolConfig(protocol="bbm92", rounds=100_000, seed=50)
-    rec = run_session(pc, ScenarioConfig(kind="honest"))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind="honest"))
     report = fair_sampling_monitor(rec)
     assert report.verdict == "pass"
     assert [c.name for c in report.checks] == [
@@ -357,7 +367,7 @@ def test_fair_sampling_passes_for_honest_sessions():
 
 def test_fair_sampling_passes_for_both_attacks():
     pc = ProtocolConfig(protocol="bbm92", rounds=100_000, seed=51)
-    rec = run_session(pc, ScenarioConfig(kind="double-bbm92"))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind="double-bbm92"))
     assert fair_sampling_monitor(rec).verdict == "pass"
     rec = _ekert_attack_session(rounds=100_000, seed=52)
     assert fair_sampling_monitor(rec).verdict == "pass"
@@ -395,14 +405,14 @@ def test_fair_sampling_fails_on_setting_dependent_rate():
 
 def test_fair_sampling_inconclusive_on_small_samples():
     pc = ProtocolConfig(protocol="bbm92", rounds=150, seed=53)
-    rec = run_session(pc, ScenarioConfig(kind="honest"))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind="honest"))
     report = fair_sampling_monitor(rec)
     assert report.verdict == "inconclusive"
 
 
 def test_fair_sampling_validation():
     pc = ProtocolConfig(protocol="bbm92", rounds=1_000, seed=54)
-    rec = run_session(pc, ScenarioConfig(kind="honest"))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind="honest"))
     with pytest.raises(ValueError, match="significance"):
         fair_sampling_monitor(rec, significance=0.0)
     with pytest.raises(ValueError, match="significance"):
@@ -410,7 +420,7 @@ def test_fair_sampling_validation():
     single = ProtocolConfig(
         protocol="bbm92", rounds=1_000, seed=55, alice_settings=(0.0,)
     )
-    rec_single = run_session(single, ScenarioConfig(kind="honest"))
+    rec_single = SessionRecords.simulate(single, ScenarioConfig(kind="honest"))
     with pytest.raises(ValueError, match="settings"):
         fair_sampling_monitor(rec_single)
 
@@ -460,7 +470,7 @@ def _per_round_stderrs(rec):
 ])
 def test_efficiency_stderrs_match_per_round_formulas(scenario, protocol, alpha):
     pc = ProtocolConfig(protocol=protocol, rounds=150_000, seed=60)
-    rec = run_session(pc, ScenarioConfig(kind=scenario, alpha=alpha))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind=scenario, alpha=alpha))
     eff = estimate_efficiencies(rec, n_emitted=len(rec))
     eta_stderr, eta_21_stderr = _per_round_stderrs(rec)
     assert eff.eta_stderr == pytest.approx(eta_stderr, rel=1e-12, abs=0.0)
@@ -470,7 +480,7 @@ def test_efficiency_stderrs_match_per_round_formulas(scenario, protocol, alpha):
 @pytest.mark.parametrize("protocol", ["bbm92", "ekert"])
 def test_public_statistics_ignore_the_weak_side_column(protocol):
     pc = ProtocolConfig(protocol=protocol, rounds=80_000, seed=61)
-    rec = run_session(pc, ScenarioConfig(kind="double-ekert"))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind="double-ekert"))
     rolled = SessionRecords(
         rec.protocol, rec.scenario, rec.a_idx, rec.b_idx, rec.outcome_a, rec.outcome_b,
         np.roll(rec.weak_side, 1), hidden_lambda=rec.hidden_lambda,
@@ -489,7 +499,7 @@ def test_public_statistics_ignore_the_weak_side_column(protocol):
 
 def test_statistics_memory_does_not_grow_with_rounds():
     pc = ProtocolConfig(protocol="ekert", rounds=400_000, seed=62)
-    rec = run_session(pc, ScenarioConfig(kind="double-ekert"))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind="double-ekert"))
     for fn, bound_mb in (
         (fair_sampling_monitor, 1.0),
         (chsh_score, 1.0),

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from blindsim import protocol
 from blindsim.cli import main
+from blindsim.sources import CHUNK_ROUNDS, ScenarioConfig
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "blindbench" / "spans.py"
 
@@ -60,3 +61,11 @@ def test_tracer_wraps_every_traced_name(tmp_path):
     # neither command keeps per-round columns: under a byte per round retained
     for _, rounds, retained in tracer.sessions:
         assert retained < rounds
+
+
+def test_run_session_retains_under_a_byte_per_round():
+    # run_session streams: a 32-chunk session keeps its count tensor, no per-round column
+    pc = protocol.ProtocolConfig(protocol="ekert", rounds=32 * CHUNK_ROUNDS, seed=46)
+    session = protocol.run_session(pc, ScenarioConfig(kind="double-ekert"))
+    assert len(session) == pc.rounds
+    assert _load_spans().retained_bytes(session) < len(session)

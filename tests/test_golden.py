@@ -257,7 +257,7 @@ def test_strong_intensity_counts_digest(scenario, protocol):
     pc = ProtocolConfig(protocol=protocol, rounds=150_000, seed=6)
     sc = ScenarioConfig(kind=scenario, strong_intensity=1.5)
     for workers in (1, 2):
-        session = run_session(pc, sc, workers, keep_rounds=False)
+        session = run_session(pc, sc, workers)
         digest = hashlib.sha256(session.counts.astype("<i8").tobytes())
         digest.update(repr(session.eve_tally).encode())
         assert digest.hexdigest() == STRONG_1_5_DIGESTS[(scenario, protocol)], f"workers={workers}"

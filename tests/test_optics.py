@@ -129,10 +129,10 @@ def test_threshold_click_strictness():
     i0 = np.array([1.0, 1.0 + 1e-9, 0.0, 1.5, 0.0])
     i1 = np.array([1.0, 0.0, 1.0 + 1e-9, 1.2, 0.0])
     np.testing.assert_array_equal(
-        click_codes(i0, i1, 1.0),
+        click_codes(i0, i1),
         [Outcome.NO_CLICK, Outcome.PLUS, Outcome.MINUS, Outcome.DOUBLE_CLICK, Outcome.NO_CLICK],
     )
-    assert click_codes(0.3, 0.9, threshold=0.25) == Outcome.DOUBLE_CLICK
+    assert click_codes(1.2, 3.6) == Outcome.DOUBLE_CLICK
 
 
 def test_measure_pulse_sides():

@@ -49,10 +49,11 @@ from blindsim.sources import (
 SQ2 = math.sqrt(2.0)
 
 
-def _session(scenario, protocol, rounds, seed, keep_rounds=True, **kwargs):
+def _session(scenario, protocol, rounds, seed, kept=True, **kwargs):
+    """The session's SessionRecords.simulate, or with kept=False its streamed run_session."""
     pc = ProtocolConfig(protocol=protocol, rounds=rounds, seed=seed, **kwargs)
     sc = ScenarioConfig(kind=scenario)
-    return run_session(pc, sc, keep_rounds=keep_rounds)
+    return SessionRecords.simulate(pc, sc) if kept else run_session(pc, sc)
 
 
 def test_protocol_config_defaults():
@@ -130,7 +131,7 @@ def test_run_session_deterministic_and_worker_independent():
     again = _session("double-ekert", "ekert", n, 9)
     pc = ProtocolConfig(protocol="ekert", rounds=n, seed=9)
     sc = ScenarioConfig(kind="double-ekert")
-    wide = run_session(pc, sc, workers=4)
+    wide = SessionRecords.simulate(pc, sc, workers=4)
     for col in ("theta_a", "theta_b", "outcome_a", "outcome_b", "weak_side", "hidden_lambda"):
         np.testing.assert_array_equal(getattr(base, col), getattr(again, col))
         np.testing.assert_array_equal(getattr(base, col), getattr(wide, col))
@@ -177,7 +178,7 @@ def test_sift_bbm92_without_the_lambda_column_gives_eve_no_bits():
 def test_sift_bbm92_honest_depolarized_qber():
     pc = ProtocolConfig(protocol="bbm92", rounds=400_000, seed=21)
     sc = ScenarioConfig(kind="honest", depolarize_prob=0.1)
-    rec = run_session(pc, sc)
+    rec = SessionRecords.simulate(pc, sc)
     key, qber = sift_bbm92(rec)
     # each replaced pair disagrees half the time: qber = depolarize / 2
     assert qber == pytest.approx(0.05, abs=0.002)
@@ -190,7 +191,7 @@ def test_sift_bbm92_empty_when_settings_never_match():
         protocol="bbm92", rounds=200, seed=1,
         alice_settings=(0.0,), bob_settings=(math.pi / 8.0,),
     )
-    rec = run_session(pc, ScenarioConfig(kind="honest"))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind="honest"))
     key, qber = sift_bbm92(rec)
     assert qber is None
     assert key.bits_alice.size == 0
@@ -202,7 +203,7 @@ def test_bbm92_qber_equals_sifted_bit_disagreement(scenario):
     for p in (0.0, 0.1, 0.3):
         for seed in (1, 2):
             pc = ProtocolConfig(protocol="bbm92", rounds=30_000, seed=seed)
-            rec = run_session(pc, ScenarioConfig(kind=scenario, depolarize_prob=p))
+            rec = SessionRecords.simulate(pc, ScenarioConfig(kind=scenario, depolarize_prob=p))
             key, qber = sift_bbm92(rec)
             expected = float(np.mean(key.bits_alice != key.bits_bob))
             assert bbm92_qber(rec) == qber == expected, (p, seed)
@@ -238,11 +239,21 @@ def test_public_projection_carries_no_source_secrets():
 
 def test_correlation_estimate_no_coincidences():
     pc = ProtocolConfig(protocol="bbm92", rounds=100, seed=1)
-    rec = run_session(pc, ScenarioConfig(kind="honest"))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind="honest"))
     est = correlation_estimate(rec, 0.3, 0.4)
     assert est.value is None
     assert est.stderr is None
     assert est.n_coincidences == 0
+
+
+def test_correlation_estimate_refuses_non_finite_angles():
+    # a non-finite angle names no setting; it is refused, not reported as a pair without coincidences
+    session = _session("double-bbm92", "bbm92", 1_000, 5, kept=False)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="theta_a"):
+            correlation_estimate(session, bad, math.pi / 4.0)
+        with pytest.raises(ValueError, match="theta_b"):
+            correlation_estimate(session, 0.0, bad)
 
 
 def test_correlation_estimate_honest_pair():
@@ -250,7 +261,7 @@ def test_correlation_estimate_honest_pair():
         protocol="bbm92", rounds=200_000, seed=22,
         alice_settings=(0.0,), bob_settings=(math.pi / 8.0,),
     )
-    rec = run_session(pc, ScenarioConfig(kind="honest"))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind="honest"))
     est = correlation_estimate(rec, 0.0, math.pi / 8.0)
     assert est.n_coincidences == 200_000
     assert est.value == pytest.approx(-math.cos(math.pi / 4.0), abs=0.005)
@@ -271,8 +282,8 @@ def test_correlation_depends_only_on_setting_difference():
         alice_settings=(phi,), bob_settings=(phi + delta,),
     )
     sc = ScenarioConfig(kind="double-bbm92")
-    e1 = correlation_estimate(run_session(pc1, sc), 0.0, delta)
-    e2 = correlation_estimate(run_session(pc2, sc), phi, phi + delta)
+    e1 = correlation_estimate(SessionRecords.simulate(pc1, sc), 0.0, delta)
+    e2 = correlation_estimate(SessionRecords.simulate(pc2, sc), phi, phi + delta)
     spread = math.hypot(e1.stderr, e2.stderr)
     assert abs(e1.value - e2.value) < 4.0 * spread + 1e-9
 
@@ -333,7 +344,7 @@ def test_chsh_score_flags_missing_pairs():
         protocol="ekert", rounds=100, seed=1,
         alice_settings=CHSH_QUAD[:2], bob_settings=(CHSH_QUAD[2],),
     )
-    rec = run_session(pc, ScenarioConfig(kind="honest"))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind="honest"))
     with pytest.raises(ValueError, match="b_prime"):
         chsh_score(rec)
 
@@ -351,7 +362,7 @@ def test_chsh_score_none_when_a_pair_has_no_coincidences():
     # a single round populates one setting pair at most; the score is
     # undefined and flagged rather than reported as zero
     pc = ProtocolConfig(protocol="ekert", rounds=1, seed=2)
-    rec = run_session(pc, ScenarioConfig(kind="honest"))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind="honest"))
     res = chsh_score(rec)
     assert res.value is None
     assert res.stderr is None
@@ -382,13 +393,13 @@ def test_eve_audit_checks_an_independent_arithmetic(monkeypatch, scenario, proto
     # the kernel decides clicks by angle windows, Eve predicts them by Malus
     # splitting: a kernel window 1e-3 too wide must show up in the audit,
     # whether the session streams its chunks or keeps its columns
-    for keep_rounds in (True, False):
-        rep = eve_prediction_report(_session(scenario, proto, 20_000, 31, keep_rounds))
+    for kept in (True, False):
+        rep = eve_prediction_report(_session(scenario, proto, 20_000, 31, kept))
         assert rep["mismatched_outcomes"] == 0
     true_width = protocol.window_half_width
     monkeypatch.setattr(protocol, "window_half_width", lambda intensity: true_width(intensity) + 1e-3)
-    for keep_rounds in (True, False):
-        rep = eve_prediction_report(_session(scenario, proto, 20_000, 31, keep_rounds))
+    for kept in (True, False):
+        rep = eve_prediction_report(_session(scenario, proto, 20_000, 31, kept))
         assert rep["mismatched_outcomes"] > 0
 
     # Eve's float32 screen settles every round within 2**-12 of a click
@@ -410,8 +421,8 @@ def test_eve_audit_checks_an_independent_arithmetic(monkeypatch, scenario, proto
     monkeypatch.setattr(protocol, "sample_lambda", near_an_edge)
     for extra in (0.0, 1e-6):
         monkeypatch.setattr(protocol, "window_half_width", lambda intensity: true_width(intensity) + extra)
-        for keep_rounds in (True, False):
-            rep = eve_prediction_report(_session(scenario, proto, 20_000, 31, keep_rounds))
+        for kept in (True, False):
+            rep = eve_prediction_report(_session(scenario, proto, 20_000, 31, kept))
             assert (rep["mismatched_outcomes"] > 0) == (extra > 0), (extra, rep)
 
 
@@ -421,7 +432,7 @@ def test_strong_pulse_below_intensity_two(scenario, proto):
     # detector axes, so a strong station clicks with probability 4w/pi
     n = 200_000
     pc = ProtocolConfig(protocol=proto, rounds=n, seed=32)
-    rec = run_session(pc, ScenarioConfig(kind=scenario, strong_intensity=1.5))
+    rec = SessionRecords.simulate(pc, ScenarioConfig(kind=scenario, strong_intensity=1.5))
     assert eve_prediction_report(rec)["mismatched_outcomes"] == 0
     if scenario == "double-bbm92":
         p = 2.0 * math.acos(1.0 / 3.0) / math.pi
@@ -510,12 +521,12 @@ def test_run_session_clamps_worker_pool(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     pc = ProtocolConfig(protocol="bbm92", rounds=CHUNK_ROUNDS + 1, seed=3)
     sc = ScenarioConfig(kind="honest")
-    wide = run_session(pc, sc, workers=8)
+    wide = SessionRecords.simulate(pc, sc, workers=8)
     assert _RecordingPool.requested == [2]
-    np.testing.assert_array_equal(wide.outcome_b, run_session(pc, sc).outcome_b)
+    np.testing.assert_array_equal(wide.outcome_b, SessionRecords.simulate(pc, sc).outcome_b)
     # an unknown CPU count means one worker and no pool at all
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    run_session(pc, sc, workers=8)
+    SessionRecords.simulate(pc, sc, workers=8)
     assert _RecordingPool.requested == [2]
 
 
@@ -543,7 +554,7 @@ def test_session_chunks_default_columns_are_the_session_columns(scenario, proto)
     # two full chunks and a partial one, in chunk order at any worker count
     pc = ProtocolConfig(protocol=proto, rounds=2 * CHUNK_ROUNDS + 1234, seed=47)
     sc = ScenarioConfig(kind=scenario)
-    kept = run_session(pc, sc)
+    kept = SessionRecords.simulate(pc, sc)
     for workers in (1, 2):
         parts = list(session_chunks(pc, sc, workers))
         assert [part[0].size for part in parts] == [CHUNK_ROUNDS, CHUNK_ROUNDS, 1234]
@@ -626,10 +637,10 @@ def test_streamed_session_matches_the_column_session(scenario, proto):
     # three chunks, the last one partial: chunk reductions merge by addition
     pc = ProtocolConfig(protocol=proto, rounds=2 * CHUNK_ROUNDS + 1234, seed=40)
     sc = ScenarioConfig(kind=scenario)
-    kept = run_session(pc, sc)
+    kept = SessionRecords.simulate(pc, sc)
     assert isinstance(kept, SessionRecords)
     for workers in (1, 2):
-        streamed = run_session(pc, sc, workers, keep_rounds=False)
+        streamed = run_session(pc, sc, workers)
         assert type(streamed) is SessionCounts
         assert len(streamed) == len(kept) == pc.rounds
         np.testing.assert_array_equal(streamed.counts, kept.counts)
@@ -654,7 +665,7 @@ def test_column_session_reduces_the_eve_audit_on_first_use(monkeypatch):
 
     monkeypatch.setattr(protocol, "predict_outcome_codes", counted)
     pc = ProtocolConfig(protocol="ekert", rounds=CHUNK_ROUNDS + 10, seed=44)
-    session = run_session(pc, ScenarioConfig(kind="double-ekert"))
+    session = SessionRecords.simulate(pc, ScenarioConfig(kind="double-ekert"))
     chsh_score(session)
     assert calls == []
     report = eve_prediction_report(session)
@@ -669,7 +680,7 @@ def test_streamed_session_memory_does_not_grow_with_rounds(rounds):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        session = run_session(pc, ScenarioConfig(kind="double-ekert"), keep_rounds=False)
+        session = run_session(pc, ScenarioConfig(kind="double-ekert"))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -678,18 +689,18 @@ def test_streamed_session_memory_does_not_grow_with_rounds(rounds):
 
 
 def test_counts_only_session_refuses_per_round_questions():
-    session = _session("double-ekert", "bbm92", 5_000, 42, keep_rounds=False)
+    session = _session("double-ekert", "bbm92", 5_000, 42, kept=False)
     for name in ("a_idx", "theta_a", "outcome_b", "weak_side", "hidden_lambda"):
-        with pytest.raises(ValueError, match="keep_rounds"):
+        with pytest.raises(ValueError, match="SessionRecords.simulate"):
             getattr(session, name)
     # hasattr cannot tell an unkept column from a present one: it raises too
-    with pytest.raises(ValueError, match="keep_rounds"):
+    with pytest.raises(ValueError, match="SessionRecords.simulate"):
         hasattr(session, "a_idx")
-    pub = session.public_view()
+    pub = public_rounds(session)
     np.testing.assert_array_equal(pub.counts, session.counts.sum(axis=4))
     # hidden columns are absent from the public view, not merely unkept
     assert not hasattr(pub, "hidden_lambda")
-    with pytest.raises(ValueError, match="keep_rounds"):
+    with pytest.raises(ValueError, match="SessionRecords.simulate"):
         sift_bbm92(session)
     # statistics read the count tensor only
     assert bbm92_qber(session) == 0.0
@@ -698,11 +709,11 @@ def test_counts_only_session_refuses_per_round_questions():
 def test_session_without_audit_refuses_the_eve_report():
     pc = ProtocolConfig(protocol="ekert", rounds=1_000, seed=43)
     for scenario in ("double-ekert", "double-bbm92"):
-        session = run_session(pc, ScenarioConfig(kind=scenario), keep_rounds=False, audit=False)
+        session = run_session(pc, ScenarioConfig(kind=scenario), audit=False)
         assert session.eve_tally is None
         with pytest.raises(ValueError, match="audit"):
             eve_prediction_report(session)
-    honest = run_session(pc, ScenarioConfig(kind="honest"), keep_rounds=False, audit=False)
+    honest = run_session(pc, ScenarioConfig(kind="honest"), audit=False)
     assert eve_prediction_report(honest) is None
 
 
@@ -725,7 +736,7 @@ def test_streamed_workers_session_memory_does_not_grow_with_chunks(monkeypatch):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            session = run_session(pc, sc, 2, keep_rounds=False, audit=False)
+            session = run_session(pc, sc, 2, audit=False)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
@@ -733,16 +744,11 @@ def test_streamed_workers_session_memory_does_not_grow_with_chunks(monkeypatch):
     assert peaks[1] < peaks[0] + 2**16, peaks
 
 
-def _column_reference(pc, sc):
-    """The session's SessionRecords, built from _simulate_chunk's per-round columns."""
-    return SessionRecords(pc, sc, *protocol._assemble(session_chunks(pc, sc), pc.rounds))
-
-
 def _assert_bucketed_matches_columns(pc, sc, workers=(1,)):
     """Streamed counts and Eve-audit counters equal the column session's, with and without the audit."""
-    reference = _column_reference(pc, sc)
+    reference = SessionRecords.simulate(pc, sc)
     for w, audit in [(1, False)] + [(w, True) for w in workers]:
-        streamed = run_session(pc, sc, w, keep_rounds=False, audit=audit)
+        streamed = run_session(pc, sc, w, audit=audit)
         np.testing.assert_array_equal(streamed.counts, reference.counts)
         assert streamed.eve_tally == (reference.eve_tally if audit else None), (w, audit)
     return reference

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from blindsim.optics import Outcome, canon_angle, click_codes, split_intensities, wrap_diff
-from blindsim.protocol import ProtocolConfig, run_session, sift_bbm92
+from blindsim.protocol import ProtocolConfig, SessionRecords, sift_bbm92
 from blindsim.sources import (
     CHUNK_ROUNDS,
     DEFAULT_ALPHA,
@@ -322,7 +322,7 @@ def test_eve_predict_none_for_scenarios_without_hidden_state():
     # sifted key gets no Eve prediction
     for kind in ("honest", "single-blinding"):
         pc = ProtocolConfig(protocol="bbm92", rounds=2_000, seed=17)
-        rec = run_session(pc, ScenarioConfig(kind=kind))
+        rec = SessionRecords.simulate(pc, ScenarioConfig(kind=kind))
         assert rec.hidden_lambda is None
         key, _ = sift_bbm92(rec)
         assert key.bits_alice.size > 0
