@@ -351,6 +351,9 @@ def cmd_sweep(args) -> int:
              ProtocolConfig(protocol="ekert", rounds=args.rounds, seed=args.seed + i))
             for i, a in enumerate(grid)
         ]
+    # a bad worker count, then an unwritable --out, fail before anything is simulated
+    for _, scenario_cfg, protocol_cfg in points:
+        session_chunks(protocol_cfg, scenario_cfg, args.workers)
     _probe_outputs(args.out)
     _keep_freed_heap()
     rows = []

@@ -335,15 +335,24 @@ def _open_chunk(pc: ProtocolConfig, chunk_index: int):
 
 
 def _draw_double_blind(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
-    """A double-blind chunk's draws, in stream order, sliced as _simulate_chunk slices them.
+    """A double-blind chunk's draws, in stream order: the first m of CHUNK_ROUNDS values each.
 
-    Returns (lam, a_idx, b_idx, weak); the setting indices stay int64.
+    Returns (lam, a_idx, b_idx, weak); the setting indices are int32, which
+    numpy draws by the same bounded-uint32 path, and so with the same values
+    and stream use, as int64. A final chunk of m < CHUNK_ROUNDS rounds draws
+    only m values of lam and the coin and skips the rest with advance: a
+    uniform double costs one uint64 and a coin one uint32 (at range 2 the
+    bounded draw never rejects), and advance also drops a buffered uint32,
+    as the full coin draw would. a_idx can reject at 3 settings, so it is
+    drawn in full and sliced; b_idx is the last draw.
     """
     lo, m, g = _open_chunk(pc, chunk_index)
-    lam = sample_lambda(g, CHUNK_ROUNDS)[:m]
-    coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-    a_idx = g.integers(0, len(pc.alice_settings), CHUNK_ROUNDS)[:m]
-    b_idx = g.integers(0, len(pc.bob_settings), CHUNK_ROUNDS)[:m]
+    lam = sample_lambda(g, m)
+    g.bit_generator.advance(CHUNK_ROUNDS - m)
+    coin = g.integers(0, 2, m, dtype=np.int32)
+    g.bit_generator.advance(CHUNK_ROUNDS // 2 - (m + 1) // 2)
+    a_idx = g.integers(0, len(pc.alice_settings), CHUNK_ROUNDS, dtype=np.int32)[:m]
+    b_idx = g.integers(0, len(pc.bob_settings), m, dtype=np.int32)
     return lam, a_idx, b_idx, weak_side_codes(sc, coin, lo)
 
 
@@ -374,11 +383,13 @@ def _window_columns(pc: ProtocolConfig, sc: ScenarioConfig, lam, a_idx, b_idx, w
 def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     """Simulate rounds [chunk*CHUNK_ROUNDS, ...) of the session.
 
-    Returns the chunk's columns in _COLUMNS order; the setting indices stay
-    int64, which index the setting tables faster than int8.
-    Every chunk draws full-size arrays in a fixed per-scenario order and
-    slices afterwards, so per-round values never depend on how many rounds
-    the final chunk actually covers.
+    Returns the chunk's columns in _COLUMNS order; the setting indices are
+    int64 (int32 for double blind), which index the setting tables faster
+    than int8. Every chunk draws in a fixed per-scenario order, as if each
+    array had CHUNK_ROUNDS values; the final chunk keeps the first values
+    of each, and a double-blind one stops drawing what it would slice off
+    (_draw_double_blind), so per-round values never depend on how many
+    rounds the final chunk actually covers.
     """
     if sc.kind in DOUBLE_BLIND_KINDS:
         return _window_columns(pc, sc, *_draw_double_blind(pc, sc, chunk_index))
@@ -523,17 +534,17 @@ def _reduce_bucketed(
     chunk's, since a decided round has Eve's prediction equal to its outcome.
     """
     lam, a_idx, b_idx, weak = _draw_double_blind(pc, sc, chunk_index)
-    # the flat bin of (a_idx, b_idx, weak, bucket), in place in int64
+    # the flat bin of (a_idx, b_idx, weak, bucket), in place in int32: every bin is below _MAX_BINS
     key = np.multiply(a_idx, len(pc.bob_settings))
     key += b_idx
     key *= 3
     key += weak
     key *= tables.buckets
-    key += np.multiply(lam, tables.scale).astype(np.intp)
+    key += np.multiply(lam, tables.scale).astype(np.int32)
     shape = _count_shape(pc)
     n_cells = math.prod(shape)
     cell = tables.cells.take(key)
-    del key  # bincount copies cell to intp: free the int64 keys first, for a lower peak
+    del key  # bincount copies cell to intp: free the keys first, for a lower peak
     counts = np.bincount(cell, minlength=n_cells + 1)[:-1].reshape(shape)
 
     idx = np.flatnonzero(cell == n_cells)

@@ -24,8 +24,10 @@ from .optics import PERIOD, Outcome, click_codes, quarter_turn, split_intensitie
 # coincidence-conditioned faked states
 DEFAULT_ALPHA = math.pi / (4.0 * math.sqrt(2.0))
 
-# rounds per RNG chunk; every chunk draws full-size arrays in a fixed order,
-# so any per-round value is a pure function of (seed, round index, config)
+# rounds per RNG chunk; every chunk draws its arrays in a fixed order as if
+# each had CHUNK_ROUNDS values (a final double-blind chunk stops drawing what
+# it would slice off, with the values unchanged), so any per-round value is a
+# pure function of (seed, round index, config)
 CHUNK_ROUNDS = 1 << 16
 
 

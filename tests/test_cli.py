@@ -420,6 +420,19 @@ def test_sweep_refuses_an_unwritable_out_before_simulating(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_refuses_a_bad_worker_count_before_opening_out(tmp_path, monkeypatch, capsys):
+    # as run does: no session runs, and no --out file is left behind
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    rc = main([
+        "sweep", "--axis", "alpha", "--scenario", "double-ekert", "--start", "0.2", "--stop", "0.7",
+        "--steps", "3", "--rounds", "1000", "--workers", "0", "--out", str(tmp_path / "new.csv"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "workers" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_refuses_a_bad_grid_point_before_simulating(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_session", _no_session)
     for needle, argv in (

@@ -43,7 +43,9 @@ from blindsim.sources import (
     chunk_stream,
     honest_outcome_codes,
     intercept_click_codes,
+    sample_lambda,
     weak_intensity,
+    weak_side_codes,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -744,6 +746,50 @@ def test_streamed_workers_session_memory_does_not_grow_with_chunks(monkeypatch):
     assert peaks[1] < peaks[0] + 2**16, peaks
 
 
+def _full_size_double_blind(pc, sc, chunk_index):
+    """A double-blind chunk's draws as full-size int64 arrays, in stream order, sliced to the chunk."""
+    lo = chunk_index * CHUNK_ROUNDS
+    m = min(pc.rounds, lo + CHUNK_ROUNDS) - lo
+    g = chunk_stream(pc.seed, chunk_index)
+    lam = sample_lambda(g, CHUNK_ROUNDS)[:m]
+    coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
+    a_idx = g.integers(0, len(pc.alice_settings), CHUNK_ROUNDS)[:m]
+    b_idx = g.integers(0, len(pc.bob_settings), CHUNK_ROUNDS)[:m]
+    return lam, a_idx, b_idx, weak_side_codes(sc, coin, lo)
+
+
+@pytest.mark.parametrize("n_a,n_b", [(1, 1), (2, 2), (3, 3), (4, 4), (127, 127), (1, 3), (3, 127)])
+@pytest.mark.parametrize("m", [1, 2, 3, 1234, 3392, CHUNK_ROUNDS - 1, CHUNK_ROUNDS])
+def test_trimmed_double_blind_draws_equal_the_full_size_draws(m, n_a, n_b):
+    # a final chunk of m rounds draws only the m values of lambda, the coin
+    # and b_idx that it keeps, and skips the rest of lambda and the coin with
+    # advance; a numpy whose draws consume the stream otherwise fails here
+    def settings(n):
+        return tuple(np.arange(n) * math.pi / n)
+
+    pc = ProtocolConfig(
+        protocol="ekert", rounds=CHUNK_ROUNDS + m, seed=48, alice_settings=settings(n_a), bob_settings=settings(n_b)
+    )
+    for scenario in ("double-bbm92", "double-ekert"):
+        for policy in WeakSidePolicy:
+            sc = ScenarioConfig(kind=scenario, weak_side_policy=policy)
+            got = protocol._draw_double_blind(pc, sc, 1)
+            for name, col, ref in zip(("lam", "a_idx", "b_idx", "weak"), got, _full_size_double_blind(pc, sc, 1)):
+                np.testing.assert_array_equal(col, ref, err_msg=f"{name} {scenario} {policy.value}")
+            assert got[1].dtype == got[2].dtype == np.int32
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1234])
+def test_int32_bounded_draws_equal_int64_draws_and_stream_use(size):
+    # _draw_double_blind draws its coin and setting indices as int32: the
+    # values, and the stream state after the draw (buffered uint32 included),
+    # must be those of the int64 draw
+    for n in range(1, 128):
+        g32, g64 = np.random.default_rng(n), np.random.default_rng(n)
+        np.testing.assert_array_equal(g32.integers(0, n, size, dtype=np.int32), g64.integers(0, n, size), str(n))
+        assert g32.bit_generator.state == g64.bit_generator.state, n
+
+
 def _assert_bucketed_matches_columns(pc, sc, workers=(1,)):
     """Streamed counts and Eve-audit counters equal the column session's, with and without the audit."""
     reference = SessionRecords.simulate(pc, sc)
@@ -799,7 +845,7 @@ def _edge_draws(pc, sc):
 
     def draw(rng, size):
         near = canon_angle(rng.choice(edges, size) + rng.uniform(-4e-6, 4e-6, size))
-        near[: exact.size] = exact  # the first rounds of every chunk
+        near[: exact.size] = exact[:size]  # the first rounds of every chunk; full chunks hold them all
         return near
 
     return draw
