@@ -3,16 +3,18 @@
 A session draws independent uniform settings for both stations each round,
 asks the configured source for that round's physics, and reduces each
 65536-round chunk to a count tensor and Eve-audit counters while the chunk
-is still in cache. A streamed double-blind chunk is counted by bins rather
-than round by round: every round is a function of its setting pair, its
-weak side and its hidden polarization lambda, and that function is constant
-over all but a few narrow bands of lambda, so a per-session table gives the
-count-tensor cell of each (a_idx, b_idx, weak_side, lambda bucket) bin; only
-the rounds of bins that straddle a window edge or a click threshold, or
-where Eve's prediction differs, are settled and audited one by one. The
-per-round transcript, plus whatever hidden side-information the scenario
-carries (the faked-state polarization, Eve's intercept results), is kept
-only by SessionRecords.simulate. The correlation estimators only ever look
+is still in cache. A double-blind round is a function of its setting pair,
+its weak side and its hidden polarization lambda, and that function is
+constant over all but a few narrow bands of lambda. So a double-blind chunk
+draws each round's bin, (weak side, a_idx, b_idx, lambda bucket), as one
+bounded integer, plus a fraction u in [0, 1) that places lambda within the
+bucket; a per-session table laid out in draw order gives the count-tensor
+cell of each bin, and only the rounds of bins that straddle a window edge or
+a click threshold, or where Eve's prediction differs, are decoded, settled
+and audited one by one. The per-round transcript, plus whatever hidden
+side-information the scenario carries (the faked-state polarization, Eve's
+intercept results), is kept only by SessionRecords.simulate, which decodes
+the same draws for every round. The correlation estimators only ever look
 at public_rounds, and the parties' sifted bits only at the setting and
 outcome columns.
 """
@@ -23,6 +25,7 @@ import collections
 import enum
 import functools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,12 +47,12 @@ from .sources import (
     DOUBLE_BLIND_KINDS,
     ScenarioConfig,
     ScenarioKind,
+    WeakSidePolicy,
     chunk_stream,
     faked_pulse_params,
     honest_outcome_codes,
     intercept_click_codes,
     predict_outcome_codes,
-    sample_lambda,
     station_intensities,
     weak_side_codes,
 )
@@ -75,6 +78,13 @@ _SETTING_TOL = 1e-12
 def _angle_gap(x: float, y: float) -> float:
     """|wrap_diff(x - y)| on Python floats: how far apart two angles lie modulo pi."""
     return abs((x - y + HALF_PERIOD) % PERIOD - HALF_PERIOD)
+
+
+def _whole(name: str, value) -> int:
+    """value as an int; a fractional, NaN or infinite value raises ValueError instead of truncating."""
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
 
 
 def _canon_settings(name: str, values) -> tuple[float, ...]:
@@ -105,10 +115,10 @@ class ProtocolConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "protocol", ProtocolKind(self.protocol))
-        object.__setattr__(self, "rounds", int(self.rounds))
+        object.__setattr__(self, "rounds", _whole("rounds", self.rounds))
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.protocol is ProtocolKind.BBM92:
@@ -334,26 +344,109 @@ def _open_chunk(pc: ProtocolConfig, chunk_index: int):
     return lo, min(pc.rounds, lo + CHUNK_ROUNDS) - lo, chunk_stream(pc.seed, chunk_index)
 
 
-def _draw_double_blind(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
-    """A double-blind chunk's draws, in stream order: the first m of CHUNK_ROUNDS values each.
+def _kept(g: np.random.Generator, m: int, trim: bool, draw, per_word: int):
+    """The first m values of draw(CHUNK_ROUNDS), leaving the stream where that full draw leaves it.
 
-    Returns (lam, a_idx, b_idx, weak); the setting indices are int32, which
-    numpy draws by the same bounded-uint32 path, and so with the same values
-    and stream use, as int64. A final chunk of m < CHUNK_ROUNDS rounds draws
-    only m values of lam and the coin and skips the rest with advance: a
-    uniform double costs one uint64 and a coin one uint32 (at range 2 the
-    bounded draw never rejects), and advance also drops a buffered uint32,
-    as the full coin draw would. a_idx can reject at 3 settings, so it is
-    drawn in full and sliced; b_idx is the last draw.
+    With trim, only m values are drawn and advance skips the uint64 words
+    of the rest: per_word values fill one word (1 for a uniform double, 2
+    for a coin at range 2, whose bounded uint32 draw never rejects).
+    advance also drops a buffered uint32, so trim holds only where the full
+    draw leaves none: a coin draw that starts with none does.
+    """
+    if not trim:
+        return draw(CHUNK_ROUNDS)[:m]
+    values = draw(m)
+    g.bit_generator.advance(CHUNK_ROUNDS // per_word - -(-m // per_word))
+    return values
+
+
+# lambda buckets per session of a double-blind bin grid; halved until
+# n_a * n_b * 3 * buckets is at most _MAX_BINS, so the tables stay small for
+# up to 127 x 127 settings (the rule still counts all three weak sides,
+# which keeps the grid of the table that had them). With one bucket every
+# round is settled
+_LAMBDA_BUCKETS = 1024
+_MAX_BINS = 1 << 16
+# slack on a bucket's reach in lambda: far beyond the few ulps of pi by which
+# a round's offset arithmetic, or its float bucket index, can be off
+_EDGE_SLACK = 1e-9
+# slack on Eve's cosines: a float64 cosine or intensity product is off by a
+# few 1e-16, far below it
+_COSINE_SLACK = 2.0**-12
+# the largest lambda: scale sits just below buckets / pi, so (bucket + u) /
+# scale can round to pi or past it in the top bucket; such a round gets the
+# largest double below pi instead, a few ulps away and in the same bucket
+_TOP_LAMBDA = math.nextafter(PERIOD, 0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class _BinGrid:
+    """The bins a double-blind chunk draws, flattened in draw order.
+
+    A round's bin is (side digit, a_idx, b_idx, bucket), shape gives the
+    size of each axis, and its flat index is the round's key. sides[digit]
+    is the round's WeakSide code: the two codes of the random coin, or of
+    the alternate policy, or the one code of any other. Under the random
+    policy the key is drawn over every bin; under alternate it is drawn
+    over one side's bins, and an odd round (side B) adds one side's bins.
+    The round's hidden polarization lies in bucket floor(lam * scale), at
+    lam = (bucket + u) / scale for its fraction u in [0, 1).
+    """
+
+    shape: tuple[int, int, int, int]
+    scale: float
+    sides: np.ndarray
+    parity: bool
+
+    @property
+    def buckets(self) -> int:
+        return self.shape[3]
+
+    def decode(self, u, key):
+        """(lam, a_idx, b_idx, weak) of rounds with fractions u and bin keys key; lam < pi."""
+        _, n_a, n_b, buckets = self.shape
+        rest, bucket = np.divmod(key, buckets)
+        rest, b_idx = np.divmod(rest, n_b)
+        digit, a_idx = np.divmod(rest, n_a)
+        lam = np.add(bucket, u)
+        lam /= self.scale
+        np.minimum(lam, _TOP_LAMBDA, out=lam)
+        return lam, a_idx, b_idx, self.sides.take(digit)
+
+
+def _bin_grid(pc: ProtocolConfig, sc: ScenarioConfig) -> _BinGrid:
+    """The bin grid of a double-blind session (_BinGrid)."""
+    n_a, n_b = len(pc.alice_settings), len(pc.bob_settings)
+    buckets = _LAMBDA_BUCKETS
+    while buckets > 1 and n_a * n_b * 3 * buckets > _MAX_BINS:
+        buckets //= 2
+    # the bucket of the largest lambda, _TOP_LAMBDA, must stay below buckets
+    scale = buckets / PERIOD
+    while _TOP_LAMBDA * scale >= buckets:
+        scale = math.nextafter(scale, 0.0)
+    # the codes of coins 0 and 1 at rounds 0 and 1 (weak_side_codes): two sides, or one twice
+    codes = weak_side_codes(sc, np.arange(2), 0)
+    sides = codes if codes[0] != codes[1] else codes[:1]
+    parity = sides.size == 2 and sc.weak_side_policy is WeakSidePolicy.ALTERNATE
+    return _BinGrid((sides.size, n_a, n_b, buckets), scale, sides, parity)
+
+
+def _draw_bins(pc: ProtocolConfig, grid: _BinGrid, chunk_index: int):
+    """A double-blind chunk's draws, (u, key): each round's fraction in [0, 1) and its int32 bin key.
+
+    u comes first, m values of CHUNK_ROUNDS (_kept: a double costs one
+    uint64), and the key last, with only m values, since its bounded draw
+    can reject; so no round's values depend on the session length. numpy
+    draws an int32 by the same bounded-uint32 path, and so with the same
+    values and stream use, as an int64.
     """
     lo, m, g = _open_chunk(pc, chunk_index)
-    lam = sample_lambda(g, m)
-    g.bit_generator.advance(CHUNK_ROUNDS - m)
-    coin = g.integers(0, 2, m, dtype=np.int32)
-    g.bit_generator.advance(CHUNK_ROUNDS // 2 - (m + 1) // 2)
-    a_idx = g.integers(0, len(pc.alice_settings), CHUNK_ROUNDS, dtype=np.int32)[:m]
-    b_idx = g.integers(0, len(pc.bob_settings), m, dtype=np.int32)
-    return lam, a_idx, b_idx, weak_side_codes(sc, coin, lo)
+    u = _kept(g, m, True, g.random, 1)
+    per_side = math.prod(grid.shape[1:])
+    key = g.integers(0, per_side if grid.parity else per_side * grid.shape[0], m, dtype=np.int32)
+    if grid.parity:
+        key[(lo + 1) % 2 :: 2] += per_side  # the local indices of odd absolute rounds
+    return u, key
 
 
 def _window_widths(sc: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -385,29 +478,36 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
 
     Returns the chunk's columns in _COLUMNS order; the setting indices are
     int64 (int32 for double blind), which index the setting tables faster
-    than int8. Every chunk draws in a fixed per-scenario order, as if each
-    array had CHUNK_ROUNDS values; the final chunk keeps the first values
-    of each, and a double-blind one stops drawing what it would slice off
-    (_draw_double_blind), so per-round values never depend on how many
-    rounds the final chunk actually covers.
+    than int8. A double-blind chunk decodes every round of its bin draws
+    (_draw_bins), the draws a streamed session counts by bins. Every chunk
+    draws in a fixed per-scenario order, as if each array had CHUNK_ROUNDS
+    values; the final chunk keeps the first m values of each and stops
+    drawing the rest where the stream allows (_kept), so per-round values
+    never depend on how many rounds the final chunk actually covers.
     """
     if sc.kind in DOUBLE_BLIND_KINDS:
-        return _window_columns(pc, sc, *_draw_double_blind(pc, sc, chunk_index))
+        grid = _bin_grid(pc, sc)
+        return _window_columns(pc, sc, *grid.decode(*_draw_bins(pc, grid, chunk_index)))
 
     _, m, g = _open_chunk(pc, chunk_index)
     alice = np.asarray(pc.alice_settings)
     bob = np.asarray(pc.bob_settings)
     # genuine pairs; under single blinding Eve measures the second photon in
-    # a basis from Bob's configured set, drawn right after Bob's setting
+    # a basis from Bob's configured set, drawn right after Bob's setting.
+    # A setting draw can reject (at 3 settings, say), so it is drawn in full
     single = sc.kind is ScenarioKind.SINGLE_BLINDING
     a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
     b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
     second_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m] if single else b_idx
-    a_coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-    u_flip = g.random(CHUNK_ROUNDS)[:m]
-    depol_u = g.random(CHUNK_ROUNDS)[:m]
-    a_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-    b_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m]
+    # an odd number of rejections (rare) leaves a buffered uint32, which the
+    # coins read and advance would drop: then the draws below are not trimmed
+    trim = not g.bit_generator.state["has_uint32"]
+    coin = functools.partial(g.integers, 0, 2)
+    a_coin = _kept(g, m, trim, coin, 2)
+    u_flip = _kept(g, m, trim, g.random, 1)
+    depol_u = _kept(g, m, trim, g.random, 1)
+    a_repl = _kept(g, m, trim, coin, 2)
+    b_repl = coin(m)  # the last draw
     out_a, out_b = honest_outcome_codes(
         alice[a_idx], bob[second_idx], a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
     )
@@ -424,33 +524,17 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, eve_out
 
 
-# lambda buckets per session of the bucketed double-blind reducer; halved
-# until a session's bins, (a_idx, b_idx, weak_side, bucket), number at most
-# _MAX_BINS, so the tables stay small for up to 127 x 127 settings. With one
-# bucket every round is settled
-_LAMBDA_BUCKETS = 1024
-_MAX_BINS = 1 << 16
-# slack on a bucket's reach in lambda: far beyond the few ulps of pi by which
-# a round's offset arithmetic, or its float bucket index, can be off
-_EDGE_SLACK = 1e-9
-# slack on Eve's cosines: a float64 cosine or intensity product is off by a
-# few 1e-16, far below it
-_COSINE_SLACK = 2.0**-12
-
-
 @dataclass(frozen=True, eq=False)
 class _BucketTables:
     """Per-session table of the bucketed double-blind reducer.
 
-    A round with hidden polarization lam falls in bucket
-    floor(lam * scale) < buckets, and its bin is (a_idx, b_idx, weak_side,
-    bucket), flattened in that order. cells[bin] is the flat count-tensor
-    cell of every round in the bin, or n_cells, one past the last cell, for
-    a bin whose rounds are settled one by one (_bucket_tables says which).
+    cells[key] is the flat count-tensor cell of every round whose bin has
+    that key in grid (_BinGrid), so the table is laid out in draw order;
+    or n_cells, one past the last cell, for a bin whose rounds are settled
+    one by one (_bucket_tables says which).
     """
 
-    buckets: int
-    scale: float
+    grid: _BinGrid
     cells: np.ndarray
 
 
@@ -476,7 +560,7 @@ def _malus_station(intensity, polarization, setting, reach, window_code):
 
 
 def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _BucketTables:
-    """Build a double-blind session's bin table (_BucketTables).
+    """Build a double-blind session's bin table (_BucketTables), over the sides its grid reaches.
 
     The window rule is evaluated at each bucket's midpoint by _window_rule,
     with the widths from window_half_width, and with the audit Eve's codes
@@ -489,37 +573,31 @@ def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _Buck
     2/I - 1 by 2 * reach + _COSINE_SLACK. With the audit, a bucket where
     Eve's midpoint code differs from the window rule's is undecided too.
     """
+    grid = _bin_grid(pc, sc)
     alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
     n_a, n_b = alice.size, bob.size
-    buckets = _LAMBDA_BUCKETS
-    while buckets > 1 and n_a * n_b * 3 * buckets > _MAX_BINS:
-        buckets //= 2
-    # the bucket of the largest lambda drawn, nextafter(pi, 0), must stay below buckets
-    scale = buckets / PERIOD
-    while math.nextafter(PERIOD, 0.0) * scale >= buckets:
-        scale = math.nextafter(scale, 0.0)
-    mid = (np.arange(buckets) + 0.5) / scale
-    reach = 0.5 / scale + _EDGE_SLACK
+    mid = (np.arange(grid.buckets) + 0.5) / grid.scale
+    reach = 0.5 / grid.scale + _EDGE_SLACK
 
-    # station tables, indexed (setting, weak side, bucket)
-    w_a, w_b = _window_widths(sc)
-    code_a, code_b = _window_rule(mid, alice[:, None, None], bob[:, None, None], w_a[:, None], w_b[:, None])
+    # station tables, indexed (side digit, setting, bucket)
+    w_a, w_b = (w.take(grid.sides)[:, None, None] for w in _window_widths(sc))
+    code_a, code_b = _window_rule(mid, alice[:, None], bob[:, None], w_a, w_b)
     undecided_a, undecided_b = (
-        _undecided(np.abs(np.abs(mid - s[:, None, None]) - HALF_PERIOD), [w, HALF_PERIOD - w], reach)
-        for s, w in ((alice, w_a[:, None]), (bob, w_b[:, None]))
+        _undecided(np.abs(np.abs(mid - s[:, None]) - HALF_PERIOD), [w, HALF_PERIOD - w], reach)
+        for s, w in ((alice, w_a), (bob, w_b))
     )
     if audit:
-        i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, np.arange(3))
-        undecided_a |= _malus_station(i_a[:, None], pol_a, alice[:, None, None], reach, code_a)
-        undecided_b |= _malus_station(i_b[:, None], pol_b, bob[:, None, None], reach, code_b)
+        i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, grid.sides[:, None, None])
+        undecided_a |= _malus_station(i_a, pol_a, alice[:, None], reach, code_a)
+        undecided_b |= _malus_station(i_b, pol_b, bob[:, None], reach, code_b)
 
-    # the bin table, indexed (a_idx, b_idx, weak side, bucket)
+    # the bin table, indexed (side digit, a_idx, b_idx, bucket)
     n_cells = math.prod(_count_shape(pc))
     pair = np.arange(n_a, dtype=np.int32)[:, None] * n_b + np.arange(n_b, dtype=np.int32)
-    cells = (pair[:, :, None, None] * 4 + code_a[:, None] + 1) * 4 + code_b[None, :] + 1
-    cells = cells * 3 + np.arange(3, dtype=np.int32)[:, None]
-    cells[undecided_a[:, None] | undecided_b[None, :]] = n_cells
-    return _BucketTables(buckets, scale, cells.reshape(-1).astype(np.int16 if n_cells < 2**15 else np.int32))
+    cells = (pair[:, :, None] * 4 + code_a[:, :, None] + 1) * 4 + code_b[:, None] + 1
+    cells = cells * 3 + grid.sides[:, None, None, None]
+    cells[undecided_a[:, :, None] | undecided_b[:, None]] = n_cells
+    return _BucketTables(grid, cells.reshape(-1).astype(np.int16 if n_cells < 2**15 else np.int32))
 
 
 def _reduce_bucketed(
@@ -527,30 +605,23 @@ def _reduce_bucketed(
 ):
     """_reduce_chunk(pc, sc, _simulate_chunk(pc, sc, chunk_index), audit), counted by bins.
 
-    tables.cells gives each round's cell by its flat bin key, and one
-    bincount of the cells counts the decided rounds. The settled rounds go
-    through _window_columns and _reduce_chunk, the kernel's and Eve's own
-    per-round arithmetic, even when there are none; their tally is the
-    chunk's, since a decided round has Eve's prediction equal to its outcome.
+    tables.cells gives each round's cell by its bin key, and one bincount
+    of the cells counts the decided rounds. Only the settled rounds are
+    decoded; they go through _window_columns and _reduce_chunk, the
+    kernel's and Eve's own per-round arithmetic, even when there are none.
+    Their tally is the chunk's, since a decided round has Eve's prediction
+    equal to its outcome.
     """
-    lam, a_idx, b_idx, weak = _draw_double_blind(pc, sc, chunk_index)
-    # the flat bin of (a_idx, b_idx, weak, bucket), in place in int32: every bin is below _MAX_BINS
-    key = np.multiply(a_idx, len(pc.bob_settings))
-    key += b_idx
-    key *= 3
-    key += weak
-    key *= tables.buckets
-    key += np.multiply(lam, tables.scale).astype(np.int32)
+    u, key = _draw_bins(pc, tables.grid, chunk_index)
     shape = _count_shape(pc)
     n_cells = math.prod(shape)
     cell = tables.cells.take(key)
-    del key  # bincount copies cell to intp: free the keys first, for a lower peak
-    counts = np.bincount(cell, minlength=n_cells + 1)[:-1].reshape(shape)
-
     idx = np.flatnonzero(cell == n_cells)
-    part = _window_columns(pc, sc, lam[idx], a_idx[idx], b_idx[idx], weak[idx])
-    settled, tally = _reduce_chunk(pc, sc, part, audit)
-    return counts + settled, tally
+    settled = tables.grid.decode(u[idx], key[idx])
+    del u, key  # bincount copies cell to intp: free the draws first, for a lower peak
+    counts = np.bincount(cell, minlength=n_cells + 1)[:-1].reshape(shape)
+    settled_counts, tally = _reduce_chunk(pc, sc, _window_columns(pc, sc, *settled), audit)
+    return counts + settled_counts, tally
 
 
 def _in_chunk_order(fn, n_chunks: int, workers: int):
@@ -598,12 +669,13 @@ def session_chunks(protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig, w
     scenario that does not run under the protocol, raises ValueError here,
     before any chunk runs. The chunks run on min(workers, chunks, CPUs) threads.
     """
-    if int(workers) < 1:
+    workers = _whole("workers", workers)
+    if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if scenario_cfg.kind is ScenarioKind.SINGLE_BLINDING and protocol_cfg.protocol is not ProtocolKind.BBM92:
         raise ValueError("scenario single-blinding runs under protocol bbm92 only")
     n_chunks = -(-protocol_cfg.rounds // CHUNK_ROUNDS)
-    workers = min(int(workers), n_chunks, os.cpu_count() or 1)
+    workers = min(workers, n_chunks, os.cpu_count() or 1)
     if per_chunk is None:
         per_chunk = functools.partial(_simulate_chunk, protocol_cfg, scenario_cfg)
     return _in_chunk_order(per_chunk, n_chunks, workers)

@@ -25,9 +25,12 @@ from .optics import PERIOD, Outcome, click_codes, quarter_turn, split_intensitie
 DEFAULT_ALPHA = math.pi / (4.0 * math.sqrt(2.0))
 
 # rounds per RNG chunk; every chunk draws its arrays in a fixed order as if
-# each had CHUNK_ROUNDS values (a final double-blind chunk stops drawing what
-# it would slice off, with the values unchanged), so any per-round value is a
-# pure function of (seed, round index, config)
+# each had CHUNK_ROUNDS values, so any per-round value is a pure function of
+# (seed, round index, config). A final chunk draws only the values it keeps
+# of each array whose stream use it can skip with advance, or that is drawn
+# last, with the values unchanged. A double-blind chunk draws two arrays: a
+# fraction u per round, then the round's bin (weak side, settings, lambda
+# bucket) as one bounded integer (protocol._draw_bins)
 CHUNK_ROUNDS = 1 << 16
 
 
@@ -161,7 +164,7 @@ def faked_pulse_params(lam, cfg: ScenarioConfig, weak_side):
 
     Alice receives the hidden polarization as-is, Bob the pi/2-rotated copy,
     each at the intensity station_intensities gives the round's weak side.
-    lam lies in [0, pi), as sample_lambda draws it; weak_side holds one
+    lam lies in [0, pi), as a session draws it; weak_side holds one
     WeakSide code per round.
     """
     pol_a = np.asarray(lam, dtype=np.float64)

@@ -215,6 +215,38 @@ def test_expected_counts_fit_simulated_sessions(protocol_kwargs, scenario_kwargs
     assert _chi2_sf(int(possible.sum()) - 1, g) > 5.7e-7  # two-sided 5 sigma
 
 
+# double-bbm92 under both protocols and double-ekert under every weak-side
+# policy, each at three seeds fixed before the one-draw bin layout first ran
+_BIN_DRAW_CASES = [("bbm92", "double-bbm92", "random"), ("ekert", "double-bbm92", "random")] + [
+    ("ekert", "double-ekert", policy) for policy in ("random", "alternate", "fixed-a", "fixed-b")
+]
+_BIN_DRAW_SEEDS = (2201, 2202, 2203)
+
+
+@pytest.mark.parametrize("protocol,scenario,policy", _BIN_DRAW_CASES)
+def test_bin_draws_fit_the_expected_counts(protocol, scenario, policy):
+    # a G-test of each audited session's count tensor against its expected
+    # cells, and of the three sessions together (independent G statistics add,
+    # as do their degrees of freedom); Eve's audit finds no mismatch in any
+    sc = ScenarioConfig(kind=scenario, weak_side_policy=policy)
+    total_g = total_dof = 0
+    for seed in _BIN_DRAW_SEEDS:
+        pc = ProtocolConfig(protocol=protocol, rounds=300_000, seed=seed)
+        probs = expected_counts(pc, sc)
+        session = run_session(pc, sc)
+        assert eve_prediction_report(session)["mismatched_outcomes"] == 0
+        counts = session.counts
+        assert counts[probs == 0.0].sum() == 0
+        possible = probs > 0.0
+        observed, expected = counts[possible], probs[possible] * pc.rounds
+        seen = observed > 0
+        g = 2.0 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
+        dof = int(possible.sum()) - 1
+        assert _chi2_sf(dof, g) > 5.7e-7, seed  # two-sided 5 sigma
+        total_g, total_dof = total_g + g, total_dof + dof
+    assert _chi2_sf(total_dof, total_g) > 5.7e-7
+
+
 def test_expected_counts_give_the_closed_forms_at_the_defaults():
     pc = ProtocolConfig(protocol="ekert", rounds=1)
     block = oracle_block(pc, ScenarioConfig(kind="double-ekert"))

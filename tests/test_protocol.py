@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from blindsim import protocol
-from blindsim.optics import Outcome, canon_angle, wrap_diff
+from blindsim.optics import HALF_PERIOD, Outcome, canon_angle, wrap_diff
 from blindsim.protocol import (
     BBM92_SETTINGS,
     CHSH_QUAD,
@@ -41,9 +41,9 @@ from blindsim.sources import (
     WeakSide,
     WeakSidePolicy,
     chunk_stream,
+    faked_pulse_params,
     honest_outcome_codes,
     intercept_click_codes,
-    sample_lambda,
     weak_intensity,
     weak_side_codes,
 )
@@ -89,6 +89,29 @@ def test_protocol_config_validation_messages():
             ProtocolConfig(protocol="ekert", rounds=1, bob_settings=(0.1, 0.2, bad))
     with pytest.raises(ValueError):
         ProtocolConfig(protocol="e91", rounds=1)
+
+
+def test_protocol_config_refuses_fractional_rounds_and_seed():
+    # a fractional value is refused, not truncated to the round count or seed below it
+    for bad in (1000.7, 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rounds must be a whole number"):
+            ProtocolConfig(protocol="ekert", rounds=bad)
+    for bad in (1.5, -0.5, math.nan):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            ProtocolConfig(protocol="ekert", rounds=1000, seed=bad)
+    # whole values of any numeric type stay accepted
+    pc = ProtocolConfig(protocol="ekert", rounds=1000.0, seed=np.uint64(2**64 - 1))
+    assert (pc.rounds, pc.seed) == (1000, 2**64 - 1)
+    assert type(pc.rounds) is int and type(pc.seed) is int
+
+
+def test_session_chunks_refuses_a_fractional_worker_count():
+    # 1.9 workers is refused, not run on 1
+    pc, sc = ProtocolConfig(protocol="bbm92", rounds=10), ScenarioConfig(kind="honest")
+    for bad in (1.9, 0.5, math.nan):
+        with pytest.raises(ValueError, match="workers must be a whole number"):
+            session_chunks(pc, sc, bad)
+    assert len(list(session_chunks(pc, sc, 2.0))) == 1
 
 
 def test_angle_gap_equals_wrap_diff_bit_for_bit():
@@ -390,6 +413,37 @@ def test_eve_prediction_report_modes():
     assert eve_prediction_report(honest) is None
 
 
+_DRAW_BINS = protocol._draw_bins
+
+
+def _inject_lambdas(monkeypatch, targets):
+    """Make the bin draws put each round's hidden polarization at targets(rng, m), to within ulps.
+
+    Each round keeps the setting pair and weak side it drew; its bucket and
+    fraction are replaced by those of its target. Returns the targets of
+    each chunk drawn, by chunk index (_assert_injected reads them).
+    """
+    injected = {}
+
+    def draw(pc, grid, chunk_index):
+        u, key = _DRAW_BINS(pc, grid, chunk_index)
+        lam = targets(np.random.default_rng(chunk_index), u.size)
+        bucket = np.minimum(np.multiply(lam, grid.scale).astype(np.int32), grid.buckets - 1)
+        key += bucket - key % grid.buckets
+        injected[chunk_index] = lam
+        return np.clip(lam * grid.scale - bucket, 0.0, math.nextafter(1.0, 0.0)), key
+
+    monkeypatch.setattr(protocol, "_draw_bins", draw)
+    return injected
+
+
+def _assert_injected(records, injected):
+    """The column session holds the injected polarizations, each to within an ulp: the hook took effect."""
+    lam = np.concatenate([injected[c] for c in range(len(injected))])
+    assert lam.size == len(records)
+    assert np.all(np.abs(records.hidden_lambda - lam) <= np.spacing(lam))
+
+
 @pytest.mark.parametrize("scenario,proto", [("double-bbm92", "bbm92"), ("double-ekert", "ekert")])
 def test_eve_audit_checks_an_independent_arithmetic(monkeypatch, scenario, proto):
     # the kernel decides clicks by angle windows, Eve predicts them by Malus
@@ -420,12 +474,15 @@ def test_eve_audit_checks_an_independent_arithmetic(monkeypatch, scenario, proto
     def near_an_edge(rng, size):
         return canon_angle(rng.choice(edges, size) + rng.uniform(-4e-6, 4e-6, size))
 
-    monkeypatch.setattr(protocol, "sample_lambda", near_an_edge)
+    injected = _inject_lambdas(monkeypatch, near_an_edge)
     for extra in (0.0, 1e-6):
         monkeypatch.setattr(protocol, "window_half_width", lambda intensity: true_width(intensity) + extra)
         for kept in (True, False):
-            rep = eve_prediction_report(_session(scenario, proto, 20_000, 31, kept))
+            session = _session(scenario, proto, 20_000, 31, kept)
+            rep = eve_prediction_report(session)
             assert (rep["mismatched_outcomes"] > 0) == (extra > 0), (extra, rep)
+            if kept:
+                _assert_injected(session, injected)
 
 
 @pytest.mark.parametrize("scenario,proto", [("double-bbm92", "bbm92"), ("double-ekert", "ekert")])
@@ -453,20 +510,27 @@ def test_single_blinding_session_statistics():
     assert qber == 0.0
 
 
-def _single_blinding_reference(pc, sc, chunk_index):
-    """A single-blinding chunk's columns, Bob's codes from intercept_click_codes round by round."""
+def _genuine_pair_reference(pc, sc, chunk_index):
+    """A genuine-pair chunk's columns from full-size draws sliced to the chunk.
+
+    Under single blinding, Bob's codes come from intercept_click_codes round by round.
+    """
     lo = chunk_index * CHUNK_ROUNDS
     m = min(pc.rounds, lo + CHUNK_ROUNDS) - lo
     g = chunk_stream(pc.seed, chunk_index)
     alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
-    a_idx, b_idx, eve_idx = (g.integers(0, n, CHUNK_ROUNDS)[:m] for n in (alice.size, bob.size, bob.size))
+    single = sc.kind is ScenarioKind.SINGLE_BLINDING
+    a_idx, b_idx = (g.integers(0, n, CHUNK_ROUNDS)[:m] for n in (alice.size, bob.size))
+    eve_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m] if single else b_idx
     a_coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
     u_flip, depol_u = g.random(CHUNK_ROUNDS)[:m], g.random(CHUNK_ROUNDS)[:m]
     a_repl, b_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m], g.integers(0, 2, CHUNK_ROUNDS)[:m]
-    out_a, eve_out = honest_outcome_codes(
+    out_a, out_b = honest_outcome_codes(
         alice[a_idx], bob[eve_idx], a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
     )
-    out_b = intercept_click_codes(bob[eve_idx], eve_out, bob[b_idx], sc)
+    if not single:
+        return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, None
+    eve_out, out_b = out_b, intercept_click_codes(bob[eve_idx], out_b, bob[b_idx], sc)
     return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, eve_out
 
 
@@ -480,7 +544,7 @@ def test_single_blinding_table_matches_per_round_intercepts(bob_settings, intens
     codes = set()
     for c in range(3):
         got = protocol._simulate_chunk(pc, sc, c)
-        for name, col, ref in zip(protocol._COLUMNS, got, _single_blinding_reference(pc, sc, c)):
+        for name, col, ref in zip(protocol._COLUMNS, got, _genuine_pair_reference(pc, sc, c)):
             if ref is None:
                 assert col is None, name
                 continue
@@ -489,6 +553,31 @@ def test_single_blinding_table_matches_per_round_intercepts(bob_settings, intens
         codes.update(np.unique(got[3]).tolist())
     # Bob's station both clicks and stays silent
     assert {-1, 0, 1} <= codes
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 1234, 3392, CHUNK_ROUNDS - 1, CHUNK_ROUNDS])
+def test_trimmed_genuine_pair_draws_equal_the_full_size_draws(m):
+    # a final chunk of m rounds draws only m values of its coins and
+    # uniforms and skips the rest with advance: its columns are those of
+    # full-size draws. At seed 398 the 127-setting draws of chunk 1 reject an
+    # odd number of times and leave a buffered uint32, so nothing is trimmed
+    many = {"alice_settings": _spread(127), "bob_settings": _spread(127)}
+    for scenario, proto, settings, seed in (
+        ("honest", "ekert", {}, 48), ("single-blinding", "bbm92", {}, 48), ("single-blinding", "bbm92", many, 398),
+    ):
+        for depolarize in (0.0, 0.1):
+            sc = ScenarioConfig(kind=scenario, depolarize_prob=depolarize)
+            pc = ProtocolConfig(protocol=proto, rounds=CHUNK_ROUNDS + m, seed=seed, **settings)
+            got = protocol._simulate_chunk(pc, sc, 1)
+            for name, col, ref in zip(protocol._COLUMNS, got, _genuine_pair_reference(pc, sc, 1)):
+                if ref is None:
+                    assert col is None, name
+                else:
+                    np.testing.assert_array_equal(col, ref, err_msg=f"{name} {scenario} {depolarize}")
+    g = chunk_stream(398, 1)
+    for _ in range(3):
+        g.integers(0, 127, CHUNK_ROUNDS)
+    assert g.bit_generator.state["has_uint32"]
 
 
 def test_chsh_score_matches_settings_modulo_pi():
@@ -746,44 +835,138 @@ def test_streamed_workers_session_memory_does_not_grow_with_chunks(monkeypatch):
     assert peaks[1] < peaks[0] + 2**16, peaks
 
 
-def _full_size_double_blind(pc, sc, chunk_index):
-    """A double-blind chunk's draws as full-size int64 arrays, in stream order, sliced to the chunk."""
+def _spread(n):
+    """n settings spread evenly over [0, pi)."""
+    return tuple(np.arange(n) * math.pi / n)
+
+
+# (scenario, weak-side policy) -> the WeakSide code of each side digit of its bins
+_GRID_SIDES = {
+    **{("double-bbm92", policy.value): (WeakSide.NONE,) for policy in WeakSidePolicy},
+    ("double-ekert", "random"): (WeakSide.A, WeakSide.B),
+    ("double-ekert", "alternate"): (WeakSide.A, WeakSide.B),
+    ("double-ekert", "fixed-a"): (WeakSide.A,),
+    ("double-ekert", "fixed-b"): (WeakSide.B,),
+}
+
+
+def _three_side_cells(pc, sc, audit):
+    """The bin table indexed (a_idx, b_idx, weak side, bucket), over all three WeakSide codes.
+
+    The rule of the bucketed reducer before it drew bins: window rule and
+    margin rules at each bucket's midpoint, for every weak side whether
+    the session reaches it or not.
+    """
+    grid = protocol._bin_grid(pc, sc)
+    alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
+    mid = (np.arange(grid.buckets) + 0.5) / grid.scale
+    reach = 0.5 / grid.scale + protocol._EDGE_SLACK
+    w_a, w_b = protocol._window_widths(sc)
+    code_a, code_b = protocol._window_rule(mid, alice[:, None, None], bob[:, None, None], w_a[:, None], w_b[:, None])
+    undecided_a, undecided_b = (
+        protocol._undecided(np.abs(np.abs(mid - s[:, None, None]) - HALF_PERIOD), [w, HALF_PERIOD - w], reach)
+        for s, w in ((alice, w_a[:, None]), (bob, w_b[:, None]))
+    )
+    if audit:
+        i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, np.arange(3))
+        undecided_a |= protocol._malus_station(i_a[:, None], pol_a, alice[:, None, None], reach, code_a)
+        undecided_b |= protocol._malus_station(i_b[:, None], pol_b, bob[:, None, None], reach, code_b)
+    pair = np.arange(alice.size)[:, None] * bob.size + np.arange(bob.size)
+    cells = (pair[:, :, None, None] * 4 + code_a[:, None] + 1) * 4 + code_b[None, :] + 1
+    cells = cells * 3 + np.arange(3)[:, None]
+    cells[undecided_a[:, None] | undecided_b[None, :]] = math.prod(protocol._count_shape(pc))
+    return cells
+
+
+@pytest.mark.parametrize("n_a,n_b,buckets", [(1, 1, 1024), (3, 3, 1024), (1, 3, 1024), (3, 127, 32), (127, 127, 1)])
+def test_each_bin_key_decodes_to_its_bin_and_its_three_side_cell(n_a, n_b, buckets):
+    # keys run over (side digit, a_idx, b_idx, bucket) in that order; the
+    # draw-order table holds, at each key, the cell the three-side table
+    # gives that bin, so the grid and the decided bins are unchanged
+    pc = ProtocolConfig(protocol="ekert", rounds=1, alice_settings=_spread(n_a), bob_settings=_spread(n_b))
+    for (scenario, policy), sides in _GRID_SIDES.items():
+        sc = ScenarioConfig(kind=scenario, weak_side_policy=policy)
+        grid = protocol._bin_grid(pc, sc)
+        assert grid.shape == (len(sides), n_a, n_b, buckets)
+        np.testing.assert_array_equal(grid.sides, sides)
+        assert grid.parity == (scenario == "double-ekert" and policy == "alternate")
+        key = np.arange(math.prod(grid.shape), dtype=np.int32)
+        digit, a, b, bucket = np.unravel_index(key, grid.shape)
+        lam, a_idx, b_idx, weak = grid.decode(np.full(key.size, 0.5), key)
+        np.testing.assert_array_equal(a_idx, a)
+        np.testing.assert_array_equal(b_idx, b)
+        np.testing.assert_array_equal(weak, np.asarray(sides)[digit])
+        np.testing.assert_array_equal(np.multiply(lam, grid.scale).astype(np.intp), bucket)
+        for audit in (True, False):
+            cells = protocol._bucket_tables(pc, sc, audit).cells
+            np.testing.assert_array_equal(cells, _three_side_cells(pc, sc, audit)[a, b, weak, bucket])
+
+
+def _full_size_double_blind(pc, grid, chunk_index):
+    """A double-blind chunk's draws, (u, key), as full-size int64-bound arrays sliced to the chunk."""
     lo = chunk_index * CHUNK_ROUNDS
     m = min(pc.rounds, lo + CHUNK_ROUNDS) - lo
     g = chunk_stream(pc.seed, chunk_index)
-    lam = sample_lambda(g, CHUNK_ROUNDS)[:m]
-    coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-    a_idx = g.integers(0, len(pc.alice_settings), CHUNK_ROUNDS)[:m]
-    b_idx = g.integers(0, len(pc.bob_settings), CHUNK_ROUNDS)[:m]
-    return lam, a_idx, b_idx, weak_side_codes(sc, coin, lo)
+    u = g.random(CHUNK_ROUNDS)[:m]
+    per_side = math.prod(grid.shape[1:])
+    key = g.integers(0, per_side if grid.parity else math.prod(grid.shape), CHUNK_ROUNDS)[:m]
+    if grid.parity:
+        key += per_side * ((lo + np.arange(m)) % 2)  # side B on odd absolute rounds
+    return u, key
 
 
 @pytest.mark.parametrize("n_a,n_b", [(1, 1), (2, 2), (3, 3), (4, 4), (127, 127), (1, 3), (3, 127)])
 @pytest.mark.parametrize("m", [1, 2, 3, 1234, 3392, CHUNK_ROUNDS - 1, CHUNK_ROUNDS])
 def test_trimmed_double_blind_draws_equal_the_full_size_draws(m, n_a, n_b):
-    # a final chunk of m rounds draws only the m values of lambda, the coin
-    # and b_idx that it keeps, and skips the rest of lambda and the coin with
-    # advance; a numpy whose draws consume the stream otherwise fails here
-    def settings(n):
-        return tuple(np.arange(n) * math.pi / n)
-
+    # a final chunk of m rounds draws the m fractions it keeps and skips the
+    # rest with advance, then draws m bin keys; a numpy whose draws consume
+    # the stream otherwise fails here
     pc = ProtocolConfig(
-        protocol="ekert", rounds=CHUNK_ROUNDS + m, seed=48, alice_settings=settings(n_a), bob_settings=settings(n_b)
+        protocol="ekert", rounds=CHUNK_ROUNDS + m, seed=48, alice_settings=_spread(n_a), bob_settings=_spread(n_b)
     )
-    for scenario in ("double-bbm92", "double-ekert"):
-        for policy in WeakSidePolicy:
-            sc = ScenarioConfig(kind=scenario, weak_side_policy=policy)
-            got = protocol._draw_double_blind(pc, sc, 1)
-            for name, col, ref in zip(("lam", "a_idx", "b_idx", "weak"), got, _full_size_double_blind(pc, sc, 1)):
-                np.testing.assert_array_equal(col, ref, err_msg=f"{name} {scenario} {policy.value}")
-            assert got[1].dtype == got[2].dtype == np.int32
+    for scenario, policy in _GRID_SIDES:
+        sc = ScenarioConfig(kind=scenario, weak_side_policy=policy)
+        grid = protocol._bin_grid(pc, sc)
+        got = protocol._draw_bins(pc, grid, 1)
+        for name, col, ref in zip(("u", "key"), got, _full_size_double_blind(pc, grid, 1)):
+            np.testing.assert_array_equal(col, ref, err_msg=f"{name} {scenario} {policy}")
+        assert got[1].dtype == np.int32
+        # the alternate policy weakens A on even absolute rounds, as weak_side_codes says
+        if (scenario, policy) != ("double-ekert", "random"):
+            weak = grid.decode(*got)[3]
+            np.testing.assert_array_equal(weak, weak_side_codes(sc, np.zeros(m, np.int8), CHUNK_ROUNDS))
+
+
+@pytest.mark.parametrize("buckets", [1024, 1000, 5])
+def test_decoded_lambda_stays_below_pi(monkeypatch, buckets):
+    # scale sits just below buckets / pi, so the top bucket's (bucket + u) /
+    # scale reaches pi; decode gives such a round nextafter(pi, 0), and every
+    # lambda stays within reach of its bucket's midpoint, as the tables assume
+    monkeypatch.setattr(protocol, "_LAMBDA_BUCKETS", buckets)
+    largest_u = 1.0 - 2.0**-53
+    sc = ScenarioConfig(kind="double-ekert")
+    for n_settings in (1, 2, 3):
+        pc = ProtocolConfig(protocol="ekert", rounds=CHUNK_ROUNDS, seed=50, alice_settings=_spread(n_settings),
+                            bob_settings=_spread(n_settings))
+        grid = protocol._bin_grid(pc, sc)
+        assert grid.buckets == buckets
+        top = np.array([grid.buckets - 1], np.int32)
+        assert (grid.buckets - 1 + largest_u) / grid.scale >= math.pi  # unclamped, the top bucket reaches pi
+        assert grid.decode(np.array([largest_u]), top)[0][0] == math.nextafter(math.pi, 0.0)
+        every_bin = np.arange(math.prod(grid.shape), dtype=np.int32)
+        draws = [(np.full(every_bin.size, u), every_bin) for u in (0.0, 0.5, largest_u)]
+        for u, key in draws + [protocol._draw_bins(pc, grid, 0)]:
+            lam = grid.decode(u, key)[0]
+            assert 0.0 <= lam.min() and lam.max() < math.pi
+            mid = (key % grid.buckets + 0.5) / grid.scale
+            assert np.abs(lam - mid).max() <= 0.5 / grid.scale + protocol._EDGE_SLACK
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 1234])
 def test_int32_bounded_draws_equal_int64_draws_and_stream_use(size):
-    # _draw_double_blind draws its coin and setting indices as int32: the
-    # values, and the stream state after the draw (buffered uint32 included),
-    # must be those of the int64 draw
+    # _draw_bins draws its bin keys as int32: the values, and the stream
+    # state after the draw (buffered uint32 included), must be those of the
+    # int64 draw
     for n in range(1, 128):
         g32, g64 = np.random.default_rng(n), np.random.default_rng(n)
         np.testing.assert_array_equal(g32.integers(0, n, size, dtype=np.int32), g64.integers(0, n, size), str(n))
@@ -835,9 +1018,9 @@ def _edge_draws(pc, sc):
     true_width = protocol.window_half_width
     widths = [true_width(sc.strong_intensity), true_width(weak_intensity(sc.alpha))]
     edges = _window_edges(pc.alice_settings + pc.bob_settings, widths).reshape(-1)
-    tables = protocol._bucket_tables(pc, sc, True)
-    k = np.arange(tables.buckets + 1)
-    boundaries = np.concatenate([k * math.pi / tables.buckets, k / tables.scale])
+    grid = protocol._bin_grid(pc, sc)
+    k = np.arange(grid.buckets + 1)
+    boundaries = np.concatenate([k * math.pi / grid.buckets, k / grid.scale])
     exact = canon_angle(np.concatenate([edges, boundaries]))
     exact = np.concatenate([exact, np.nextafter(exact, -1.0), np.nextafter(exact, 4.0)])
     exact = np.append(exact, [0.0, math.nextafter(math.pi, 0.0)])
@@ -861,12 +1044,12 @@ def test_bucketed_reducer_at_window_edges_and_bucket_boundaries(monkeypatch, sce
     true_width = protocol.window_half_width
     for strong in (2.0, 1.5):
         sc = ScenarioConfig(kind=scenario, strong_intensity=strong)
-        monkeypatch.setattr(protocol, "sample_lambda", _edge_draws(pc, sc))
+        injected = _inject_lambdas(monkeypatch, _edge_draws(pc, sc))
         for extra in (0.0, 1e-6, 1e-3, 1e-2):
             monkeypatch.setattr(protocol, "window_half_width", lambda i, extra=extra: true_width(i) + extra)
             # rounds exactly on an edge may differ between the two
             # arithmetics even without a fault; the counters must still agree
-            _assert_bucketed_matches_columns(pc, sc)
+            _assert_injected(_assert_bucketed_matches_columns(pc, sc), injected)
         monkeypatch.setattr(protocol, "window_half_width", true_width)
     # uniform draws: a window three buckets too wide puts Eve's midpoint
     # prediction at odds with the kernel's outcome in whole buckets, which
@@ -878,7 +1061,7 @@ def test_bucketed_reducer_at_window_edges_and_bucket_boundaries(monkeypatch, sce
     with_audit, without = (
         _settled_bins(pc, protocol._bucket_tables(pc, sc, audit)) for audit in (True, False)
     )
-    pinned = {"double-bbm92": (288, 72), "double-ekert": (904, 208)}[scenario]
+    pinned = {"double-bbm92": (96, 24), "double-ekert": (648, 144)}[scenario]
     assert (int(with_audit.sum()), int(without.sum())) == pinned
     assert with_audit[without].all()
     assert _assert_bucketed_matches_columns(pc, sc).eve_tally[0] > 0
@@ -898,17 +1081,18 @@ def test_every_bucket_holding_a_window_edge_is_settled(scenario):
         pc = ProtocolConfig(protocol=proto, rounds=1, **settings)
         sc = ScenarioConfig(kind=scenario, alpha=alpha, strong_intensity=strong)
         tables = protocol._bucket_tables(pc, sc, audit)
-        settle = _settled_bins(pc, tables).reshape(len(pc.alice_settings), len(pc.bob_settings), 3, -1)
+        settle = _settled_bins(pc, tables).reshape(tables.grid.shape)
         weak = weak_intensity(alpha) if scenario == "double-ekert" else strong
         for station, station_settings, weak_code in (
             (0, pc.alice_settings, WeakSide.A), (1, pc.bob_settings, WeakSide.B)
         ):
-            for code in WeakSide:
-                width = true_width(weak if code is weak_code else strong)
+            # every weak side the session reaches: A and B under double-ekert, NONE under double-bbm92
+            for digit, code in enumerate(tables.grid.sides):
+                width = true_width(weak if code == weak_code else strong)
                 edges = canon_angle(_window_edges(station_settings, [width]))
-                held = np.multiply(edges, tables.scale).astype(np.intp).reshape(len(station_settings), -1)
+                held = np.multiply(edges, tables.grid.scale).astype(np.intp).reshape(len(station_settings), -1)
                 for i, buckets in enumerate(held):
-                    bins = settle[i, :, code] if station == 0 else settle[:, i, code]
+                    bins = settle[digit, i] if station == 0 else settle[digit, :, i]
                     assert bins[:, buckets].all(), (alpha, strong, proto, audit, station, code, i)
 
 
@@ -920,12 +1104,16 @@ def test_every_bucket_holding_a_window_edge_is_settled(scenario):
 ])
 def test_settle_bin_counts(scenario, proto, kwargs, audited, unaudited, bins):
     # a looser settle rule costs speed and a tighter one correctness: both
-    # move these counts
+    # move these counts, taken over all three weak sides. A session's table
+    # settles the same bins over the weak sides it reaches
     pc = ProtocolConfig(protocol=proto, rounds=1)
     sc = ScenarioConfig(kind=scenario, **kwargs)
     for audit, expected in ((True, audited), (False, unaudited)):
-        settle = _settled_bins(pc, protocol._bucket_tables(pc, sc, audit))
-        assert (int(settle.sum()), settle.size) == (expected, bins), audit
+        three_sides = _three_side_cells(pc, sc, audit) == math.prod(protocol._count_shape(pc))
+        assert (int(three_sides.sum()), three_sides.size) == (expected, bins), audit
+        tables = protocol._bucket_tables(pc, sc, audit)
+        reached = three_sides[:, :, tables.grid.sides].transpose(2, 0, 1, 3)
+        np.testing.assert_array_equal(_settled_bins(pc, tables), reached.reshape(-1))
 
 
 @pytest.mark.parametrize("buckets", [1024, 1000, 5])
@@ -938,13 +1126,13 @@ def test_bucket_index_stays_in_range(monkeypatch, buckets):
     for n_settings in (1, 2, 3, 8, 127):
         settings = tuple(np.arange(n_settings) * math.pi / n_settings)
         pc = ProtocolConfig(protocol="ekert", rounds=1, alice_settings=settings, bob_settings=settings)
-        tables = protocol._bucket_tables(pc, sc, False)
-        k = np.arange(tables.buckets + 1)
-        lam = np.concatenate([k * math.pi / tables.buckets, k / tables.scale, [top]])
+        grid = protocol._bin_grid(pc, sc)
+        k = np.arange(grid.buckets + 1)
+        lam = np.concatenate([k * math.pi / grid.buckets, k / grid.scale, [top]])
         lam = np.concatenate([lam, np.nextafter(lam, -1.0), np.nextafter(lam, 4.0)])
         lam = lam[(lam >= 0.0) & (lam < math.pi)]
-        bucket = np.multiply(lam, tables.scale).astype(np.intp)
-        assert 0 <= bucket.min() and bucket.max() == tables.buckets - 1
+        bucket = np.multiply(lam, grid.scale).astype(np.intp)
+        assert 0 <= bucket.min() and bucket.max() == grid.buckets - 1
 
 
 @pytest.mark.parametrize("buckets", [1, 1000])
