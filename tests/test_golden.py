@@ -28,14 +28,14 @@ SUMMARY_DIGESTS = {
     ("honest", "ekert", 2): "99fbc09cb3de5bdba689bc2da878709ca94bfae3c68b2ca449b8e6a408a3a94d",
     ("single-blinding", "bbm92", 1): "0ba9fc6a32c76deb0f204775d26137d3bbfe990d8bb652b7cfdb32c6f290ad10",
     ("single-blinding", "bbm92", 2): "fdd075e5f181052adec58bc1d757306960c4abbf1dad93ce9bdd29cf476e8c26",
-    ("double-bbm92", "bbm92", 1): "22c926c47c63cb8cddb3184b4bb92d522aac0ad426ee6fde6fe9dcd7be71d185",
-    ("double-bbm92", "bbm92", 2): "b0cae596fe3f0b557a6ea560e2c7945eaca92026eb12009ec1ac9da807163abb",
-    ("double-bbm92", "ekert", 1): "b2becee8d2972f4eb43ed4da4a8ebc2055ff16988f688fff039b88fbbe124307",
-    ("double-bbm92", "ekert", 2): "2d6cd358624bb380011d80d57a78202095d47fcd5594372af8d2dcaf32ee5962",
-    ("double-ekert", "bbm92", 1): "892d6d39237ba3900f3f096f391123d5542cefa87f4001411309d5b0995e693a",
-    ("double-ekert", "bbm92", 2): "2f78fcd1900efefe83af427ef7c805c8fd062fa03d5899acae957fdfa23fe329",
-    ("double-ekert", "ekert", 1): "b3050af314ac5757c3269996414bada286d113e0be2d562a230a2a3d75c68935",
-    ("double-ekert", "ekert", 2): "7da4b509e8a27e4ead24d678593ed66395284767730d0d132a375150e146978e",
+    ("double-bbm92", "bbm92", 1): "c4e90d0269a1867f20fa4ed3d2f929bc291d1dc9c23e60eeb107c9233287c9b9",
+    ("double-bbm92", "bbm92", 2): "18ac767fcbf68bc97e2b2501b010f7d3772aafea6d023cf543c84f29a7319204",
+    ("double-bbm92", "ekert", 1): "86ea212d9bc8dbd5ed754a93e940f1a34564308b31c3c058ce4ddf16442e558a",
+    ("double-bbm92", "ekert", 2): "9b0439f54ce9af3ac0cc8916e8057bc07121782094ac15df9dbef642739c351f",
+    ("double-ekert", "bbm92", 1): "928b92ca2ec11c125f10aafa206fb763e6f2f85b708f66188d80f015bf8c7db3",
+    ("double-ekert", "bbm92", 2): "5418b9c64d22edc04979dd758ea3b1d78b7a32403dade1f8aa57d6e3af72ef90",
+    ("double-ekert", "ekert", 1): "13bedfe027d3c49f959102f0f75f75968e087c5cccb54254b872a4273cceb183",
+    ("double-ekert", "ekert", 2): "20ba3a9083d8caefd4e41513cd16e2af06911b01c7dbc11a33ae97f15c0aae78",
 }
 
 # the digests above with the "oracle" block removed (_without_oracle): what the
@@ -48,49 +48,49 @@ SUMMARY_NO_ORACLE_DIGESTS = {
     ("honest", "ekert", 2): "6836a1e0a9319d23ccc6b511a942d49d3e9eccccfd5f9703b7c09cd05a0e7114",
     ("single-blinding", "bbm92", 1): "b1e8a448af968b9d17c4ecb3eaeca1db8717a1fcdc7efe59043aadc4d07ccb47",
     ("single-blinding", "bbm92", 2): "1e1d6314fe23289a7f5b2d333d41524a68ed6144ec9ea7a003a735bb2d8a6e95",
-    ("double-bbm92", "bbm92", 1): "465756a9746307f56f61dd13ef11023c5c78be0cb76f9508e540f538dbb0fd27",
-    ("double-bbm92", "bbm92", 2): "18c296d0422cb0415f99b4b6f342f02fe4437e121c986fdbc5e353dcc3cc254d",
-    ("double-bbm92", "ekert", 1): "02a356fe7db33d2e9c2dd038d5106470651350bf7d4fe45642658aa4344bcca8",
-    ("double-bbm92", "ekert", 2): "de67fe33d8e8023ba1138b95ce74182f95a6106d914c1fac493644120a37b27d",
-    ("double-ekert", "bbm92", 1): "a93cecda7592195df5e8a7f2259e83a0fe7277f84b6da543c9f7e3efca24a4e8",
-    ("double-ekert", "bbm92", 2): "af28a0e138d83cccd16ec316fc45cebf8cb12a34041c92290c419e336a4ccd32",
-    ("double-ekert", "ekert", 1): "7b6e6dfcbcbc71c63d118d57bc2866b6916537f85bdcc0e6ca4fa42794f1b5b7",
-    ("double-ekert", "ekert", 2): "a5cd6ac0037a1b7e0de3b210abb32c1de9fc20c7bc088f8af8b4b71c1ad34741",
+    ("double-bbm92", "bbm92", 1): "2f25d3e914b06e23b3fd08459eaefd14acf605e1539d9c4b4db79292d996f7a2",
+    ("double-bbm92", "bbm92", 2): "3a75cf6413a77b9d3869f4feb2585886c3ac1e6dc101a2fff4bdedcce07499fa",
+    ("double-bbm92", "ekert", 1): "952a2835a524e79b0a43984b22e2de8d19de02cc393601214b615bce9248709a",
+    ("double-bbm92", "ekert", 2): "e0a3e89eddc54ee8b867449a6051be0e8053377072054ca54575a1170e80d9c4",
+    ("double-ekert", "bbm92", 1): "1392c972359ae43b4b70da1705cbfa5f527d79c85eb457d90da8589bfb0f58d8",
+    ("double-ekert", "bbm92", 2): "e89edb174e7a3932c46a2811a5ceb11e1d9fe8c08d2f933bee86c04995d0e1ad",
+    ("double-ekert", "ekert", 1): "91b26b7678c969ed5db413c16f6152714794a793a44560dd78eaa9a2b9a63777",
+    ("double-ekert", "ekert", 2): "c04edaff45744437cdbc5d50eb8188beae41e2c8befaec1263d60f883dcf73a9",
 }
 
 # double-ekert ekert summaries, 150 000 rounds, seed 5, under the options the
 # default matrix leaves at their defaults
 OPTION_DIGESTS = {
-    ("--weak-side", "alternate"): "22e4cebd71939c4c516ebf944e41bb45361c509a6781cec0a139ce1c59a1ca53",
-    ("--weak-side", "fixed-a"): "d2b24a4c728b2e7908dd61ab99374bf56adedf368fb4f338854498f1ea888f87",
-    ("--weak-side", "fixed-b"): "d784488c83eaa94c096c139685f7259350116e1bc7a5372356856157c436eec2",
-    ("--alpha", "0.3"): "71044488876cac30954f5c7e186e7f3598939bc7d294cca770fca6937f6cbc84",
+    ("--weak-side", "alternate"): "591089b92b7560a1cb43614b81dc40ef93550e26000ee67ca493a2e670ed8427",
+    ("--weak-side", "fixed-a"): "acd4648233422ea9ef095c97d5bb30e01bef1592ede9bbceafe2b7fe21be530a",
+    ("--weak-side", "fixed-b"): "b2b9cb7ba52fee6469f75bf3e8585b4a8e8c08406d41a35636e75019f2e04459",
+    ("--alpha", "0.3"): "78ecd9993644faa9b1b302efb7ae3dbfe2d6110b71ddaa035b49b963ddbbef2a",
 }
 
 OPTION_NO_ORACLE_DIGESTS = {
-    ("--weak-side", "alternate"): "498d018242c99df7f3dbaef27325b0226df0c0a248ec6c0975256e2ba9a83ffb",
-    ("--weak-side", "fixed-a"): "3d504c761559c522b04a56c0463a33536a7723280abd346e2f1aa90289313478",
-    ("--weak-side", "fixed-b"): "51539abc96f1c34d6f2541bbe4475f64bef23abf991a5ce75bc8f4c005bab125",
-    ("--alpha", "0.3"): "f12e1322079821ea14fa77518492182d1a5233d9b15858fb09040816de6bb66a",
+    ("--weak-side", "alternate"): "b7e6582e86579f34056f1f6ebf83601a972eb534c289984848b3cf4100668be7",
+    ("--weak-side", "fixed-a"): "481bd5c8881268f16bb3b411530597de24e5b05270e330aa7b22595d6aeb5b35",
+    ("--weak-side", "fixed-b"): "a74c379e82083936ba4f94349443da8518f2fa08b0fb458c13eeee890a2c91cb",
+    ("--alpha", "0.3"): "a826558b414a15d4cdd536c0a5ff21bf55d2fb38cfc73208f767f5be3d5313c8",
 }
 
 # `sweep --axis alpha` over [0.2, 0.7]: 4 steps, 70 000 rounds per point, seed 11
-ALPHA_SWEEP_DIGEST = "256d16d35540d63c90e8c6872524beda9ab9991a3560b09214f4b134c5a41323"
-ALPHA_SWEEP_NO_ORACLE_DIGEST = "e16e60b4023510c55119dc03447080ba101972efdab3f52bfbee5f296aaa15ac"
+ALPHA_SWEEP_DIGEST = "cee58e8a60f737943de51b9d87e6e7cf5ee94f043f0f2452c642ddb1bf483875"
+ALPHA_SWEEP_NO_ORACLE_DIGEST = "6b05650fa05712c53526c159f91e63b2d02c4697f105d169dfdb095620e36276"
 
 # streamed sessions at strong_intensity 1.5, which no CLI flag reaches: the
 # little-endian int64 count tensor followed by repr(eve_tally), 150 000 rounds, seed 6
 STRONG_1_5_DIGESTS = {
-    ("double-bbm92", "bbm92"): "648f9f02931af035cb936978b4e6a4550aa8ab286a6e96e8108cd0e8fb0dff3f",
-    ("double-ekert", "ekert"): "e3e01e2ddbd14846e029aaeaf9d45c485de93f9568f92524fb803cf98cfa3228",
+    ("double-bbm92", "bbm92"): "b5e7e9ea445722d241641c27399d7e2060697c08e8c08adfbb840cff82becd0e",
+    ("double-ekert", "ekert"): "f8b260f158e7611831e93726b4c0a7c1d7335b888daa744061b9c182b5136c46",
 }
 
 # --records --eve-view dumps at 70 000 rounds (one full chunk plus a partial one), seed 3
 RECORDS_DIGESTS = {
     ("honest", "ekert"): "854bcf2d900a77d6be217b6d99ee3a9c027cfcc01725f31b22ece59dd3e444f5",
     ("single-blinding", "bbm92"): "0122a0cadd91070da3e64331683f9244670c81166d723a2a54a06e0e63a9750d",
-    ("double-bbm92", "bbm92"): "770681167e436aa0572765f744c1d5989e350fd9c56dd23e17ba40f20b377701",
-    ("double-ekert", "ekert"): "68f0d40c40b7b9bb68401293cba39752c558156db4a1601045b1b78fce23c92b",
+    ("double-bbm92", "bbm92"): "1c2d555353c804691e6f4133c4989cd5c215add82649b345b15b4199a5db7bb2",
+    ("double-ekert", "ekert"): "9bf6208cef9e4f313f39e8993b7188d61eb9370c040326b0073463c229874d09",
 }
 
 # summaries outside the default matrix, 150 000 rounds, seed 4: the depolarized
@@ -100,14 +100,14 @@ EXTRA_SUMMARY_DIGESTS = {
     ("honest", "bbm92", "--depolarize", "0.1"): "f532eaaf5a9cdd6c1cb9c9b794eda27325c147c4e597ab35539e27aa684a780e",
     ("honest", "ekert", "--depolarize", "0.1"): "97ded12e4a8a24140cb371e5e90c6e6a05a23d47c82019702b394aabeb7ae27d",
     ("single-blinding", "bbm92", "--depolarize", "0.1"): "0c73307f96d45674fc66b50e73544f3b2518cc82c96a70ddc2aa34bf0feb9cef",
-    ("double-ekert", "ekert", "--format", "csv"): "4c22e45d9e90b3b8072ac0201210f59a2d774571315d463b9326754960c07e2c",
+    ("double-ekert", "ekert", "--format", "csv"): "87d24123e832ca5f45f4d5efd955540792f6ec58bb88eef902d46e7d3446f936",
 }
 
 EXTRA_SUMMARY_NO_ORACLE_DIGESTS = {
     ("honest", "bbm92", "--depolarize", "0.1"): "2524ed5257c95c17afd6dd81eb8a8936b5fe33e78b10f74dbd76589692719ac3",
     ("honest", "ekert", "--depolarize", "0.1"): "d811a97ae5b525d9fbdf84975e623610ff741e45ad84beb27e03d8135783e1f5",
     ("single-blinding", "bbm92", "--depolarize", "0.1"): "73940674db2207817f159806bcd7167d2456f2ae9baa4e8eede392695fa2bd11",
-    ("double-ekert", "ekert", "--format", "csv"): "4abc99e7ab57d6fafc1d204b34064350f0b5ad868c9a547ff076bb41add8ab66",
+    ("double-ekert", "ekert", "--format", "csv"): "09eeacb4d6e736ae7ad7ce6641a0525bf2563a5461b50c4377109a5682dcddeb",
 }
 
 # --records dumps outside RECORDS_DIGESTS, 70 000 rounds, seed 3: depolarized
@@ -116,19 +116,19 @@ EXTRA_SUMMARY_NO_ORACLE_DIGESTS = {
 RECORDS_OPTION_DIGESTS = {
     ("honest", "bbm92", "--depolarize", "0.1", "--eve-view"): "bf7628f38329eb2529ae84f08ca93888bc92ec91bad10f71e18e492669a3ac73",
     ("single-blinding", "bbm92", "--depolarize", "0.1", "--eve-view"): "a76bf93a261856aedcaff1afea13c106f21521d55e19f6f283f02f21806b44ca",
-    ("double-ekert", "ekert", "--weak-side", "alternate", "--eve-view"): "e08be3d01ae459f2963ba67fe553f6d686e62346977dc21c5c803bfcde65d141",
-    ("double-ekert", "ekert"): "360699a5398aafa25290a496e06453ff2bc133a1ffa074ee711b30b600d3e4a4",
+    ("double-ekert", "ekert", "--weak-side", "alternate", "--eve-view"): "7e4baaa50de250ca397c57650d986cfe952c9402a73b1d500410b737964f9099",
+    ("double-ekert", "ekert"): "80608e9be4fa405247c34d602a69205b71668e85dad6420e51e076f57f8291b4",
 }
 
 # `sweep --axis delta` tables over [-pi/2, pi/2]: 31 steps, 50 000 rounds per point, seed 9
 SWEEP_DIGESTS = {
-    "double-bbm92": "59b15765055d1985d279c2c2d833d1600d72c5d08cbcbe19a9c65c1f9958b713",
-    "double-ekert": "5ad8a2bed69ac2281d88f1caaf21e0545a87c12d7a674b24d4247442b24b5645",
+    "double-bbm92": "6d057729c9424f872e01c521a5cda6d4ba7b06f661ca66be5efe3f7f05f99bd9",
+    "double-ekert": "216089405bcdf7e81fd6f3d793a6d0a8d3a91a3ab4f5adf0b9e1051d68182bb5",
 }
 
 SWEEP_NO_ORACLE_DIGESTS = {
-    "double-bbm92": "768a1708e8f96d926cfe9284fe6902abbe2858a52ba772f1383e3f08c97a9ccf",
-    "double-ekert": "4f9b8b260957ecd588d7405bff118133e1bff4f78afa83e58b6bd2c73b38c285",
+    "double-bbm92": "5741a85c933578d15225c0f5f3aa4ceaf96c950a010de474bffc21b7dc1991a8",
+    "double-ekert": "cc10e6a14cd11c7cc816a9704430f94fea574b5014003e4847a67d0d02d19c4a",
 }
 
 
