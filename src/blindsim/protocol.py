@@ -350,8 +350,8 @@ def _kept(g: np.random.Generator, m: int, trim: bool, draw, per_word: int):
     With trim, only m values are drawn and advance skips the uint64 words
     of the rest: per_word values fill one word (1 for a uniform double, 2
     for a coin at range 2, whose bounded uint32 draw never rejects).
-    advance also drops a buffered uint32, so trim holds only where the full
-    draw leaves none: a coin draw that starts with none does.
+    advance also drops a buffered uint32, so trim is right only when the
+    generator holds none before the draw.
     """
     if not trim:
         return draw(CHUNK_ROUNDS)[:m]
@@ -362,9 +362,9 @@ def _kept(g: np.random.Generator, m: int, trim: bool, draw, per_word: int):
 
 # lambda buckets per session of a double-blind bin grid; halved until
 # n_a * n_b * 3 * buckets is at most _MAX_BINS, so the tables stay small for
-# up to 127 x 127 settings (the rule still counts all three weak sides,
-# which keeps the grid of the table that had them). With one bucket every
-# round is settled
+# up to 127 x 127 settings. The rule counts three weak sides, though a grid
+# holds at most two: counting two would change the bucket count, and so the
+# draws, of some setting sets. With one bucket every round is settled
 _LAMBDA_BUCKETS = 1024
 _MAX_BINS = 1 << 16
 # slack on a bucket's reach in lambda: far beyond the few ulps of pi by which

@@ -91,18 +91,22 @@ def test_protocol_config_validation_messages():
         ProtocolConfig(protocol="e91", rounds=1)
 
 
-def test_protocol_config_refuses_fractional_rounds_and_seed():
-    # a fractional value is refused, not truncated to the round count or seed below it
+def test_protocol_config_refuses_a_fractional_round_count():
+    # refused, not truncated to the round count below it
     for bad in (1000.7, 0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="rounds must be a whole number"):
             ProtocolConfig(protocol="ekert", rounds=bad)
+    pc = ProtocolConfig(protocol="ekert", rounds=1000.0)
+    assert pc.rounds == 1000 and type(pc.rounds) is int
+
+
+def test_protocol_config_refuses_a_fractional_seed():
+    # refused, not truncated to the seed below it
     for bad in (1.5, -0.5, math.nan):
         with pytest.raises(ValueError, match="seed must be a whole number"):
             ProtocolConfig(protocol="ekert", rounds=1000, seed=bad)
-    # whole values of any numeric type stay accepted
-    pc = ProtocolConfig(protocol="ekert", rounds=1000.0, seed=np.uint64(2**64 - 1))
-    assert (pc.rounds, pc.seed) == (1000, 2**64 - 1)
-    assert type(pc.rounds) is int and type(pc.seed) is int
+    pc = ProtocolConfig(protocol="ekert", rounds=1000, seed=np.uint64(2**64 - 1))
+    assert pc.seed == 2**64 - 1 and type(pc.seed) is int
 
 
 def test_session_chunks_refuses_a_fractional_worker_count():
