@@ -74,6 +74,25 @@ OPTION_NO_ORACLE_DIGESTS = {
     ("--alpha", "0.3"): "a826558b414a15d4cdd536c0a5ff21bf55d2fb38cfc73208f767f5be3d5313c8",
 }
 
+# the double-blind summaries of the three tables above with Eve's sifted-key
+# counters removed (_without_key_audit), pinned before those counters
+# existed: every other byte of these summaries must stay as it was
+NO_KEY_AUDIT_DIGESTS = {
+    ("double-bbm92", "bbm92", 1): "c4e90d0269a1867f20fa4ed3d2f929bc291d1dc9c23e60eeb107c9233287c9b9",
+    ("double-bbm92", "bbm92", 2): "18ac767fcbf68bc97e2b2501b010f7d3772aafea6d023cf543c84f29a7319204",
+    ("double-bbm92", "ekert", 1): "86ea212d9bc8dbd5ed754a93e940f1a34564308b31c3c058ce4ddf16442e558a",
+    ("double-bbm92", "ekert", 2): "9b0439f54ce9af3ac0cc8916e8057bc07121782094ac15df9dbef642739c351f",
+    ("double-ekert", "bbm92", 1): "928b92ca2ec11c125f10aafa206fb763e6f2f85b708f66188d80f015bf8c7db3",
+    ("double-ekert", "bbm92", 2): "5418b9c64d22edc04979dd758ea3b1d78b7a32403dade1f8aa57d6e3af72ef90",
+    ("double-ekert", "ekert", 1): "13bedfe027d3c49f959102f0f75f75968e087c5cccb54254b872a4273cceb183",
+    ("double-ekert", "ekert", 2): "20ba3a9083d8caefd4e41513cd16e2af06911b01c7dbc11a33ae97f15c0aae78",
+    ("--weak-side", "alternate"): "591089b92b7560a1cb43614b81dc40ef93550e26000ee67ca493a2e670ed8427",
+    ("--weak-side", "fixed-a"): "acd4648233422ea9ef095c97d5bb30e01bef1592ede9bbceafe2b7fe21be530a",
+    ("--weak-side", "fixed-b"): "b2b9cb7ba52fee6469f75bf3e8585b4a8e8c08406d41a35636e75019f2e04459",
+    ("--alpha", "0.3"): "78ecd9993644faa9b1b302efb7ae3dbfe2d6110b71ddaa035b49b963ddbbef2a",
+    ("double-ekert", "ekert", "--format", "csv"): "87d24123e832ca5f45f4d5efd955540792f6ec58bb88eef902d46e7d3446f936",
+}
+
 # `sweep --axis alpha` over [0.2, 0.7]: 4 steps, 70 000 rounds per point, seed 11
 ALPHA_SWEEP_DIGEST = "cee58e8a60f737943de51b9d87e6e7cf5ee94f043f0f2452c642ddb1bf483875"
 ALPHA_SWEEP_NO_ORACLE_DIGEST = "6b05650fa05712c53526c159f91e63b2d02c4697f105d169dfdb095620e36276"
@@ -157,6 +176,35 @@ def _without_oracle(out: str, fmt: str) -> str:
     return text.getvalue()
 
 
+def _without_key_audit(out: str, fmt: str) -> str:
+    """A summary without Eve's sifted-key counters: the rest must not move when they do.
+
+    json: the key_* entries of monitors.eve_audit; csv-summary: its
+    monitors.eve_audit.key_* rows.
+    """
+    if fmt == "json":
+        summary = json.loads(out)
+        for key in ("key_rounds", "key_mismatches", "key_match_fraction"):
+            summary["monitors"]["eve_audit"].pop(key, None)
+        return json.dumps(summary, indent=2) + "\n"
+    rows = [row for row in csv.reader(io.StringIO(out)) if not row[0].startswith("monitors.eve_audit.key_")]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
+def _assert_key_audit_free_digest(out: str, fmt: str, config) -> None:
+    """A double-blind summary (one NO_KEY_AUDIT_DIGESTS pins) keeps its bytes other than Eve's key counters."""
+    if config in NO_KEY_AUDIT_DIGESTS:
+        assert _sha256(_without_key_audit(out, fmt).encode()) == NO_KEY_AUDIT_DIGESTS[config]
+
+
+def test_every_double_blind_summary_has_a_key_audit_free_pin():
+    summaries = [*SUMMARY_DIGESTS, *OPTION_DIGESTS, *EXTRA_SUMMARY_DIGESTS]
+    double_blind = [c for c in summaries if c[0].startswith("double-") or c in OPTION_DIGESTS]
+    assert set(double_blind) == set(NO_KEY_AUDIT_DIGESTS)
+
+
 @pytest.mark.parametrize(
     "scenario,protocol,seed", list(SUMMARY_DIGESTS), ids=lambda v: str(v)
 )
@@ -172,6 +220,7 @@ def test_run_summary_digest(capsys, scenario, protocol, seed):
         assert _sha256(out.encode()) == expected, f"workers={workers}"
         no_oracle = _without_oracle(out, "json").encode()
         assert _sha256(no_oracle) == SUMMARY_NO_ORACLE_DIGESTS[(scenario, protocol, seed)], f"workers={workers}"
+        _assert_key_audit_free_digest(out, "json", (scenario, protocol, seed))
 
 
 @pytest.mark.parametrize("scenario,protocol", list(RECORDS_DIGESTS), ids=lambda v: str(v))
@@ -199,6 +248,7 @@ def test_run_extra_summary_digest(capsys, config):
         assert _sha256(out.encode()) == EXTRA_SUMMARY_DIGESTS[config], f"workers={workers}"
         no_oracle = _without_oracle(out, "csv-summary" if "csv" in options else "json").encode()
         assert _sha256(no_oracle) == EXTRA_SUMMARY_NO_ORACLE_DIGESTS[config], f"workers={workers}"
+        _assert_key_audit_free_digest(out, "csv-summary" if "csv" in options else "json", config)
 
 
 @pytest.mark.parametrize("config", list(RECORDS_OPTION_DIGESTS), ids=" ".join)
@@ -239,6 +289,7 @@ def test_run_option_summary_digest(capsys, option):
         assert _sha256(out.encode()) == OPTION_DIGESTS[option], f"workers={workers}"
         no_oracle = _without_oracle(out, "json").encode()
         assert _sha256(no_oracle) == OPTION_NO_ORACLE_DIGESTS[option], f"workers={workers}"
+        _assert_key_audit_free_digest(out, "json", option)
 
 
 def test_alpha_sweep_digest(capsys):
