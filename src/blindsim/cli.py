@@ -260,15 +260,15 @@ def _scenario_from_args(args) -> ScenarioConfig:
     kind = ScenarioKind(args.scenario)
     if args.alpha is not None and kind is not ScenarioKind.DOUBLE_BLIND_EKERT:
         raise ValueError(f"--alpha tunes the weak pulse of scenario double-ekert; {kind.value} has none")
+    if args.weak_side is not None and kind is not ScenarioKind.DOUBLE_BLIND_EKERT:
+        raise ValueError(f"--weak-side picks the weakened pulse of scenario double-ekert; {kind.value} has none")
     if args.depolarize != 0.0 and kind in DOUBLE_BLIND_KINDS:
         raise ValueError(f"--depolarize applies to genuine pairs; scenario {kind.value} emits none")
-    kwargs = {
-        "kind": kind,
-        "weak_side_policy": args.weak_side,
-        "depolarize_prob": args.depolarize,
-    }
+    kwargs = {"kind": kind, "depolarize_prob": args.depolarize}
     if args.alpha is not None:
         kwargs["alpha"] = args.alpha
+    if args.weak_side is not None:
+        kwargs["weak_side_policy"] = args.weak_side
     return ScenarioConfig(**kwargs)
 
 
@@ -319,6 +319,8 @@ def cmd_run(args) -> int:
 def _sweep_grid(args) -> np.ndarray:
     if args.steps < 1:
         raise ValueError(f"{args.axis} sweep grid is empty (steps={args.steps}, need >= 1)")
+    if args.steps == 1 and args.stop != args.start:
+        raise ValueError(f"{args.axis} sweep grid of 1 step holds both ends only if start == stop")
     if not args.stop >= args.start:
         raise ValueError(f"{args.axis} sweep grid must be monotone: start <= stop")
     return np.linspace(args.start, args.stop, args.steps)
@@ -443,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     run.add_argument("--alpha", type=float, default=None, help="weak-pulse tuning angle, radians")
     run.add_argument(
-        "--weak-side", default="random", choices=[p.value for p in WeakSidePolicy],
-        help="which side gets the weak pulse (double-ekert only)",
+        "--weak-side", default=None, choices=[p.value for p in WeakSidePolicy],
+        help="which side gets the weak pulse (double-ekert only; default random)",
     )
     run.add_argument("--depolarize", type=float, default=0.0, help="honest-pair depolarization probability")
     run.add_argument("--out", default="-", help="summary destination (default stdout)")
@@ -470,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0, help="base seed; point i uses seed + i")
     sweep.add_argument("--alpha", type=float, default=None, help="tuning angle for delta sweeps of double-ekert")
     sweep.add_argument(
-        "--weak-side", default="random", choices=[p.value for p in WeakSidePolicy]
+        "--weak-side", default=None, choices=[p.value for p in WeakSidePolicy],
+        help="which side gets the weak pulse (double-ekert only; default random)",
     )
     sweep.add_argument("--depolarize", type=float, default=0.0)
     sweep.add_argument("--out", default="-", help="table destination (default stdout)")

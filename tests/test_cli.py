@@ -472,6 +472,64 @@ def test_silently_dropped_flags_are_refused(tmp_path, monkeypatch, capsys):
         assert not out.exists(), flag
 
 
+def test_weak_side_outside_double_ekert_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    out = tmp_path / "out.txt"
+    for argv in (
+        ["run", "--scenario", "honest", "--protocol", "bbm92", "--weak-side", "fixed-a", "--rounds", "10"],
+        ["run", "--scenario", "double-bbm92", "--protocol", "bbm92", "--weak-side", "alternate"],
+        ["run", "--scenario", "single-blinding", "--protocol", "bbm92", "--weak-side", "random"],
+        ["sweep", "--axis", "delta", "--scenario", "honest", "--weak-side", "fixed-b", "--start", "0",
+         "--stop", "1", "--steps", "2"],
+    ):
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--weak-side" in err, argv
+        assert not out.exists(), argv
+
+
+def test_weak_side_is_taken_under_double_ekert(tmp_path):
+    # the flag still sets the policy where it applies: a fixed side halves only that side's clicks
+    for policy, weak_rate in (("fixed-a", "a"), ("fixed-b", "b")):
+        out = tmp_path / f"{policy}.json"
+        rc = main([
+            "run", "--scenario", "double-ekert", "--protocol", "ekert", "--rounds", "20000",
+            "--weak-side", policy, "--out", str(out),
+        ])
+        assert rc == 0
+        per_side = _read_json(out)["efficiency"]["per_side"]
+        strong_rate = "b" if weak_rate == "a" else "a"
+        assert per_side[strong_rate] == 1.0 > per_side[weak_rate], policy
+    rc = main([
+        "sweep", "--axis", "alpha", "--scenario", "double-ekert", "--start", "0.3", "--stop", "0.6",
+        "--steps", "2", "--rounds", "1000", "--weak-side", "alternate", "--out", str(tmp_path / "sweep.csv"),
+    ])
+    assert rc == 0
+
+
+def test_one_step_sweep_needs_equal_ends(tmp_path, monkeypatch, capsys):
+    # --steps counts grid points with both ends included, so one step cannot reach a distinct stop
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    for axis, start, stop in (("delta", "0", "1"), ("alpha", "0.3", "0.6")):
+        rc = main([
+            "sweep", "--axis", axis, "--scenario", "double-ekert", "--start", start, "--stop", stop,
+            "--steps", "1", "--rounds", "1000", "--out", str(out),
+        ])
+        assert rc == 1, axis
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "start == stop" in err, err
+        assert not out.exists()
+    monkeypatch.undo()
+    rc = main([
+        "sweep", "--axis", "delta", "--scenario", "double-bbm92", "--start", "0.5", "--stop", "0.5",
+        "--steps", "1", "--rounds", "1000", "--out", str(out),
+    ])
+    assert rc == 0
+    assert [float(row["delta"]) for row in _read_csv(out)] == [0.5]
+
+
 def test_cli_imports_no_protocol_internals():
     # the CLI reads sessions through protocol's public API only
     tree = ast.parse(Path(cli.__file__).read_text())
