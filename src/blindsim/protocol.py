@@ -385,8 +385,8 @@ class _BinGrid:
 
     A round's bin is (side digit, a_idx, b_idx, bucket), shape gives the
     size of each axis, and its flat index is the round's key. sides[digit]
-    is the round's WeakSide code: the two codes of the random coin, or of
-    the alternate policy, or the one code of any other. Under the random
+    is the round's WeakSide code (weak_side_codes): A and B under the random
+    and alternate policies, else the one code. Under the random
     policy the key is drawn over every bin; under alternate it is drawn
     over one side's bins, and an odd round (side B) adds one side's bins.
     The round's hidden polarization lies in bucket floor(lam * scale), at
@@ -424,9 +424,7 @@ def _bin_grid(pc: ProtocolConfig, sc: ScenarioConfig) -> _BinGrid:
     scale = buckets / PERIOD
     while _TOP_LAMBDA * scale >= buckets:
         scale = math.nextafter(scale, 0.0)
-    # the codes of coins 0 and 1 at rounds 0 and 1 (weak_side_codes): two sides, or one twice
-    codes = weak_side_codes(sc, np.arange(2), 0)
-    sides = codes if codes[0] != codes[1] else codes[:1]
+    sides = weak_side_codes(sc)
     parity = sides.size == 2 and sc.weak_side_policy is WeakSidePolicy.ALTERNATE
     return _BinGrid((sides.size, n_a, n_b, buckets), scale, sides, parity)
 

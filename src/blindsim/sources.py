@@ -126,25 +126,21 @@ def sample_lambda(rng: np.random.Generator, size=None):
     return rng.uniform(0.0, PERIOD, size)
 
 
-def weak_side_codes(cfg: ScenarioConfig, coin: np.ndarray, start_index: int) -> np.ndarray:
-    """Per-round weak-side assignment as WeakSide codes (vectorized).
+def weak_side_codes(cfg: ScenarioConfig) -> np.ndarray:
+    """The WeakSide codes a session's rounds take, in the order of a bin's side digit (int8).
 
-    coin is the pre-drawn fair bit used by the random policy; the alternate
-    policy weakens side A on even absolute round indices.
+    Under double-ekert, [A, B] for the random and alternate policies, [A] or
+    [B] for a fixed one; [NONE] for every other scenario. Which code a round
+    gets is drawn with its bin (protocol._draw_bins).
     """
-    n = coin.shape[0]
     if cfg.kind is not ScenarioKind.DOUBLE_BLIND_EKERT:
-        return np.zeros(n, dtype=np.int8)
+        return np.array([WeakSide.NONE], np.int8)
     policy = cfg.weak_side_policy
-    if policy is WeakSidePolicy.RANDOM:
-        return coin.astype(np.int8) + np.int8(WeakSide.A)  # 0 -> A, 1 -> B
-    if policy is WeakSidePolicy.ALTERNATE:
-        codes = np.full(n, np.int8(WeakSide.B))
-        codes[start_index % 2 :: 2] = WeakSide.A  # the local indices of even absolute rounds
-        return codes
     if policy is WeakSidePolicy.FIXED_A:
-        return np.full(n, np.int8(WeakSide.A))
-    return np.full(n, np.int8(WeakSide.B))
+        return np.array([WeakSide.A], np.int8)
+    if policy is WeakSidePolicy.FIXED_B:
+        return np.array([WeakSide.B], np.int8)
+    return np.array([WeakSide.A, WeakSide.B], np.int8)
 
 
 def station_intensities(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:

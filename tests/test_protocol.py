@@ -45,7 +45,6 @@ from blindsim.sources import (
     honest_outcome_codes,
     intercept_click_codes,
     weak_intensity,
-    weak_side_codes,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -935,10 +934,13 @@ def test_trimmed_double_blind_draws_equal_the_full_size_draws(m, n_a, n_b):
         for name, col, ref in zip(("u", "key"), got, _full_size_double_blind(pc, grid, 1)):
             np.testing.assert_array_equal(col, ref, err_msg=f"{name} {scenario} {policy}")
         assert got[1].dtype == np.int32
-        # the alternate policy weakens A on even absolute rounds, as weak_side_codes says
+        # the alternate policy weakens A on even absolute rounds and B on odd
+        # ones; a policy with one side gives every round that side
         if (scenario, policy) != ("double-ekert", "random"):
+            alternate = (scenario, policy) == ("double-ekert", "alternate")
+            parity = (CHUNK_ROUNDS + np.arange(m)) % 2 if alternate else np.zeros(m, np.intp)
             weak = grid.decode(*got)[3]
-            np.testing.assert_array_equal(weak, weak_side_codes(sc, np.zeros(m, np.int8), CHUNK_ROUNDS))
+            np.testing.assert_array_equal(weak, np.asarray(_GRID_SIDES[scenario, policy])[parity])
 
 
 @pytest.mark.parametrize("buckets", [1024, 1000, 5])

@@ -111,31 +111,19 @@ def test_sample_lambda_uniform_moments():
 
 
 def test_weak_side_codes_policies():
-    coin = np.array([0, 1, 1, 0, 1], dtype=np.int64)
-    honest = ScenarioConfig(kind="honest")
-    np.testing.assert_array_equal(weak_side_codes(honest, coin, 0), np.zeros(5, np.int8))
-    rnd = weak_side_codes(EKERT_CFG, coin, 0)
-    np.testing.assert_array_equal(rnd, np.array([1, 2, 2, 1, 2], np.int8))
-    assert rnd.dtype == np.int8
-    alt_cfg = ScenarioConfig(kind="double-ekert", weak_side_policy="alternate")
-    np.testing.assert_array_equal(
-        weak_side_codes(alt_cfg, coin, 0), np.array([1, 2, 1, 2, 1], np.int8)
-    )
-    # alternate keys off the absolute round index, not the chunk-local one
-    np.testing.assert_array_equal(
-        weak_side_codes(alt_cfg, coin, 3), np.array([2, 1, 2, 1, 2], np.int8)
-    )
-    # a full chunk at an odd start, against the index-parity expression
-    full = np.zeros(CHUNK_ROUNDS, np.int64)
-    for start in (0, CHUNK_ROUNDS, 7):
-        alt = weak_side_codes(alt_cfg, full, start)
-        assert alt.dtype == np.int8
-        parity = (start + np.arange(CHUNK_ROUNDS, dtype=np.int64)) % 2
-        np.testing.assert_array_equal(alt, np.where(parity == 0, np.int8(WeakSide.A), np.int8(WeakSide.B)))
-    fixed_a = ScenarioConfig(kind="double-ekert", weak_side_policy="fixed-a")
-    assert np.all(weak_side_codes(fixed_a, coin, 0) == int(WeakSide.A))
-    fixed_b = ScenarioConfig(kind="double-ekert", weak_side_policy="fixed-b")
-    assert np.all(weak_side_codes(fixed_b, coin, 0) == int(WeakSide.B))
+    # the codes of a bin's side digits: two sides under random and alternate, else one
+    for kind in ("honest", "single-blinding", "double-bbm92"):
+        for policy in WeakSidePolicy:
+            codes = weak_side_codes(ScenarioConfig(kind=kind, weak_side_policy=policy))
+            np.testing.assert_array_equal(codes, [WeakSide.NONE])
+            assert codes.dtype == np.int8
+    for policy, sides in (
+        ("random", [WeakSide.A, WeakSide.B]), ("alternate", [WeakSide.A, WeakSide.B]),
+        ("fixed-a", [WeakSide.A]), ("fixed-b", [WeakSide.B]),
+    ):
+        codes = weak_side_codes(ScenarioConfig(kind="double-ekert", weak_side_policy=policy))
+        np.testing.assert_array_equal(codes, sides)
+        assert codes.dtype == np.int8
 
 
 def test_faked_pulse_params_bbm92():
@@ -162,7 +150,7 @@ def test_emit_double_blind_bbm92_round():
     rng = chunk_stream(3, 0)
     n = 1000
     lam = sample_lambda(rng, n)
-    sides = weak_side_codes(BBM92_CFG, rng.integers(0, 2, n), 0)
+    sides = weak_side_codes(BBM92_CFG).take(np.zeros(n, np.intp))
     assert np.all(sides == int(WeakSide.NONE))
     ia, pa, ib, pb = faked_pulse_params(lam, BBM92_CFG, sides)
     assert np.all((lam >= 0.0) & (lam < math.pi))
@@ -175,7 +163,7 @@ def test_emit_double_blind_bbm92_round():
 def test_emit_double_blind_ekert_round_and_alternation():
     cfg = ScenarioConfig(kind="double-ekert", weak_side_policy="alternate")
     rng = chunk_stream(4, 0)
-    sides = weak_side_codes(cfg, rng.integers(0, 2, 6), 0)
+    sides = weak_side_codes(cfg).take(np.arange(6) % 2)  # A on even rounds, B on odd ones
     assert sides.tolist() == [WeakSide.A, WeakSide.B] * 3
     ia, _, ib, _ = faked_pulse_params(sample_lambda(rng, 6), cfg, sides)
     iw = weak_intensity(cfg.alpha)
@@ -336,7 +324,7 @@ def test_predict_outcome_codes_match_direct_measurement():
     theta_a = rng.uniform(0.0, math.pi, n)
     theta_b = rng.uniform(0.0, math.pi, n)
     coin = rng.integers(0, 2, n)
-    sides = weak_side_codes(EKERT_CFG, coin, 0)
+    sides = weak_side_codes(EKERT_CFG).take(coin)
     pred_a, pred_b = predict_outcome_codes(lam, theta_a, theta_b, EKERT_CFG, sides)
     ia, pa, ib, pb = faked_pulse_params(lam, EKERT_CFG, sides)
     direct_a = click_codes(*split_intensities(ia, pa, theta_a))
