@@ -11,12 +11,14 @@ bounded integer, plus a fraction u in [0, 1) that places lambda within the
 bucket; a per-session table laid out in draw order gives the count-tensor
 cell of each bin, and only the rounds of bins that straddle a window edge or
 a click threshold, or where Eve's prediction differs, are decoded, settled
-and audited one by one. The per-round transcript, plus whatever hidden
-side-information the scenario carries (the faked-state polarization, Eve's
-intercept results), is kept only by SessionRecords.simulate, which decodes
-the same draws for every round. The correlation estimators only ever look
-at public_rounds, and the parties' sifted bits only at the setting and
-outcome columns.
+and audited one by one. The audit counts the rounds, and the rounds of the
+sifted key, where Eve's prediction differs from the outcome, so a streamed
+session states how much of the key she knows. The per-round transcript,
+plus whatever hidden side-information the scenario carries (the
+faked-state polarization, Eve's intercept results), is kept only by
+SessionRecords.simulate, which decodes the same draws for every round. The
+correlation estimators only ever look at public_rounds, and the parties'
+sifted bits only at the setting and outcome columns.
 """
 
 from __future__ import annotations
@@ -159,17 +161,25 @@ def _count_shape(protocol: ProtocolConfig) -> tuple[int, ...]:
 def _eve_tally(protocol: ProtocolConfig, scenario: ScenarioConfig, part) -> tuple[int, ...] | None:
     """Eve-audit counters of one chunk's columns; sessions add them up.
 
-    Faked-state scenarios: (mismatched outcomes,), Eve's predicted pair from
-    the reference Malus/threshold physics (sources.predict_outcome_codes)
-    against the pair the kernel decided by the window rule. Single blinding:
-    (Bob's clicks, clicks that differ from Eve's intercept outcome). None for
+    Faked-state scenarios: (mismatched outcomes, mismatched key rounds).
+    Eve's predicted pair from the reference Malus/threshold physics
+    (sources.predict_outcome_codes) is compared with the pair the kernel
+    decided by the window rule, on every round and then on the rounds of
+    the sifted key (equal settings, both stations clicked), where her
+    prediction of Bob's outcome is her key bit. Single blinding: (Bob's
+    clicks, clicks that differ from Eve's intercept outcome). None for
     honest sessions, and when the column the audit needs is absent.
     """
     a_idx, b_idx, out_a, out_b, weak, lam, eve_out = part
     if scenario.kind in DOUBLE_BLIND_KINDS and lam is not None:
         alice, bob = np.asarray(protocol.alice_settings), np.asarray(protocol.bob_settings)
         pred_a, pred_b = predict_outcome_codes(lam, alice.take(a_idx), bob.take(b_idx), scenario, weak)
-        return (int(np.count_nonzero(pred_a != out_a)) + int(np.count_nonzero(pred_b != out_b)),)
+        wrong_b = pred_b != out_b
+        key = np.equal.outer(alice, bob)[a_idx, b_idx] & (np.abs(out_a) == 1) & (np.abs(out_b) == 1)
+        return (
+            int(np.count_nonzero(pred_a != out_a)) + int(np.count_nonzero(wrong_b)),
+            int(np.count_nonzero(wrong_b & key)),
+        )
     if scenario.kind is ScenarioKind.SINGLE_BLINDING and eve_out is not None:
         clicked = np.abs(out_b) == 1
         return int(np.count_nonzero(clicked)), int(np.count_nonzero(clicked & (out_b != eve_out)))
@@ -708,14 +718,18 @@ def run_session(
 class SiftedKey:
     """Matched-basis key material. bits_bob is already anticorrelation-flipped.
 
-    bits_eve holds Eve's prediction of Bob's (flipped) bits when the scenario
-    gives her one, else None. All present arrays have equal length.
+    All arrays have equal length.
     """
 
     bits_alice: np.ndarray
     bits_bob: np.ndarray
-    bits_eve: np.ndarray | None
     round_indices: np.ndarray
+
+
+def _key_coincidences(pub: PublicRounds):
+    """The sifted key's rounds: coincidences at equal settings, indexed (outcome_a, outcome_b) in (-1, +1)."""
+    same_setting = np.equal.outer(pub.alice_settings, pub.bob_settings)
+    return pub.counts[same_setting][:, ::2, ::2].sum(axis=0)
 
 
 def bbm92_qber(records) -> float | None:
@@ -726,40 +740,28 @@ def bbm92_qber(records) -> float | None:
     (-,-) and (+,+) coincidences. None (undefined, not zero) when nothing
     survives sifting.
     """
-    pub = public_rounds(records)
-    same_setting = np.equal.outer(pub.alice_settings, pub.bob_settings)
-    c = pub.counts[same_setting][:, ::2, ::2].sum(axis=0)
+    c = _key_coincidences(public_rounds(records))
     # item() keeps the tensor's type: int for rounds, float for probabilities
     n = c.sum().item()
     return (c[0, 0] + c[1, 1]).item() / n if n else None
 
 
-def sift_bbm92(records) -> tuple[SiftedKey, float | None]:
+def sift_bbm92(records) -> SiftedKey:
     """Keep equal-setting rounds where both stations clicked.
 
     Alice's bit is 1 for a MINUS outcome; Bob's raw bit is flipped before
-    comparison because the source anticorrelates the stations. The parties'
-    bits read only the setting and outcome columns; Eve's bits also read
-    the hidden ones (None without hidden_lambda). Returns the key and
-    bbm92_qber(records). A session without per-round columns raises ValueError.
+    comparison because the source anticorrelates the stations. Reads only
+    the setting and outcome columns; bbm92_qber gives the key's error rate.
+    A session without per-round columns raises ValueError.
     """
-    pc, scenario = records.protocol, records.scenario
+    pc = records.protocol
     same_setting = np.equal.outer(pc.alice_settings, pc.bob_settings)
     out_a, out_b = records.outcome_a, records.outcome_b
     keep = same_setting[records.a_idx, records.b_idx] & (np.abs(out_a) == 1) & (np.abs(out_b) == 1)
     idx = np.flatnonzero(keep)
     bits_alice = (out_a[idx] == int(Outcome.MINUS)).astype(np.uint8)
     bits_bob = (out_b[idx] != int(Outcome.MINUS)).astype(np.uint8)
-
-    bits_eve = None
-    if scenario.kind in DOUBLE_BLIND_KINDS and records.hidden_lambda is not None and idx.size:
-        angle = np.asarray(pc.alice_settings)[records.a_idx[idx]]  # both stations' setting on kept rounds
-        _, pred_b = predict_outcome_codes(
-            records.hidden_lambda[idx], angle, angle, scenario, records.weak_side[idx]
-        )
-        bits_eve = (pred_b != int(Outcome.MINUS)).astype(np.uint8)
-
-    return SiftedKey(bits_alice, bits_bob, bits_eve, idx), bbm92_qber(records)
+    return SiftedKey(bits_alice, bits_bob, idx)
 
 
 @dataclass(frozen=True)
@@ -856,16 +858,6 @@ def chsh_score(records, quad: tuple[float, float, float, float] = CHSH_QUAD) -> 
     return ChshResult(value, stderr, pairs)
 
 
-def eve_knowledge_audit(records, sifted: SiftedKey) -> float | None:
-    """Fraction of sifted bits where Eve's predicted bit equals Bob's.
-
-    None when the scenario gives Eve no prediction or the key is empty.
-    """
-    if sifted.bits_eve is None or sifted.bits_bob.size == 0:
-        return None
-    return float(np.mean(sifted.bits_eve == sifted.bits_bob))
-
-
 def eve_prediction_report(records) -> dict | None:
     """Audit of Eve's knowledge, serializable to JSON.
 
@@ -874,13 +866,17 @@ def eve_prediction_report(records) -> dict | None:
     reference Malus/threshold physics (sources.predict_outcome_codes), is
     compared on every round to the recorded pair, which the simulation
     decided by the window rule (optics.window_codes); a mismatch means the
-    two arithmetics disagree. A streamed session compares only the rounds
-    it settles one by one (_reduce_bucketed), which gives the same count:
-    its table decides no bin where Eve's midpoint prediction differs from
-    the window rule's. Single blinding: Bob's clicks are compared to her
-    intercept outcome. None for honest sessions and public views;
-    ValueError for a session that carries no audit (run with audit=False,
-    or built without the column the audit reads).
+    two arithmetics disagree. The key_* entries restrict the comparison to
+    Bob's outcome on the rounds of the sifted key, whose size key_rounds is
+    read off the count tensor as bbm92_qber reads it: key_match_fraction is
+    the fraction of the key Eve knows. A streamed session compares only the
+    rounds it settles one by one (_reduce_bucketed), which gives the same
+    counts: its table decides no bin where Eve's midpoint prediction
+    differs from the window rule's. Single blinding: Bob's clicks, which
+    include every key round, are compared to her intercept outcome. None
+    for honest sessions and public views; ValueError for a session that
+    carries no audit (run with audit=False, or built without the column
+    the audit reads).
     """
     scenario = getattr(records, "scenario", None)
     if scenario is None or scenario.kind is ScenarioKind.HONEST_SINGLET:
@@ -891,12 +887,16 @@ def eve_prediction_report(records) -> dict | None:
             "and keep the column the audit reads"
         )
     if scenario.kind in DOUBLE_BLIND_KINDS:
-        rounds, (mismatches,) = len(records), records.eve_tally
+        rounds, (mismatches, key_mismatches) = len(records), records.eve_tally
+        key_rounds = _key_coincidences(public_rounds(records)).sum().item()
         return {
             "mode": "faked-state",
             "rounds": rounds,
             "mismatched_outcomes": mismatches,
             "match_fraction": 1.0 - mismatches / (2 * rounds) if rounds else None,
+            "key_rounds": key_rounds,
+            "key_mismatches": key_mismatches,
+            "key_match_fraction": 1.0 - key_mismatches / key_rounds if key_rounds else None,
         }
     clicks, mismatched = records.eve_tally
     return {

@@ -32,9 +32,11 @@ from blindsim.protocol import (
     EKERT_BOB_SETTINGS,
     ProtocolConfig,
     SessionRecords,
+    bbm92_qber,
     chsh_score,
     correlation_estimate,
     eve_prediction_report,
+    run_session,
     sift_bbm92,
 )
 from blindsim.sources import DEFAULT_ALPHA, ScenarioConfig
@@ -116,7 +118,7 @@ def _silent_rounds_are_boundary_hits(records, outcomes, polarizations, settings)
 
 def test_acceptance_01_strong_attack_full_rates_zero_errors(attack_bbm92):
     rec = attack_bbm92
-    _, qber = sift_bbm92(rec)
+    qber = bbm92_qber(rec)
     rate_a = float(np.mean(np.abs(rec.outcome_a) == 1))
     rate_b = float(np.mean(np.abs(rec.outcome_b) == 1))
     pol_b = np.mod(rec.hidden_lambda + math.pi / 2.0, math.pi)
@@ -235,7 +237,8 @@ def test_acceptance_07_eve_predicts_every_outcome(attack_bbm92, attack_ekert):
 
 
 def test_acceptance_08_weak_attack_survives_key_sifting(attack_ekert_under_bbm92):
-    key, qber = sift_bbm92(attack_ekert_under_bbm92)
+    key = sift_bbm92(attack_ekert_under_bbm92)
+    qber = bbm92_qber(attack_ekert_under_bbm92)
     ok = qber == 0.0 and key.bits_alice.size > 0
     _criterion(
         8,
@@ -359,3 +362,26 @@ def test_acceptance_10_fair_sampling_monitor(
         f"verdicts: honest {v_honest}, strong/strong {v_strong}, weak/strong {v_weak}, "
         f"biased fixture {v_biased}",
     )
+
+
+def test_acceptance_11_eve_knows_the_whole_sifted_key(attack_bbm92, attack_ekert, attack_ekert_under_bbm92):
+    # the paper's headline: zero errors in the sifted key, every bit of which
+    # Eve predicts; the streamed session, as `run` reports it, counts the same
+    details, ok = [], True
+    for name, rec in (
+        ("strong/strong bbm92", attack_bbm92),
+        ("weak/strong ekert", attack_ekert),
+        ("weak/strong bbm92", attack_ekert_under_bbm92),
+    ):
+        report = eve_prediction_report(rec)
+        streamed = eve_prediction_report(run_session(rec.protocol, rec.scenario))
+        qber = bbm92_qber(rec)
+        ok = ok and (
+            qber == 0.0
+            and report["key_match_fraction"] == 1.0
+            and report["key_rounds"] == sift_bbm92(rec).bits_alice.size > 0
+            and streamed == report
+        )
+        fraction, bits = report["key_match_fraction"], report["key_rounds"]
+        details.append(f"{name}: qber {qber}, Eve knows {fraction} of {bits} bits")
+    _criterion(11, ok, "; ".join(details))

@@ -26,7 +26,6 @@ from blindsim.protocol import (
     chsh_select,
     chsh_value,
     correlation_estimate,
-    eve_knowledge_audit,
     eve_prediction_report,
     public_rounds,
     run_session,
@@ -44,6 +43,7 @@ from blindsim.sources import (
     faked_pulse_params,
     honest_outcome_codes,
     intercept_click_codes,
+    predict_outcome_codes,
     weak_intensity,
 )
 
@@ -177,13 +177,14 @@ def test_run_session_prefix_stability():
 
 def test_sift_bbm92_attack_yields_zero_qber_and_full_knowledge():
     rec = _session("double-bbm92", "bbm92", 40_000, 7)
-    key, qber = sift_bbm92(rec)
-    assert qber == 0.0
+    key = sift_bbm92(rec)
+    assert bbm92_qber(rec) == 0.0
     assert key.bits_alice.size > 8000
     np.testing.assert_array_equal(key.bits_alice, key.bits_bob)
-    assert key.bits_eve is not None
-    np.testing.assert_array_equal(key.bits_eve, key.bits_bob)
-    assert eve_knowledge_audit(rec, key) == 1.0
+    # Eve's audit counts the same key, and she predicts every bit of it
+    report = eve_prediction_report(rec)
+    assert report["key_rounds"] == key.bits_alice.size
+    assert (report["key_mismatches"], report["key_match_fraction"]) == (0, 1.0)
 
 
 def test_sift_bbm92_without_the_lambda_column_gives_eve_no_bits():
@@ -193,25 +194,22 @@ def test_sift_bbm92_without_the_lambda_column_gives_eve_no_bits():
     bare = SessionRecords(
         rec.protocol, rec.scenario, rec.a_idx, rec.b_idx, rec.outcome_a, rec.outcome_b, rec.weak_side
     )
-    key, qber = sift_bbm92(rec)
-    bare_key, bare_qber = sift_bbm92(bare)
-    assert bare_key.bits_eve is None
-    assert eve_knowledge_audit(bare, bare_key) is None
+    key, bare_key = sift_bbm92(rec), sift_bbm92(bare)
+    with pytest.raises(ValueError, match="audit"):
+        eve_prediction_report(bare)
     np.testing.assert_array_equal(bare_key.bits_alice, key.bits_alice)
     np.testing.assert_array_equal(bare_key.bits_bob, key.bits_bob)
     np.testing.assert_array_equal(bare_key.round_indices, key.round_indices)
-    assert bare_qber == qber == 0.0
+    assert bbm92_qber(bare) == bbm92_qber(rec) == 0.0
 
 
 def test_sift_bbm92_honest_depolarized_qber():
     pc = ProtocolConfig(protocol="bbm92", rounds=400_000, seed=21)
     sc = ScenarioConfig(kind="honest", depolarize_prob=0.1)
     rec = SessionRecords.simulate(pc, sc)
-    key, qber = sift_bbm92(rec)
     # each replaced pair disagrees half the time: qber = depolarize / 2
-    assert qber == pytest.approx(0.05, abs=0.002)
-    assert key.bits_eve is None
-    assert eve_knowledge_audit(rec, key) is None
+    assert bbm92_qber(rec) == pytest.approx(0.05, abs=0.002)
+    assert eve_prediction_report(rec) is None
 
 
 def test_sift_bbm92_empty_when_settings_never_match():
@@ -220,10 +218,8 @@ def test_sift_bbm92_empty_when_settings_never_match():
         alice_settings=(0.0,), bob_settings=(math.pi / 8.0,),
     )
     rec = SessionRecords.simulate(pc, ScenarioConfig(kind="honest"))
-    key, qber = sift_bbm92(rec)
-    assert qber is None
-    assert key.bits_alice.size == 0
-    assert eve_knowledge_audit(rec, key) is None
+    assert bbm92_qber(rec) is None
+    assert sift_bbm92(rec).bits_alice.size == 0
 
 
 @pytest.mark.parametrize("scenario", [k.value for k in ScenarioKind])
@@ -232,9 +228,9 @@ def test_bbm92_qber_equals_sifted_bit_disagreement(scenario):
         for seed in (1, 2):
             pc = ProtocolConfig(protocol="bbm92", rounds=30_000, seed=seed)
             rec = SessionRecords.simulate(pc, ScenarioConfig(kind=scenario, depolarize_prob=p))
-            key, qber = sift_bbm92(rec)
+            key = sift_bbm92(rec)
             expected = float(np.mean(key.bits_alice != key.bits_bob))
-            assert bbm92_qber(rec) == qber == expected, (p, seed)
+            assert bbm92_qber(rec) == expected, (p, seed)
 
 
 def test_public_projection_carries_no_source_secrets():
@@ -248,7 +244,7 @@ def test_public_projection_carries_no_source_secrets():
             setattr(pub, name, rec.hidden_lambda)
         with pytest.raises(AttributeError):
             delattr(pub, name)
-    key, _ = sift_bbm92(rec)
+    key = sift_bbm92(rec)
     # tampering with the hidden column must leave the public key bits alone
     tampered = SessionRecords(
         rec.protocol,
@@ -260,7 +256,7 @@ def test_public_projection_carries_no_source_secrets():
         rec.weak_side,
         hidden_lambda=np.roll(rec.hidden_lambda, 1),
     )
-    key2, _ = sift_bbm92(tampered)
+    key2 = sift_bbm92(tampered)
     np.testing.assert_array_equal(key.bits_alice, key2.bits_alice)
     np.testing.assert_array_equal(key.bits_bob, key2.bits_bob)
 
@@ -404,16 +400,57 @@ def test_eve_prediction_report_modes():
     assert rep["rounds"] == 20_000
     assert rep["mismatched_outcomes"] == 0
     assert rep["match_fraction"] == 1.0
+    assert rep["key_rounds"] == sift_bbm92(faked).bits_alice.size > 0
+    assert (rep["key_mismatches"], rep["key_match_fraction"]) == (0, 1.0)
 
     intercept = _session("single-blinding", "bbm92", 20_000, 28)
     rep = eve_prediction_report(intercept)
     assert rep["mode"] == "intercept"
+    # Bob's clicks include every key round, so the intercept audit has no key counters of its own
+    assert not any(name.startswith("key_") for name in rep)
     assert rep["mismatched_clicks"] == 0
     assert rep["match_fraction"] == 1.0
     assert rep["bob_clicks"] == pytest.approx(10_000, abs=400)
 
     honest = _session("honest", "bbm92", 1_000, 29)
     assert eve_prediction_report(honest) is None
+
+
+def _key_recount(rec):
+    """(key rounds, key rounds where Eve's predicted Bob outcome differs), recounted round by round."""
+    key = sift_bbm92(rec).round_indices
+    _, pred_b = predict_outcome_codes(
+        rec.hidden_lambda[key], rec.theta_a[key], rec.theta_b[key], rec.scenario, rec.weak_side[key]
+    )
+    return key.size, int(np.count_nonzero(pred_b != rec.outcome_b[key]))
+
+
+@pytest.mark.parametrize("scenario,proto,policy", [
+    ("double-bbm92", "bbm92", "random"), ("double-bbm92", "ekert", "random"),
+    *[("double-ekert", proto, policy.value) for proto in ("bbm92", "ekert") for policy in WeakSidePolicy],
+])
+def test_eve_key_counters_equal_a_per_round_recount(scenario, proto, policy):
+    # the key counters of the chunked audit against Eve's predictions
+    # recomputed on the sifted rounds; the streamed session reports the same
+    pc = ProtocolConfig(protocol=proto, rounds=_BUCKET_ROUNDS, seed=52)
+    sc = ScenarioConfig(kind=scenario, weak_side_policy=policy)
+    rec = SessionRecords.simulate(pc, sc)
+    report = eve_prediction_report(rec)
+    # key_rounds is read off the count tensor, the recount's key from the columns
+    assert (report["key_rounds"], report["key_mismatches"]) == _key_recount(rec)
+    assert report["key_rounds"] > 0 and report["key_mismatches"] == 0
+    assert report["key_match_fraction"] == 1.0
+    assert eve_prediction_report(run_session(pc, sc)) == report
+
+
+def test_eve_key_match_fraction_is_none_without_key_rounds():
+    # settings that never match leave no sifted key: Eve's share of it is undefined, not 1
+    pc = ProtocolConfig(protocol="bbm92", rounds=5_000, seed=53, alice_settings=(0.0,), bob_settings=(0.3,))
+    sc = ScenarioConfig(kind="double-bbm92")
+    for session in (SessionRecords.simulate(pc, sc), run_session(pc, sc)):
+        report = eve_prediction_report(session)
+        assert (report["key_rounds"], report["key_mismatches"], report["key_match_fraction"]) == (0, 0, None)
+        assert bbm92_qber(session) is None
 
 
 _DRAW_BINS = protocol._draw_bins
@@ -508,9 +545,8 @@ def test_single_blinding_session_statistics():
     rec = _session("single-blinding", "bbm92", 100_000, 30)
     assert float(np.mean(np.abs(rec.outcome_a) == 1)) == 1.0
     assert float(np.mean(np.abs(rec.outcome_b) == 1)) == pytest.approx(0.5, abs=0.005)
-    key, qber = sift_bbm92(rec)
     # Bob only clicks when Eve guessed his basis, and then he copies her
-    assert qber == 0.0
+    assert bbm92_qber(rec) == 0.0
 
 
 def _genuine_pair_reference(pc, sc, chunk_index):
@@ -980,12 +1016,14 @@ def test_int32_bounded_draws_equal_int64_draws_and_stream_use(size):
 
 
 def _assert_bucketed_matches_columns(pc, sc, workers=(1,)):
-    """Streamed counts and Eve-audit counters equal the column session's, with and without the audit."""
+    """Streamed counts, Eve-audit counters and report equal the column session's, with and without the audit."""
     reference = SessionRecords.simulate(pc, sc)
     for w, audit in [(1, False)] + [(w, True) for w in workers]:
         streamed = run_session(pc, sc, w, audit=audit)
         np.testing.assert_array_equal(streamed.counts, reference.counts)
         assert streamed.eve_tally == (reference.eve_tally if audit else None), (w, audit)
+        if audit:
+            assert eve_prediction_report(streamed) == eve_prediction_report(reference), w
     return reference
 
 
@@ -1055,7 +1093,14 @@ def test_bucketed_reducer_at_window_edges_and_bucket_boundaries(monkeypatch, sce
             monkeypatch.setattr(protocol, "window_half_width", lambda i, extra=extra: true_width(i) + extra)
             # rounds exactly on an edge may differ between the two
             # arithmetics even without a fault; the counters must still agree
-            _assert_injected(_assert_bucketed_matches_columns(pc, sc), injected)
+            reference = _assert_bucketed_matches_columns(pc, sc)
+            _assert_injected(reference, injected)
+            report = eve_prediction_report(reference)
+            assert (report["key_rounds"], report["key_mismatches"]) == _key_recount(reference)
+            if strong == 1.5 and extra == 1e-6:
+                # a station clicks just outside its true window, where Eve
+                # predicts no click: key rounds she gets wrong
+                assert report["key_mismatches"] > 0
         monkeypatch.setattr(protocol, "window_half_width", true_width)
     # uniform draws: a window three buckets too wide puts Eve's midpoint
     # prediction at odds with the kernel's outcome in whole buckets, which

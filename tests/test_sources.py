@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from blindsim.optics import Outcome, canon_angle, click_codes, split_intensities, wrap_diff
-from blindsim.protocol import ProtocolConfig, SessionRecords, sift_bbm92
+from blindsim.protocol import ProtocolConfig, SessionRecords, eve_prediction_report, sift_bbm92
 from blindsim.sources import (
     CHUNK_ROUNDS,
     DEFAULT_ALPHA,
@@ -307,14 +307,13 @@ def test_eve_predict_ekert_weak_band_silence():
 
 def test_eve_predict_none_for_scenarios_without_hidden_state():
     # honest pairs and intercept rounds carry no hidden pulse state, so the
-    # sifted key gets no Eve prediction
+    # sifted key gets no faked-state Eve prediction
     for kind in ("honest", "single-blinding"):
         pc = ProtocolConfig(protocol="bbm92", rounds=2_000, seed=17)
         rec = SessionRecords.simulate(pc, ScenarioConfig(kind=kind))
         assert rec.hidden_lambda is None
-        key, _ = sift_bbm92(rec)
-        assert key.bits_alice.size > 0
-        assert key.bits_eve is None
+        assert sift_bbm92(rec).bits_alice.size > 0
+        assert "key_rounds" not in (eve_prediction_report(rec) or {})
 
 
 def test_predict_outcome_codes_match_direct_measurement():
