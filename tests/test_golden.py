@@ -28,14 +28,14 @@ SUMMARY_DIGESTS = {
     ("honest", "ekert", 2): "99fbc09cb3de5bdba689bc2da878709ca94bfae3c68b2ca449b8e6a408a3a94d",
     ("single-blinding", "bbm92", 1): "0ba9fc6a32c76deb0f204775d26137d3bbfe990d8bb652b7cfdb32c6f290ad10",
     ("single-blinding", "bbm92", 2): "fdd075e5f181052adec58bc1d757306960c4abbf1dad93ce9bdd29cf476e8c26",
-    ("double-bbm92", "bbm92", 1): "c4e90d0269a1867f20fa4ed3d2f929bc291d1dc9c23e60eeb107c9233287c9b9",
-    ("double-bbm92", "bbm92", 2): "18ac767fcbf68bc97e2b2501b010f7d3772aafea6d023cf543c84f29a7319204",
-    ("double-bbm92", "ekert", 1): "86ea212d9bc8dbd5ed754a93e940f1a34564308b31c3c058ce4ddf16442e558a",
-    ("double-bbm92", "ekert", 2): "9b0439f54ce9af3ac0cc8916e8057bc07121782094ac15df9dbef642739c351f",
-    ("double-ekert", "bbm92", 1): "928b92ca2ec11c125f10aafa206fb763e6f2f85b708f66188d80f015bf8c7db3",
-    ("double-ekert", "bbm92", 2): "5418b9c64d22edc04979dd758ea3b1d78b7a32403dade1f8aa57d6e3af72ef90",
-    ("double-ekert", "ekert", 1): "13bedfe027d3c49f959102f0f75f75968e087c5cccb54254b872a4273cceb183",
-    ("double-ekert", "ekert", 2): "20ba3a9083d8caefd4e41513cd16e2af06911b01c7dbc11a33ae97f15c0aae78",
+    ("double-bbm92", "bbm92", 1): "e42bccc09935c0fbfd2e244cd4664b8bea56d1abc225e98c6f587df4cbb97f5c",
+    ("double-bbm92", "bbm92", 2): "c9f9f0d6f5dd7cf231115cfc17c7e302e91a326c3079a5ba25a41dfbf1bc9d10",
+    ("double-bbm92", "ekert", 1): "937f22c8021be7a44028be5fe9f9b6e0e94032ef6d1978fb886a28e61342bdae",
+    ("double-bbm92", "ekert", 2): "1cd3f03c568feb95da1691c19c6f66b7c8f3c71480c6f32fdf15a56c5f69fcfc",
+    ("double-ekert", "bbm92", 1): "240708d56f5509dc07901850906b85604d5df3957a76ded4914d06485fad260c",
+    ("double-ekert", "bbm92", 2): "fe4f5b472b355ef9b32e64dd550f1ab96af8327b8d68fd3d69ae42fae0891726",
+    ("double-ekert", "ekert", 1): "682c97d961f020f18cbb6d33dd73f9ecda952b303598a732859a7aea78221e39",
+    ("double-ekert", "ekert", 2): "54bfd77a812fbd1e6974077cf853639df68f6d3ac12a7f365912f284eabf494f",
 }
 
 # the digests above with the "oracle" block removed (_without_oracle): what the
@@ -48,30 +48,30 @@ SUMMARY_NO_ORACLE_DIGESTS = {
     ("honest", "ekert", 2): "6836a1e0a9319d23ccc6b511a942d49d3e9eccccfd5f9703b7c09cd05a0e7114",
     ("single-blinding", "bbm92", 1): "b1e8a448af968b9d17c4ecb3eaeca1db8717a1fcdc7efe59043aadc4d07ccb47",
     ("single-blinding", "bbm92", 2): "1e1d6314fe23289a7f5b2d333d41524a68ed6144ec9ea7a003a735bb2d8a6e95",
-    ("double-bbm92", "bbm92", 1): "2f25d3e914b06e23b3fd08459eaefd14acf605e1539d9c4b4db79292d996f7a2",
-    ("double-bbm92", "bbm92", 2): "3a75cf6413a77b9d3869f4feb2585886c3ac1e6dc101a2fff4bdedcce07499fa",
-    ("double-bbm92", "ekert", 1): "952a2835a524e79b0a43984b22e2de8d19de02cc393601214b615bce9248709a",
-    ("double-bbm92", "ekert", 2): "e0a3e89eddc54ee8b867449a6051be0e8053377072054ca54575a1170e80d9c4",
-    ("double-ekert", "bbm92", 1): "1392c972359ae43b4b70da1705cbfa5f527d79c85eb457d90da8589bfb0f58d8",
-    ("double-ekert", "bbm92", 2): "e89edb174e7a3932c46a2811a5ceb11e1d9fe8c08d2f933bee86c04995d0e1ad",
-    ("double-ekert", "ekert", 1): "91b26b7678c969ed5db413c16f6152714794a793a44560dd78eaa9a2b9a63777",
-    ("double-ekert", "ekert", 2): "c04edaff45744437cdbc5d50eb8188beae41e2c8befaec1263d60f883dcf73a9",
+    ("double-bbm92", "bbm92", 1): "105cdcc7d4c7848043cb4ea8e888a46b590b846b36aab20e8ec8b877ad1889cd",
+    ("double-bbm92", "bbm92", 2): "f373c2d32bf2c989e18a91a7550e56ed903af72a93a199a3b6ae3b469d04d1c3",
+    ("double-bbm92", "ekert", 1): "285ae8fafc13e1e68d1fb9b52bae4c23ece2fdd49b5d4f0ed11a0729658e1d49",
+    ("double-bbm92", "ekert", 2): "60cd44db7a9f3d183bcba17c1becf66776414783e53312036b874f8e764a0511",
+    ("double-ekert", "bbm92", 1): "4c16ebed79159425d20ad300a8501eb0110f1c2224428acb9690718f3e7bb8ab",
+    ("double-ekert", "bbm92", 2): "8bc21bad9b8b1868f2b47e6f0c9b5de6172f32a59e3feda7cbc6c9fa9c6e2bdb",
+    ("double-ekert", "ekert", 1): "491f779034275bbf6a0e0e2d4ab8c84d0f86a2129cfef20339608ce6b50fef69",
+    ("double-ekert", "ekert", 2): "55be7d5cc5c9d92838b1a0ce440716dde9e2d3ec6951f9c8cd3efe56b4cbad43",
 }
 
 # double-ekert ekert summaries, 150 000 rounds, seed 5, under the options the
 # default matrix leaves at their defaults
 OPTION_DIGESTS = {
-    ("--weak-side", "alternate"): "591089b92b7560a1cb43614b81dc40ef93550e26000ee67ca493a2e670ed8427",
-    ("--weak-side", "fixed-a"): "acd4648233422ea9ef095c97d5bb30e01bef1592ede9bbceafe2b7fe21be530a",
-    ("--weak-side", "fixed-b"): "b2b9cb7ba52fee6469f75bf3e8585b4a8e8c08406d41a35636e75019f2e04459",
-    ("--alpha", "0.3"): "78ecd9993644faa9b1b302efb7ae3dbfe2d6110b71ddaa035b49b963ddbbef2a",
+    ("--weak-side", "alternate"): "3ed28f67063199ceb591ca485b87d3373b29c871a3cb93a4200cc1e60ebe59a3",
+    ("--weak-side", "fixed-a"): "f5081875c14b0b865ccce569c0c89ffc10669b94a864225c48ef661b1c8b718e",
+    ("--weak-side", "fixed-b"): "939850c0f4a9cc347767972424228cb5d9e1c2569495d233882b552be7c0d978",
+    ("--alpha", "0.3"): "64d404ad0fdfe3a35121617bbb6457b96420ad1fc40f9af2bad3b746f2491c74",
 }
 
 OPTION_NO_ORACLE_DIGESTS = {
-    ("--weak-side", "alternate"): "b7e6582e86579f34056f1f6ebf83601a972eb534c289984848b3cf4100668be7",
-    ("--weak-side", "fixed-a"): "481bd5c8881268f16bb3b411530597de24e5b05270e330aa7b22595d6aeb5b35",
-    ("--weak-side", "fixed-b"): "a74c379e82083936ba4f94349443da8518f2fa08b0fb458c13eeee890a2c91cb",
-    ("--alpha", "0.3"): "a826558b414a15d4cdd536c0a5ff21bf55d2fb38cfc73208f767f5be3d5313c8",
+    ("--weak-side", "alternate"): "7f2ec1005caf7ec4464bb1a8ad818405f7693a27db203a3ff65ecdc1855e5027",
+    ("--weak-side", "fixed-a"): "75d2578d6c2a5c46d188863392dc9a59e3901edb0a3bf95e8d1063e2fa96726f",
+    ("--weak-side", "fixed-b"): "8c09491f64b5bb0221edb7889e53de9b159d12003ca2fc095bebd702f540066b",
+    ("--alpha", "0.3"): "c525b5e6a8168777e5ed154c5d3e85cbd3013539619e18349df96907c06513fa",
 }
 
 # the double-blind summaries of the three tables above with Eve's sifted-key
@@ -100,8 +100,8 @@ ALPHA_SWEEP_NO_ORACLE_DIGEST = "6b05650fa05712c53526c159f91e63b2d02c4697f105d169
 # streamed sessions at strong_intensity 1.5, which no CLI flag reaches: the
 # little-endian int64 count tensor followed by repr(eve_tally), 150 000 rounds, seed 6
 STRONG_1_5_DIGESTS = {
-    ("double-bbm92", "bbm92"): "b5e7e9ea445722d241641c27399d7e2060697c08e8c08adfbb840cff82becd0e",
-    ("double-ekert", "ekert"): "f8b260f158e7611831e93726b4c0a7c1d7335b888daa744061b9c182b5136c46",
+    ("double-bbm92", "bbm92"): "47174961422905e15b23de555c9241f008d08310fad9b534d7a6bf9959f94cd6",
+    ("double-ekert", "ekert"): "c37419cc2eec7143ef9a69c0ebf233f7a27ca2f9ab2e99836764d0a2fff5fc58",
 }
 
 # --records --eve-view dumps at 70 000 rounds (one full chunk plus a partial one), seed 3
@@ -119,14 +119,14 @@ EXTRA_SUMMARY_DIGESTS = {
     ("honest", "bbm92", "--depolarize", "0.1"): "f532eaaf5a9cdd6c1cb9c9b794eda27325c147c4e597ab35539e27aa684a780e",
     ("honest", "ekert", "--depolarize", "0.1"): "97ded12e4a8a24140cb371e5e90c6e6a05a23d47c82019702b394aabeb7ae27d",
     ("single-blinding", "bbm92", "--depolarize", "0.1"): "0c73307f96d45674fc66b50e73544f3b2518cc82c96a70ddc2aa34bf0feb9cef",
-    ("double-ekert", "ekert", "--format", "csv"): "87d24123e832ca5f45f4d5efd955540792f6ec58bb88eef902d46e7d3446f936",
+    ("double-ekert", "ekert", "--format", "csv"): "fda66684dba42ef9bdafb713593eee4b2a49dc44c260dc2555956ecd241cdd2c",
 }
 
 EXTRA_SUMMARY_NO_ORACLE_DIGESTS = {
     ("honest", "bbm92", "--depolarize", "0.1"): "2524ed5257c95c17afd6dd81eb8a8936b5fe33e78b10f74dbd76589692719ac3",
     ("honest", "ekert", "--depolarize", "0.1"): "d811a97ae5b525d9fbdf84975e623610ff741e45ad84beb27e03d8135783e1f5",
     ("single-blinding", "bbm92", "--depolarize", "0.1"): "73940674db2207817f159806bcd7167d2456f2ae9baa4e8eede392695fa2bd11",
-    ("double-ekert", "ekert", "--format", "csv"): "09eeacb4d6e736ae7ad7ce6641a0525bf2563a5461b50c4377109a5682dcddeb",
+    ("double-ekert", "ekert", "--format", "csv"): "5d60835c3a3d0eda4fc2787c1b4b9c9ad2e6c5f402b06eb0f37f94a3b8da5d59",
 }
 
 # --records dumps outside RECORDS_DIGESTS, 70 000 rounds, seed 3: depolarized
