@@ -158,6 +158,12 @@ def _count_shape(protocol: ProtocolConfig) -> tuple[int, ...]:
     return (len(protocol.alice_settings), len(protocol.bob_settings), 4, 4, 3)
 
 
+def _key_rounds(protocol: ProtocolConfig, a_idx, b_idx, out_a, out_b) -> np.ndarray:
+    """Mark the rounds of the sifted key: equal settings, and both stations clicked."""
+    same_setting = np.equal.outer(protocol.alice_settings, protocol.bob_settings)
+    return same_setting[a_idx, b_idx] & (np.abs(out_a) == 1) & (np.abs(out_b) == 1)
+
+
 def _eve_tally(protocol: ProtocolConfig, scenario: ScenarioConfig, part) -> tuple[int, ...] | None:
     """Eve-audit counters of one chunk's columns; sessions add them up.
 
@@ -175,10 +181,9 @@ def _eve_tally(protocol: ProtocolConfig, scenario: ScenarioConfig, part) -> tupl
         alice, bob = np.asarray(protocol.alice_settings), np.asarray(protocol.bob_settings)
         pred_a, pred_b = predict_outcome_codes(lam, alice.take(a_idx), bob.take(b_idx), scenario, weak)
         wrong_b = pred_b != out_b
-        key = np.equal.outer(alice, bob)[a_idx, b_idx] & (np.abs(out_a) == 1) & (np.abs(out_b) == 1)
         return (
             int(np.count_nonzero(pred_a != out_a)) + int(np.count_nonzero(wrong_b)),
-            int(np.count_nonzero(wrong_b & key)),
+            int(np.count_nonzero(wrong_b & _key_rounds(protocol, a_idx, b_idx, out_a, out_b))),
         )
     if scenario.kind is ScenarioKind.SINGLE_BLINDING and eve_out is not None:
         clicked = np.abs(out_b) == 1
@@ -754,11 +759,8 @@ def sift_bbm92(records) -> SiftedKey:
     the setting and outcome columns; bbm92_qber gives the key's error rate.
     A session without per-round columns raises ValueError.
     """
-    pc = records.protocol
-    same_setting = np.equal.outer(pc.alice_settings, pc.bob_settings)
     out_a, out_b = records.outcome_a, records.outcome_b
-    keep = same_setting[records.a_idx, records.b_idx] & (np.abs(out_a) == 1) & (np.abs(out_b) == 1)
-    idx = np.flatnonzero(keep)
+    idx = np.flatnonzero(_key_rounds(records.protocol, records.a_idx, records.b_idx, out_a, out_b))
     bits_alice = (out_a[idx] == int(Outcome.MINUS)).astype(np.uint8)
     bits_bob = (out_b[idx] != int(Outcome.MINUS)).astype(np.uint8)
     return SiftedKey(bits_alice, bits_bob, idx)

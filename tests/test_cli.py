@@ -487,23 +487,11 @@ def test_weak_side_outside_double_ekert_is_refused(tmp_path, monkeypatch, capsys
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--weak-side" in err, argv
         assert not out.exists(), argv
-
-
-def test_weak_side_is_taken_under_double_ekert(tmp_path):
-    # the flag still sets the policy where it applies: a fixed side halves only that side's clicks
-    for policy, weak_rate in (("fixed-a", "a"), ("fixed-b", "b")):
-        out = tmp_path / f"{policy}.json"
-        rc = main([
-            "run", "--scenario", "double-ekert", "--protocol", "ekert", "--rounds", "20000",
-            "--weak-side", policy, "--out", str(out),
-        ])
-        assert rc == 0
-        per_side = _read_json(out)["efficiency"]["per_side"]
-        strong_rate = "b" if weak_rate == "a" else "a"
-        assert per_side[strong_rate] == 1.0 > per_side[weak_rate], policy
+    # a double-ekert sweep still takes it
+    monkeypatch.undo()
     rc = main([
         "sweep", "--axis", "alpha", "--scenario", "double-ekert", "--start", "0.3", "--stop", "0.6",
-        "--steps", "2", "--rounds", "1000", "--weak-side", "alternate", "--out", str(tmp_path / "sweep.csv"),
+        "--steps", "2", "--rounds", "1000", "--weak-side", "alternate", "--out", str(out),
     ])
     assert rc == 0
 
