@@ -180,11 +180,13 @@ def _eve_tally(protocol: ProtocolConfig, scenario: ScenarioConfig, part) -> tupl
     if scenario.kind in DOUBLE_BLIND_KINDS and lam is not None:
         alice, bob = np.asarray(protocol.alice_settings), np.asarray(protocol.bob_settings)
         pred_a, pred_b = predict_outcome_codes(lam, alice.take(a_idx), bob.take(b_idx), scenario, weak)
-        wrong_b = pred_b != out_b
-        return (
-            int(np.count_nonzero(pred_a != out_a)) + int(np.count_nonzero(wrong_b)),
-            int(np.count_nonzero(wrong_b & _key_rounds(protocol, a_idx, b_idx, out_a, out_b))),
-        )
+        # the rounds where Eve mispredicts Bob, almost always none: only they are sifted
+        wrong_b = np.flatnonzero(pred_b != out_b)
+        key_mismatches = 0
+        if wrong_b.size:
+            wrong = (col[wrong_b] for col in (a_idx, b_idx, out_a, out_b))
+            key_mismatches = int(np.count_nonzero(_key_rounds(protocol, *wrong)))
+        return int(np.count_nonzero(pred_a != out_a)) + wrong_b.size, key_mismatches
     if scenario.kind is ScenarioKind.SINGLE_BLINDING and eve_out is not None:
         clicked = np.abs(out_b) == 1
         return int(np.count_nonzero(clicked)), int(np.count_nonzero(clicked & (out_b != eve_out)))
