@@ -40,7 +40,6 @@ from .optics import (
     Outcome,
     canon_angle,
     click_codes,
-    split_intensities,
     window_codes,
     window_half_width,
 )
@@ -54,6 +53,7 @@ from .sources import (
     faked_pulse_params,
     honest_outcome_codes,
     intercept_click_codes,
+    opposite_outcome_prob,
     predict_outcome_codes,
     station_intensities,
     weak_side_codes,
@@ -520,12 +520,17 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     coin = functools.partial(g.integers, 0, 2)
     a_coin = _kept(g, m, trim, coin, 2)
     u_flip = _kept(g, m, trim, g.random, 1)
-    depol_u = _kept(g, m, trim, g.random, 1)
-    a_repl = _kept(g, m, trim, coin, 2)
-    b_repl = coin(m)  # the last draw
-    out_a, out_b = honest_outcome_codes(
-        alice[a_idx], bob[second_idx], a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
-    )
+    # the replacement draws come last and are read only under depolarization
+    depol_u = a_repl = b_repl = None
+    if sc.depolarize_prob > 0.0:
+        depol_u = _kept(g, m, trim, g.random, 1)
+        a_repl = _kept(g, m, trim, coin, 2)
+        b_repl = coin(m)  # the last draw
+    # one opposite-outcome probability per setting pair, looked up per round
+    pair = np.multiply(a_idx, bob.size)
+    pair += second_idx
+    p_opp = opposite_outcome_prob(alice[:, None], bob).reshape(-1).take(pair)
+    out_a, out_b = honest_outcome_codes(p_opp, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob)
     eve_out = None
     if single:
         # Bob's blinded station answers the pulse Eve forwards: a table of 2 |B|^2 codes
@@ -567,10 +572,14 @@ def _malus_station(intensity, polarization, setting, reach, window_code):
 
     A detector fires iff I(1 +- c)/2 > 1 (split_intensities, click_codes),
     i.e. iff c = cos 2(pol - setting) lies beyond +-tau, tau = 2/I - 1; over
-    a bucket c moves by at most 2 * reach from its midpoint value.
+    a bucket c moves by at most 2 * reach from its midpoint value. The
+    cosine is evaluated once over the broadcast of polarization and setting,
+    and the intensities, indexed by side, broadcast over it.
     """
-    codes = click_codes(*split_intensities(intensity, polarization, setting))
-    c = np.abs(np.cos(2.0 * (polarization - setting)))
+    c = np.cos(2.0 * (polarization - setting))
+    # split_intensities' arithmetic, in its operation order, so the same bits
+    codes = click_codes(intensity * (1.0 + c) / 2.0, intensity * (1.0 - c) / 2.0)
+    np.abs(c, out=c)
     return (codes != window_code) | _undecided(c, [2.0 / intensity - 1.0], 2.0 * reach + _COSINE_SLACK)
 
 

@@ -169,9 +169,17 @@ def faked_pulse_params(lam, cfg: ScenarioConfig, weak_side):
     return intensity_a.take(weak_side), pol_a, intensity_b.take(weak_side), pol_b
 
 
+def opposite_outcome_prob(theta_a, theta_b):
+    """(1 + cos 2(theta_a - theta_b)) / 2: how often an ideal pair's outcomes disagree (vectorized).
+
+    A session evaluates it once per setting pair and looks each round's
+    value up by its pair, which gives the same bits as evaluating it per round.
+    """
+    return (1.0 + np.cos(2.0 * (np.asarray(theta_a) - np.asarray(theta_b)))) / 2.0
+
+
 def honest_outcome_codes(
-    theta_a,
-    theta_b,
+    p_opp,
     a_coin,
     u_flip,
     depol_u,
@@ -181,13 +189,13 @@ def honest_outcome_codes(
 ):
     """Outcome codes for ideal anticorrelated pairs at unit efficiency.
 
-    The second outcome disagrees with the first with probability
-    (1 + cos 2(theta_a - theta_b)) / 2, which realizes the joint law
-    P(a, b) = (1 - a*b*cos 2(theta_a - theta_b)) / 4. With probability
-    depolarize_prob the pair is replaced by two independent fair coins.
+    The second outcome disagrees with the first with probability p_opp,
+    opposite_outcome_prob of the round's settings, which realizes the joint
+    law P(a, b) = (1 - a*b*cos 2(theta_a - theta_b)) / 4. With probability
+    depolarize_prob the pair is replaced by two independent fair coins;
+    depol_u, a_repl and b_repl are read only when it is positive.
     """
     a = (2 * np.asarray(a_coin, dtype=np.int8) - 1).astype(np.int8)
-    p_opp = (1.0 + np.cos(2.0 * (np.asarray(theta_a) - np.asarray(theta_b)))) / 2.0
     b = np.where(u_flip < p_opp, -a, a).astype(np.int8)
     if depolarize_prob > 0.0:
         noisy = np.asarray(depol_u) < depolarize_prob

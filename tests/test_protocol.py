@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from blindsim import protocol
-from blindsim.optics import HALF_PERIOD, Outcome, canon_angle, wrap_diff
+from blindsim.optics import HALF_PERIOD, Outcome, canon_angle, click_codes, split_intensities, wrap_diff
 from blindsim.protocol import (
     BBM92_SETTINGS,
     CHSH_QUAD,
@@ -43,6 +43,7 @@ from blindsim.sources import (
     faked_pulse_params,
     honest_outcome_codes,
     intercept_click_codes,
+    opposite_outcome_prob,
     predict_outcome_codes,
     weak_intensity,
 )
@@ -564,9 +565,8 @@ def _genuine_pair_reference(pc, sc, chunk_index):
     a_coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
     u_flip, depol_u = g.random(CHUNK_ROUNDS)[:m], g.random(CHUNK_ROUNDS)[:m]
     a_repl, b_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m], g.integers(0, 2, CHUNK_ROUNDS)[:m]
-    out_a, out_b = honest_outcome_codes(
-        alice[a_idx], bob[eve_idx], a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob
-    )
+    p_opp = opposite_outcome_prob(alice[a_idx], bob[eve_idx])  # per round
+    out_a, out_b = honest_outcome_codes(p_opp, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob)
     if not single:
         return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, None
     eve_out, out_b = out_b, intercept_click_codes(bob[eve_idx], out_b, bob[b_idx], sc)
@@ -889,12 +889,21 @@ _GRID_SIDES = {
 }
 
 
+def _malus_reference(intensity, polarization, setting, reach, window_code):
+    """protocol._malus_station by split_intensities over every axis, plus a second cosine for the margin."""
+    codes = click_codes(*split_intensities(intensity, polarization, setting))
+    c = np.abs(np.cos(2.0 * (polarization - setting)))
+    margin = 2.0 * reach + protocol._COSINE_SLACK
+    return (codes != window_code) | protocol._undecided(c, [2.0 / intensity - 1.0], margin)
+
+
 def _three_side_cells(pc, sc, audit):
     """The bin table indexed (a_idx, b_idx, weak side, bucket), over all three WeakSide codes.
 
     The rule of the bucketed reducer before it drew bins: window rule and
     margin rules at each bucket's midpoint, for every weak side whether
-    the session reaches it or not.
+    the session reaches it or not, and Eve's arithmetic evaluated on the
+    full broadcast; n_cells marks a bin either leaves undecided.
     """
     grid = protocol._bin_grid(pc, sc)
     alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
@@ -906,14 +915,16 @@ def _three_side_cells(pc, sc, audit):
         protocol._undecided(np.abs(np.abs(mid - s[:, None, None]) - HALF_PERIOD), [w, HALF_PERIOD - w], reach)
         for s, w in ((alice, w_a[:, None]), (bob, w_b[:, None]))
     )
-    if audit:
-        i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, np.arange(3))
-        undecided_a |= protocol._malus_station(i_a[:, None], pol_a, alice[:, None, None], reach, code_a)
-        undecided_b |= protocol._malus_station(i_b[:, None], pol_b, bob[:, None, None], reach, code_b)
     pair = np.arange(alice.size)[:, None] * bob.size + np.arange(bob.size)
     cells = (pair[:, :, None, None] * 4 + code_a[:, None] + 1) * 4 + code_b[None, :] + 1
     cells = cells * 3 + np.arange(3)[:, None]
-    cells[undecided_a[:, None] | undecided_b[None, :]] = math.prod(protocol._count_shape(pc))
+    n_cells = math.prod(protocol._count_shape(pc))
+    if audit:
+        i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, np.arange(3))
+        eve_a = _malus_reference(i_a[:, None], pol_a, alice[:, None, None], reach, code_a)
+        eve_b = _malus_reference(i_b[:, None], pol_b, bob[:, None, None], reach, code_b)
+        cells[eve_a[:, None] | eve_b[None, :]] = n_cells
+    cells[undecided_a[:, None] | undecided_b[None, :]] = n_cells
     return cells
 
 

@@ -21,6 +21,7 @@ from blindsim.sources import (
     honest_outcome_codes,
     intercept_click_codes,
     intercept_pulse_directions,
+    opposite_outcome_prob,
     predict_outcome_codes,
     sample_lambda,
     weak_intensity,
@@ -42,7 +43,7 @@ def _honest_pairs(rng, theta_a, theta_b, depolarize_prob=0.0):
     a_repl = rng.integers(0, 2, n)
     b_repl = rng.integers(0, 2, n)
     return honest_outcome_codes(
-        theta_a, theta_b, a_coin, u_flip, depol_u, a_repl, b_repl, depolarize_prob
+        opposite_outcome_prob(theta_a, theta_b), a_coin, u_flip, depol_u, a_repl, b_repl, depolarize_prob
     )
 
 
@@ -210,6 +211,25 @@ def test_weak_pulse_band_structure():
     rate = float(np.mean(codes != 0))
     expected = 4.0 * alpha / math.pi
     assert rate == pytest.approx(expected, abs=0.004)
+
+
+@pytest.mark.parametrize("alice,bob", [
+    ((0.0, math.pi / 4.0), (0.0, math.pi / 4.0)),
+    ((0.0, math.pi / 8.0, math.pi / 4.0), (math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0)),
+    (tuple(np.arange(127) * math.pi / 127), tuple(0.01 + np.arange(127) * math.pi / 127)),
+])
+def test_opposite_outcome_table_equals_the_per_round_values_bit_for_bit(alice, bob):
+    # a session evaluates opposite_outcome_prob once per setting pair and
+    # takes each round's value from that table: every entry, at a chunk of
+    # rounds covering every pair, must be the per-round value to the bit
+    alice, bob = np.asarray(alice), np.asarray(bob)
+    rng = np.random.default_rng(len(alice))
+    pair = np.concatenate([np.arange(alice.size * bob.size), rng.integers(0, alice.size * bob.size, CHUNK_ROUNDS)])
+    a_idx, b_idx = np.divmod(pair, bob.size)
+    table = opposite_outcome_prob(alice[:, None], bob)
+    assert table.shape == (alice.size, bob.size)
+    per_round = opposite_outcome_prob(alice[a_idx], bob[b_idx])
+    np.testing.assert_array_equal(table.reshape(-1).take(pair).view(np.uint64), per_round.view(np.uint64))
 
 
 def test_honest_singlet_perfect_anticorrelation_at_matched_settings():
