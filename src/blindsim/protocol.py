@@ -7,13 +7,14 @@ is still in cache. A double-blind round is a function of its setting pair,
 its weak side and its hidden polarization lambda, and that function is
 constant over all but a few narrow bands of lambda. So a double-blind chunk
 draws each round's bin, (weak side, a_idx, b_idx, lambda bucket), as one
-bounded integer, plus a fraction u in [0, 1) that places lambda within the
-bucket; a per-session table laid out in draw order gives the count-tensor
-cell of each bin, and only the rounds of bins that straddle a window edge or
-a click threshold, or where Eve's prediction differs, are decoded, settled
-and audited one by one. The audit counts the rounds, and the rounds of the
-sifted key, where Eve's prediction differs from the outcome, so a streamed
-session states how much of the key she knows. The per-round transcript,
+bounded integer; a per-session table laid out in draw order gives the
+count-tensor cell of each bin, and only the rounds of bins that straddle a
+window edge or a click threshold, or where Eve's prediction differs, are
+decoded, settled and audited one by one. Only those rounds draw a fraction
+u in [0, 1) that places lambda within the bucket, each kind of them from
+its own child stream of the chunk. The audit counts the rounds, and the
+rounds of the sifted key, where Eve's prediction differs from the outcome,
+so a streamed session states how much of the key she knows. The per-round transcript,
 plus whatever hidden side-information the scenario carries (the
 faked-state polarization, Eve's intercept results), is kept only by
 SessionRecords.simulate, which decodes the same draws for every round. The
@@ -46,11 +47,13 @@ from .optics import (
 from .sources import (
     CHUNK_ROUNDS,
     DOUBLE_BLIND_KINDS,
+    FRACTION_KINDS,
     ScenarioConfig,
     ScenarioKind,
     WeakSidePolicy,
     chunk_stream,
     faked_pulse_params,
+    fraction_stream,
     honest_outcome_codes,
     intercept_click_codes,
     opposite_outcome_prob,
@@ -407,7 +410,7 @@ class _BinGrid:
     policy the key is drawn over every bin; under alternate it is drawn
     over one side's bins, and an odd round (side B) adds one side's bins.
     The round's hidden polarization lies in bucket floor(lam * scale), at
-    lam = (bucket + u) / scale for its fraction u in [0, 1).
+    lam = (bucket + u) / scale for its fraction u in [0, 1) (_draw_fractions).
     """
 
     shape: tuple[int, int, int, int]
@@ -446,22 +449,41 @@ def _bin_grid(pc: ProtocolConfig, sc: ScenarioConfig) -> _BinGrid:
     return _BinGrid((sides.size, n_a, n_b, buckets), scale, sides, parity)
 
 
-def _draw_bins(pc: ProtocolConfig, grid: _BinGrid, chunk_index: int):
-    """A double-blind chunk's draws, (u, key): each round's fraction in [0, 1) and its int32 bin key.
+def _draw_bins(pc: ProtocolConfig, grid: _BinGrid, chunk_index: int) -> np.ndarray:
+    """A double-blind chunk's one draw from its chunk stream: each round's int32 bin key.
 
-    u comes first, m values of CHUNK_ROUNDS (_kept: a double costs one
-    uint64), and the key last, with only m values, since its bounded draw
-    can reject; so no round's values depend on the session length. numpy
-    draws an int32 by the same bounded-uint32 path, and so with the same
-    values and stream use, as an int64.
+    Only m values are drawn: the bounded draw can reject, but its first m
+    values are those of any longer draw, so no round's key depends on the
+    session length. numpy draws an int32 by the same bounded-uint32 path,
+    and so with the same values and stream use, as an int64.
     """
     lo, m, g = _open_chunk(pc, chunk_index)
-    u = _kept(g, m, True, g.random, 1)
     per_side = math.prod(grid.shape[1:])
     key = g.integers(0, per_side if grid.parity else per_side * grid.shape[0], m, dtype=np.int32)
     if grid.parity:
         key[(lo + 1) % 2 :: 2] += per_side  # the local indices of odd absolute rounds
-    return u, key
+    return key
+
+
+def _draw_fractions(pc: ProtocolConfig, chunk_index: int, marks, first: int):
+    """(idx, u): the rounds whose mark is at least first, in round order, and their fractions.
+
+    A round marked first + k is of kind k (sources.FRACTION_KINDS) and takes
+    the next value of the chunk's fraction_stream k, so each kind reads its
+    own stream in round order. A final chunk's rounds of each kind are then
+    the first rounds of that kind in a longer chunk, with the same
+    fractions, and a kind drawn by one path only (the audit's, or the
+    per-round session's) moves no other kind's values.
+    """
+    idx = np.flatnonzero(marks >= first)
+    kind = marks[idx] - first
+    u = np.empty(idx.size)
+    for k in range(FRACTION_KINDS):
+        at = kind == k
+        n = np.count_nonzero(at)
+        if n:
+            u[at] = fraction_stream(pc.seed, chunk_index, k).random(n)
+    return idx, u
 
 
 def _window_widths(sc: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -488,21 +510,38 @@ def _window_columns(pc: ProtocolConfig, sc: ScenarioConfig, lam, a_idx, b_idx, w
     return a_idx, b_idx, out_a, out_b, weak, lam, None
 
 
-def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
+def _fraction_kinds(pc: ProtocolConfig, sc: ScenarioConfig) -> np.ndarray:
+    """The fraction kind of each bin of a double-blind session, in draw order (int8).
+
+    0 and 1 where the audited table settles the bin (the sentinel offsets of
+    _BucketTables), 2 for every other bin.
+    """
+    cells = _bucket_tables(pc, sc, True).cells
+    n_cells = math.prod(_count_shape(pc))
+    return np.where(cells >= n_cells, cells - n_cells, 2).astype(np.int8)
+
+
+def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int, kinds=None):
     """Simulate rounds [chunk*CHUNK_ROUNDS, ...) of the session.
 
     Returns the chunk's columns in _COLUMNS order; the setting indices are
     int64 (int32 for double blind), which index the setting tables faster
     than int8. A double-blind chunk decodes every round of its bin draws
-    (_draw_bins), the draws a streamed session counts by bins. Every chunk
-    draws in a fixed per-scenario order, as if each array had CHUNK_ROUNDS
-    values; the final chunk keeps the first m values of each and stops
-    drawing the rest where the stream allows (_kept), so per-round values
-    never depend on how many rounds the final chunk actually covers.
+    (_draw_bins), the draws a streamed session counts by bins, each round's
+    fraction drawn for its kind (kinds, the session's _fraction_kinds,
+    built here when not given; _draw_fractions). Every chunk draws in a
+    fixed per-scenario order, as if each array had CHUNK_ROUNDS values; the
+    final chunk keeps the first m values of each and stops drawing the rest
+    where the stream allows (_kept), so per-round values never depend on how
+    many rounds the final chunk actually covers.
     """
     if sc.kind in DOUBLE_BLIND_KINDS:
         grid = _bin_grid(pc, sc)
-        return _window_columns(pc, sc, *grid.decode(*_draw_bins(pc, grid, chunk_index)))
+        if kinds is None:
+            kinds = _fraction_kinds(pc, sc)
+        key = _draw_bins(pc, grid, chunk_index)
+        _, u = _draw_fractions(pc, chunk_index, kinds.take(key), 0)
+        return _window_columns(pc, sc, *grid.decode(u, key))
 
     _, m, g = _open_chunk(pc, chunk_index)
     alice = np.asarray(pc.alice_settings)
@@ -550,8 +589,10 @@ class _BucketTables:
 
     cells[key] is the flat count-tensor cell of every round whose bin has
     that key in grid (_BinGrid), so the table is laid out in draw order;
-    or n_cells, one past the last cell, for a bin whose rounds are settled
-    one by one (_bucket_tables says which).
+    or, for a bin whose rounds are settled one by one (_bucket_tables says
+    which), a sentinel past the last cell: n_cells where the window rule
+    leaves the bin undecided, n_cells + 1 where only Eve's audit does. The
+    offset from n_cells is the rounds' fraction kind (_draw_fractions).
     """
 
     grid: _BinGrid
@@ -596,6 +637,9 @@ def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _Buck
     bucket plus _EDGE_SLACK; Eve's |cos 2(pol - setting)| must clear
     2/I - 1 by 2 * reach + _COSINE_SLACK. With the audit, a bucket where
     Eve's midpoint code differs from the window rule's is undecided too.
+    A bin the window rule leaves undecided gets sentinel n_cells, one only
+    Eve's arithmetic leaves undecided n_cells + 1; without the audit Eve's
+    arithmetic is not evaluated.
     """
     grid = _bin_grid(pc, sc)
     alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
@@ -610,18 +654,20 @@ def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _Buck
         _undecided(np.abs(np.abs(mid - s[:, None]) - HALF_PERIOD), [w, HALF_PERIOD - w], reach)
         for s, w in ((alice, w_a), (bob, w_b))
     )
-    if audit:
-        i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, grid.sides[:, None, None])
-        undecided_a |= _malus_station(i_a, pol_a, alice[:, None], reach, code_a)
-        undecided_b |= _malus_station(i_b, pol_b, bob[:, None], reach, code_b)
 
     # the bin table, indexed (side digit, a_idx, b_idx, bucket)
     n_cells = math.prod(_count_shape(pc))
     pair = np.arange(n_a, dtype=np.int32)[:, None] * n_b + np.arange(n_b, dtype=np.int32)
     cells = (pair[:, :, None] * 4 + code_a[:, :, None] + 1) * 4 + code_b[:, None] + 1
     cells = cells * 3 + grid.sides[:, None, None, None]
+    if audit:
+        i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, grid.sides[:, None, None])
+        eve_a = _malus_station(i_a, pol_a, alice[:, None], reach, code_a)
+        eve_b = _malus_station(i_b, pol_b, bob[:, None], reach, code_b)
+        cells[eve_a[:, :, None] | eve_b[:, None]] = n_cells + 1
     cells[undecided_a[:, :, None] | undecided_b[:, None]] = n_cells
-    return _BucketTables(grid, cells.reshape(-1).astype(np.int16 if n_cells < 2**15 else np.int32))
+    # the largest entry is the audit's sentinel
+    return _BucketTables(grid, cells.reshape(-1).astype(np.int16 if n_cells + 1 < 2**15 else np.int32))
 
 
 def _reduce_bucketed(
@@ -630,20 +676,23 @@ def _reduce_bucketed(
     """_reduce_chunk(pc, sc, _simulate_chunk(pc, sc, chunk_index), audit), counted by bins.
 
     tables.cells gives each round's cell by its bin key, and one bincount
-    of the cells counts the decided rounds. Only the settled rounds are
-    decoded; they go through _window_columns and _reduce_chunk, the
-    kernel's and Eve's own per-round arithmetic, even when there are none.
-    Their tally is the chunk's, since a decided round has Eve's prediction
-    equal to its outcome.
+    of the cells counts the decided rounds. Only the settled rounds, those
+    of a sentinel cell, draw a fraction (_draw_fractions) and are decoded;
+    they go through _window_columns and _reduce_chunk, the kernel's and
+    Eve's own per-round arithmetic, even when there are none. Their tally
+    is the chunk's, since a decided round has Eve's prediction equal to its
+    outcome. A round the audited table settles and the unaudited one decides
+    (kind 1) has the table's cell at any lambda in its bucket, so the counts
+    do not depend on audit.
     """
-    u, key = _draw_bins(pc, tables.grid, chunk_index)
+    key = _draw_bins(pc, tables.grid, chunk_index)
     shape = _count_shape(pc)
     n_cells = math.prod(shape)
     cell = tables.cells.take(key)
-    idx = np.flatnonzero(cell == n_cells)
-    settled = tables.grid.decode(u[idx], key[idx])
-    del u, key  # bincount copies cell to intp: free the draws first, for a lower peak
-    counts = np.bincount(cell, minlength=n_cells + 1)[:-1].reshape(shape)
+    idx, u = _draw_fractions(pc, chunk_index, cell, n_cells)
+    settled = tables.grid.decode(u, key[idx])
+    del key  # bincount copies cell to intp: free the keys first, for a lower peak
+    counts = np.bincount(cell, minlength=n_cells)[:n_cells].reshape(shape)
     settled_counts, tally = _reduce_chunk(pc, sc, _window_columns(pc, sc, *settled), audit)
     return counts + settled_counts, tally
 
@@ -702,6 +751,9 @@ def session_chunks(protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig, w
     workers = min(workers, n_chunks, os.cpu_count() or 1)
     if per_chunk is None:
         per_chunk = functools.partial(_simulate_chunk, protocol_cfg, scenario_cfg)
+        if scenario_cfg.kind in DOUBLE_BLIND_KINDS:
+            # the session's fraction kinds, built once for all of its chunks
+            per_chunk = functools.partial(per_chunk, kinds=_fraction_kinds(protocol_cfg, scenario_cfg))
     return _in_chunk_order(per_chunk, n_chunks, workers)
 
 

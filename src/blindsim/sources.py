@@ -28,9 +28,11 @@ DEFAULT_ALPHA = math.pi / (4.0 * math.sqrt(2.0))
 # each had CHUNK_ROUNDS values, so any per-round value is a pure function of
 # (seed, round index, config). A final chunk draws only the values it keeps
 # of each array whose stream use it can skip with advance, or that is drawn
-# last, with the values unchanged. A double-blind chunk draws two arrays: a
-# fraction u per round, then the round's bin (weak side, settings, lambda
-# bucket) as one bounded integer (protocol._draw_bins)
+# last, with the values unchanged. A double-blind chunk draws one array, the
+# round's bin (weak side, settings, lambda bucket) as one bounded integer
+# (protocol._draw_bins); a round whose bin the chunk decodes gets its
+# fraction within the bucket from a child stream of the chunk
+# (fraction_stream), which the rounds of its kind read in round order
 CHUNK_ROUNDS = 1 << 16
 
 
@@ -107,18 +109,43 @@ class ScenarioConfig:
                 )
 
 
+def _spawned(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+    """The generator of SeedSequence(seed, spawn_key), for a seed that fits in 64 bits."""
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=spawn_key))
+
+
 def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
     """Independent generator for rounds [chunk*CHUNK_ROUNDS, (chunk+1)*CHUNK_ROUNDS).
 
     Chunks are keyed by (seed, chunk index), never by worker layout, so a
     session partitioned across any number of workers replays identically.
     """
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     if chunk_index < 0:
         raise ValueError(f"chunk_index must be >= 0, got {chunk_index}")
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(chunk_index),))
-    return np.random.default_rng(ss)
+    return _spawned(seed, (int(chunk_index),))
+
+
+# the kinds of double-blind round, each with its own fraction stream: a bin
+# the window rule leaves undecided, one only Eve's audit leaves undecided,
+# and every other bin, whose rounds only a per-round session decodes
+FRACTION_KINDS = 3
+
+
+def fraction_stream(seed: int, chunk_index: int, kind: int) -> np.random.Generator:
+    """Child stream kind of chunk chunk_index: the fractions of the chunk's rounds of that kind.
+
+    The chunk_stream's SeedSequence spawns it as child kind, so it is
+    independent of the chunk's own draws and of the other kinds. The rounds
+    of one kind read it in round order, which keeps each round's fraction a
+    pure function of (seed, round index, config).
+    """
+    if chunk_index < 0:
+        raise ValueError(f"chunk_index must be >= 0, got {chunk_index}")
+    if not 0 <= kind < FRACTION_KINDS:
+        raise ValueError(f"kind must lie in [0, {FRACTION_KINDS}), got {kind}")
+    return _spawned(seed, (int(chunk_index), int(kind)))
 
 
 def sample_lambda(rng: np.random.Generator, size=None):

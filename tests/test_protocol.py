@@ -454,27 +454,35 @@ def test_eve_key_match_fraction_is_none_without_key_rounds():
         assert bbm92_qber(session) is None
 
 
-_DRAW_BINS = protocol._draw_bins
+_DRAW_BINS, _DRAW_FRACTIONS = protocol._draw_bins, protocol._draw_fractions
 
 
 def _inject_lambdas(monkeypatch, targets):
-    """Make the bin draws put each round's hidden polarization at targets(rng, m), to within ulps.
+    """Make the draws put each round's hidden polarization at targets(rng, m), to within ulps.
 
-    Each round keeps the setting pair and weak side it drew; its bucket and
-    fraction are replaced by those of its target. Returns the targets of
-    each chunk drawn, by chunk index (_assert_injected reads them).
+    Each round keeps the setting pair and weak side of its bin key; the
+    key's bucket is replaced by its target's, and the fraction drawn for
+    each round a chunk decodes, of whichever kind, by its target's. Returns
+    the targets of each chunk drawn, by chunk index (_assert_injected reads
+    them).
     """
-    injected = {}
+    injected, fractions = {}, {}
 
-    def draw(pc, grid, chunk_index):
-        u, key = _DRAW_BINS(pc, grid, chunk_index)
-        lam = targets(np.random.default_rng(chunk_index), u.size)
+    def draw_bins(pc, grid, chunk_index):
+        key = _DRAW_BINS(pc, grid, chunk_index)
+        lam = targets(np.random.default_rng(chunk_index), key.size)
         bucket = np.minimum(np.multiply(lam, grid.scale).astype(np.int32), grid.buckets - 1)
         key += bucket - key % grid.buckets
         injected[chunk_index] = lam
-        return np.clip(lam * grid.scale - bucket, 0.0, math.nextafter(1.0, 0.0)), key
+        fractions[chunk_index] = np.clip(lam * grid.scale - bucket, 0.0, math.nextafter(1.0, 0.0))
+        return key
 
-    monkeypatch.setattr(protocol, "_draw_bins", draw)
+    def draw_fractions(pc, chunk_index, marks, first):
+        idx, _ = _DRAW_FRACTIONS(pc, chunk_index, marks, first)
+        return idx, fractions[chunk_index][idx]
+
+    monkeypatch.setattr(protocol, "_draw_bins", draw_bins)
+    monkeypatch.setattr(protocol, "_draw_fractions", draw_fractions)
     return injected
 
 
@@ -903,7 +911,8 @@ def _three_side_cells(pc, sc, audit):
     The rule of the bucketed reducer before it drew bins: window rule and
     margin rules at each bucket's midpoint, for every weak side whether
     the session reaches it or not, and Eve's arithmetic evaluated on the
-    full broadcast; n_cells marks a bin either leaves undecided.
+    full broadcast; n_cells marks a bin the window rule leaves undecided,
+    n_cells + 1 one only Eve's arithmetic does.
     """
     grid = protocol._bin_grid(pc, sc)
     alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
@@ -923,7 +932,7 @@ def _three_side_cells(pc, sc, audit):
         i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, np.arange(3))
         eve_a = _malus_reference(i_a[:, None], pol_a, alice[:, None, None], reach, code_a)
         eve_b = _malus_reference(i_b[:, None], pol_b, bob[:, None, None], reach, code_b)
-        cells[eve_a[:, None] | eve_b[None, :]] = n_cells
+        cells[eve_a[:, None] | eve_b[None, :]] = n_cells + 1
     cells[undecided_a[:, None] | undecided_b[None, :]] = n_cells
     return cells
 
@@ -953,40 +962,38 @@ def test_each_bin_key_decodes_to_its_bin_and_its_three_side_cell(n_a, n_b, bucke
 
 
 def _full_size_double_blind(pc, grid, chunk_index):
-    """A double-blind chunk's draws, (u, key), as full-size int64-bound arrays sliced to the chunk."""
+    """A double-blind chunk's bin keys, as a full-size int64-bound draw sliced to the chunk."""
     lo = chunk_index * CHUNK_ROUNDS
     m = min(pc.rounds, lo + CHUNK_ROUNDS) - lo
     g = chunk_stream(pc.seed, chunk_index)
-    u = g.random(CHUNK_ROUNDS)[:m]
     per_side = math.prod(grid.shape[1:])
     key = g.integers(0, per_side if grid.parity else math.prod(grid.shape), CHUNK_ROUNDS)[:m]
     if grid.parity:
         key += per_side * ((lo + np.arange(m)) % 2)  # side B on odd absolute rounds
-    return u, key
+    return key
 
 
 @pytest.mark.parametrize("n_a,n_b", [(1, 1), (2, 2), (3, 3), (4, 4), (127, 127), (1, 3), (3, 127)])
 @pytest.mark.parametrize("m", [1, 2, 3, 1234, 3392, CHUNK_ROUNDS - 1, CHUNK_ROUNDS])
 def test_trimmed_double_blind_draws_equal_the_full_size_draws(m, n_a, n_b):
-    # a final chunk of m rounds draws the m fractions it keeps and skips the
-    # rest with advance, then draws m bin keys; a numpy whose draws consume
-    # the stream otherwise fails here
+    # a final chunk of m rounds draws m bin keys, its chunk stream's only
+    # draw: they are the first m keys of a full-size draw; a numpy whose
+    # bounded draws consume the stream otherwise fails here
     pc = ProtocolConfig(
         protocol="ekert", rounds=CHUNK_ROUNDS + m, seed=48, alice_settings=_spread(n_a), bob_settings=_spread(n_b)
     )
     for scenario, policy in _GRID_SIDES:
         sc = ScenarioConfig(kind=scenario, weak_side_policy=policy)
         grid = protocol._bin_grid(pc, sc)
-        got = protocol._draw_bins(pc, grid, 1)
-        for name, col, ref in zip(("u", "key"), got, _full_size_double_blind(pc, grid, 1)):
-            np.testing.assert_array_equal(col, ref, err_msg=f"{name} {scenario} {policy}")
-        assert got[1].dtype == np.int32
+        key = protocol._draw_bins(pc, grid, 1)
+        np.testing.assert_array_equal(key, _full_size_double_blind(pc, grid, 1), err_msg=f"{scenario} {policy}")
+        assert key.dtype == np.int32
         # the alternate policy weakens A on even absolute rounds and B on odd
         # ones; a policy with one side gives every round that side
         if (scenario, policy) != ("double-ekert", "random"):
             alternate = (scenario, policy) == ("double-ekert", "alternate")
             parity = (CHUNK_ROUNDS + np.arange(m)) % 2 if alternate else np.zeros(m, np.intp)
-            weak = grid.decode(*got)[3]
+            weak = grid.decode(np.zeros(m), key)[3]
             np.testing.assert_array_equal(weak, np.asarray(_GRID_SIDES[scenario, policy])[parity])
 
 
@@ -1008,7 +1015,9 @@ def test_decoded_lambda_stays_below_pi(monkeypatch, buckets):
         assert grid.decode(np.array([largest_u]), top)[0][0] == math.nextafter(math.pi, 0.0)
         every_bin = np.arange(math.prod(grid.shape), dtype=np.int32)
         draws = [(np.full(every_bin.size, u), every_bin) for u in (0.0, 0.5, largest_u)]
-        for u, key in draws + [protocol._draw_bins(pc, grid, 0)]:
+        key = protocol._draw_bins(pc, grid, 0)
+        _, u = protocol._draw_fractions(pc, 0, protocol._fraction_kinds(pc, sc).take(key), 0)
+        for u, key in draws + [(u, key)]:
             lam = grid.decode(u, key)[0]
             assert 0.0 <= lam.min() and lam.max() < math.pi
             mid = (key % grid.buckets + 0.5) / grid.scale
@@ -1042,8 +1051,8 @@ _BUCKET_ROUNDS = 2 * CHUNK_ROUNDS + 1234  # two full chunks and a partial one
 
 
 def _settled_bins(pc, tables):
-    """The bins of a bin table whose rounds are settled one by one: those holding the cell past the last."""
-    return tables.cells == math.prod(protocol._count_shape(pc))
+    """The bins of a bin table whose rounds are settled one by one: those holding a sentinel past the last cell."""
+    return tables.cells >= math.prod(protocol._count_shape(pc))
 
 
 @pytest.mark.parametrize("policy", [p.value for p in WeakSidePolicy])
@@ -1171,7 +1180,7 @@ def test_settle_bin_counts(scenario, proto, kwargs, audited, unaudited, bins):
     pc = ProtocolConfig(protocol=proto, rounds=1)
     sc = ScenarioConfig(kind=scenario, **kwargs)
     for audit, expected in ((True, audited), (False, unaudited)):
-        three_sides = _three_side_cells(pc, sc, audit) == math.prod(protocol._count_shape(pc))
+        three_sides = _three_side_cells(pc, sc, audit) >= math.prod(protocol._count_shape(pc))
         assert (int(three_sides.sum()), three_sides.size) == (expected, bins), audit
         tables = protocol._bucket_tables(pc, sc, audit)
         reached = three_sides[:, :, tables.grid.sides].transpose(2, 0, 1, 3)
@@ -1219,3 +1228,127 @@ def test_bucketed_reducer_for_one_and_for_127_settings_a_side():
     assert tables.cells.size <= protocol._MAX_BINS
     assert tables.cells.nbytes <= 8 * protocol._MAX_BINS, tables.cells.nbytes
     _assert_bucketed_matches_columns(pc, sc)
+
+
+class _RecordedStream:
+    """A generator that logs (stream label, method, size) of each draw, then draws it."""
+
+    def __init__(self, rng, label, log):
+        self._rng, self._label, self._log = rng, label, log
+        self.bit_generator = rng.bit_generator
+
+    def integers(self, low, high, size, **kwargs):
+        self._log.append((self._label, "integers", size))
+        return self._rng.integers(low, high, size, **kwargs)
+
+    def random(self, size):
+        self._log.append((self._label, "random", size))
+        return self._rng.random(size)
+
+
+def _record_draws(monkeypatch):
+    """Log every draw of the session's chunk and fraction streams, in the order they are made."""
+    log = []
+    chunk, fraction = protocol.chunk_stream, protocol.fraction_stream
+    monkeypatch.setattr(protocol, "chunk_stream", lambda seed, c: _RecordedStream(chunk(seed, c), ("chunk", c), log))
+    monkeypatch.setattr(
+        protocol, "fraction_stream", lambda seed, c, k: _RecordedStream(fraction(seed, c, k), ("fraction", c, k), log)
+    )
+    return log
+
+
+@pytest.mark.parametrize("scenario,proto", [("double-bbm92", "bbm92"), ("double-ekert", "ekert")])
+def test_streamed_chunk_draws_a_fraction_only_for_each_settled_round(monkeypatch, scenario, proto):
+    # the chunk stream draws the m bin keys and nothing else; a round draws a
+    # fraction only where the session's table settles it, from the stream of
+    # its kind: kind 0 (the window rule) without the audit, kinds 0 and 1 with it
+    pc = ProtocolConfig(protocol=proto, rounds=CHUNK_ROUNDS + 1234, seed=54)
+    sc = ScenarioConfig(kind=scenario)
+    n_cells = math.prod(protocol._count_shape(pc))
+    for audit in (False, True):
+        tables = protocol._bucket_tables(pc, sc, audit)
+        expected, settled = [], 0
+        for c, m in enumerate((CHUNK_ROUNDS, 1234)):
+            kind = tables.cells.take(_DRAW_BINS(pc, tables.grid, c)).astype(np.int64) - n_cells
+            per_kind = np.bincount(kind[kind >= 0], minlength=2)
+            assert per_kind.size == 2 and (audit or per_kind[1] == 0)
+            expected += [(("chunk", c), "integers", m)]
+            expected += [(("fraction", c, k), "random", n) for k, n in enumerate(per_kind) if n]
+            settled += int(per_kind.sum())
+        log = _record_draws(monkeypatch)
+        run_session(pc, sc, audit=audit)
+        monkeypatch.undo()
+        assert log == expected, audit
+        assert 0 < settled < 0.05 * pc.rounds
+    # Eve's audit settles bins the window rule decides only under double-ekert
+    assert any(entry[0][2:] == (1,) for entry in log) == (scenario == "double-ekert")
+
+
+@pytest.mark.parametrize("scenario,policy", [("double-bbm92", "random")] + [
+    ("double-ekert", policy.value) for policy in WeakSidePolicy
+])
+def test_double_blind_columns_are_prefix_stable_across_a_partial_final_chunk(scenario, policy):
+    # the rounds of each kind in a final chunk are the first of that kind in a
+    # full chunk, so a shorter session's columns are the longer one's prefix
+    sc = ScenarioConfig(kind=scenario, weak_side_policy=policy)
+    short, long = (
+        SessionRecords.simulate(ProtocolConfig(protocol="ekert", rounds=rounds, seed=55), sc)
+        for rounds in (CHUNK_ROUNDS + 1234, 2 * CHUNK_ROUNDS)
+    )
+    for name in ("a_idx", "b_idx", "outcome_a", "outcome_b", "weak_side", "hidden_lambda"):
+        np.testing.assert_array_equal(getattr(short, name), getattr(long, name)[: len(short)], err_msg=name)
+    assert eve_prediction_report(short)["mismatched_outcomes"] == 0
+
+
+def test_simulated_chunk_draws_a_fraction_for_every_round_by_its_kind(monkeypatch):
+    # a per-round session decodes every round: the decided ones read the
+    # third fraction stream, and the settled ones the streams a streamed
+    # session reads for them
+    pc = ProtocolConfig(protocol="ekert", rounds=1234, seed=56)
+    sc = ScenarioConfig(kind="double-ekert")
+    kinds = protocol._fraction_kinds(pc, sc)
+    per_kind = np.bincount(kinds.take(_DRAW_BINS(pc, protocol._bin_grid(pc, sc), 0)), minlength=3)
+    assert per_kind.size == 3 and per_kind.all()
+    log = _record_draws(monkeypatch)
+    SessionRecords.simulate(pc, sc)
+    assert log == [(("chunk", 0), "integers", 1234)] + [
+        (("fraction", 0, k), "random", n) for k, n in enumerate(per_kind)
+    ]
+
+
+@pytest.mark.parametrize("depolarize,arrays", [(0.0, 4), (0.1, 7)])
+def test_genuine_pair_chunk_skips_the_replacement_draws_without_depolarization(monkeypatch, depolarize, arrays):
+    # a_idx, b_idx, a_coin and u_flip always; depol_u, a_repl and b_repl only
+    # when a pair can be replaced, since nothing else reads them
+    log = _record_draws(monkeypatch)
+    pc = ProtocolConfig(protocol="bbm92", rounds=1234, seed=57)
+    run_session(pc, ScenarioConfig(kind="honest", depolarize_prob=depolarize))
+    assert [entry[0] for entry in log] == [("chunk", 0)] * arrays
+
+
+def test_unaudited_double_blind_session_runs_none_of_eves_arithmetic(monkeypatch):
+    # without the audit a session builds its table from the window rule alone
+    # and settles only the rounds that rule leaves undecided
+    calls = []
+    for name in ("faked_pulse_params", "predict_outcome_codes"):
+        real = getattr(protocol, name)
+        monkeypatch.setattr(protocol, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    pc = ProtocolConfig(protocol="ekert", rounds=CHUNK_ROUNDS + 1234, seed=58)
+    for scenario in ("double-ekert", "double-bbm92"):
+        run_session(pc, ScenarioConfig(kind=scenario), audit=False)
+    assert calls == []
+    # the counters see the audited session's calls
+    run_session(pc, ScenarioConfig(kind="double-ekert"))
+    assert set(calls) == {"faked_pulse_params", "predict_outcome_codes"}
+
+
+@pytest.mark.parametrize("n_a,n_b,dtype", [(22, 31, np.int16), (23, 30, np.int32)])
+def test_bin_table_dtype_holds_the_audit_sentinel(n_a, n_b, dtype):
+    # 22 x 31 setting pairs give 32 736 cells, the most an int16 table holds
+    # with both sentinels; 690 pairs need int32
+    pc = ProtocolConfig(protocol="ekert", rounds=1, alice_settings=_spread(n_a), bob_settings=_spread(n_b))
+    n_cells = math.prod(protocol._count_shape(pc))
+    for audit in (True, False):
+        cells = protocol._bucket_tables(pc, ScenarioConfig(kind="double-ekert"), audit).cells
+        assert cells.dtype == dtype and np.iinfo(dtype).max >= n_cells + 1
+        assert 0 <= cells.min() and cells.max() <= n_cells + 1

@@ -18,6 +18,7 @@ from blindsim.sources import (
     WeakSidePolicy,
     chunk_stream,
     faked_pulse_params,
+    fraction_stream,
     honest_outcome_codes,
     intercept_click_codes,
     intercept_pulse_directions,
@@ -101,6 +102,19 @@ def test_chunk_stream_validation_and_determinism():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert CHUNK_ROUNDS == 65536
+
+
+def test_fraction_stream_validation_and_independence():
+    for bad in ((-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 3)):
+        with pytest.raises(ValueError):
+            fraction_stream(*bad)
+    np.testing.assert_array_equal(fraction_stream(5, 2, 1).random(10), fraction_stream(5, 2, 1).random(10))
+    # each kind's stream differs from the others and from the chunk's own stream
+    draws = [fraction_stream(5, 2, kind).random(10) for kind in range(3)] + [chunk_stream(5, 2).random(10)]
+    assert len({d.tobytes() for d in draws}) == 4
+    # child kind of the chunk stream's seed sequence
+    child = np.random.SeedSequence(5, spawn_key=(2,)).spawn(3)[1]
+    np.testing.assert_array_equal(fraction_stream(5, 2, 1).random(10), np.random.default_rng(child).random(10))
 
 
 def test_sample_lambda_uniform_moments():
