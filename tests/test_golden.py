@@ -28,14 +28,14 @@ SUMMARY_DIGESTS = {
     ("honest", "ekert", 2): "99fbc09cb3de5bdba689bc2da878709ca94bfae3c68b2ca449b8e6a408a3a94d",
     ("single-blinding", "bbm92", 1): "0ba9fc6a32c76deb0f204775d26137d3bbfe990d8bb652b7cfdb32c6f290ad10",
     ("single-blinding", "bbm92", 2): "fdd075e5f181052adec58bc1d757306960c4abbf1dad93ce9bdd29cf476e8c26",
-    ("double-bbm92", "bbm92", 1): "e42bccc09935c0fbfd2e244cd4664b8bea56d1abc225e98c6f587df4cbb97f5c",
-    ("double-bbm92", "bbm92", 2): "c9f9f0d6f5dd7cf231115cfc17c7e302e91a326c3079a5ba25a41dfbf1bc9d10",
-    ("double-bbm92", "ekert", 1): "937f22c8021be7a44028be5fe9f9b6e0e94032ef6d1978fb886a28e61342bdae",
-    ("double-bbm92", "ekert", 2): "1cd3f03c568feb95da1691c19c6f66b7c8f3c71480c6f32fdf15a56c5f69fcfc",
-    ("double-ekert", "bbm92", 1): "240708d56f5509dc07901850906b85604d5df3957a76ded4914d06485fad260c",
-    ("double-ekert", "bbm92", 2): "fe4f5b472b355ef9b32e64dd550f1ab96af8327b8d68fd3d69ae42fae0891726",
-    ("double-ekert", "ekert", 1): "682c97d961f020f18cbb6d33dd73f9ecda952b303598a732859a7aea78221e39",
-    ("double-ekert", "ekert", 2): "54bfd77a812fbd1e6974077cf853639df68f6d3ac12a7f365912f284eabf494f",
+    ("double-bbm92", "bbm92", 1): "f2a5df1ee27ce0474a2bca43e0a21c6850100e3385933126624b71d221e323d8",
+    ("double-bbm92", "bbm92", 2): "06c3bc921eb3b02b1fe99deb3b7700ed322c5c60315a814e8742581311174ebb",
+    ("double-bbm92", "ekert", 1): "267800501ba86b78f68ba63b35519a886470d825f3ea9ba7322389de7c92a968",
+    ("double-bbm92", "ekert", 2): "905a40dd894600592210a50c29adff33bc5252144fdc4ca2f54a30b3087e2909",
+    ("double-ekert", "bbm92", 1): "69fb1d17ea934a2f4631172cc13c6279eee9550aed8d62e176ca812ddaccfb3e",
+    ("double-ekert", "bbm92", 2): "2b456a38d6d364d1edbc0332681d93e5dc49c21fa5741ae92a41414d23f21bde",
+    ("double-ekert", "ekert", 1): "bdbd9be578a4ce8d069f3bd90a30bfc27825bb5871fbce7acfa9d670c5dd5f45",
+    ("double-ekert", "ekert", 2): "4810222dc82c4341bb312bad089688d42fd7e0d69e17d2e3a467ad694cd5b323",
 }
 
 # the digests above with the "oracle" block removed (_without_oracle): what the
@@ -48,68 +48,68 @@ SUMMARY_NO_ORACLE_DIGESTS = {
     ("honest", "ekert", 2): "6836a1e0a9319d23ccc6b511a942d49d3e9eccccfd5f9703b7c09cd05a0e7114",
     ("single-blinding", "bbm92", 1): "b1e8a448af968b9d17c4ecb3eaeca1db8717a1fcdc7efe59043aadc4d07ccb47",
     ("single-blinding", "bbm92", 2): "1e1d6314fe23289a7f5b2d333d41524a68ed6144ec9ea7a003a735bb2d8a6e95",
-    ("double-bbm92", "bbm92", 1): "105cdcc7d4c7848043cb4ea8e888a46b590b846b36aab20e8ec8b877ad1889cd",
-    ("double-bbm92", "bbm92", 2): "f373c2d32bf2c989e18a91a7550e56ed903af72a93a199a3b6ae3b469d04d1c3",
-    ("double-bbm92", "ekert", 1): "285ae8fafc13e1e68d1fb9b52bae4c23ece2fdd49b5d4f0ed11a0729658e1d49",
-    ("double-bbm92", "ekert", 2): "60cd44db7a9f3d183bcba17c1becf66776414783e53312036b874f8e764a0511",
-    ("double-ekert", "bbm92", 1): "4c16ebed79159425d20ad300a8501eb0110f1c2224428acb9690718f3e7bb8ab",
-    ("double-ekert", "bbm92", 2): "8bc21bad9b8b1868f2b47e6f0c9b5de6172f32a59e3feda7cbc6c9fa9c6e2bdb",
-    ("double-ekert", "ekert", 1): "491f779034275bbf6a0e0e2d4ab8c84d0f86a2129cfef20339608ce6b50fef69",
-    ("double-ekert", "ekert", 2): "55be7d5cc5c9d92838b1a0ce440716dde9e2d3ec6951f9c8cd3efe56b4cbad43",
+    ("double-bbm92", "bbm92", 1): "89b54a542a657ff714c0adde003a85aa63043d9aed75c67ea1cd7fa69ee90306",
+    ("double-bbm92", "bbm92", 2): "146c374d87a3137624f1cba2e72d10d9b7b855e7dde0c8cd0b7883ea192d4c27",
+    ("double-bbm92", "ekert", 1): "ca9da452e277f7ccc94d9fe70034ab5b9509bfe23bee98d120ad0461a873e9ec",
+    ("double-bbm92", "ekert", 2): "aa06699fd069b96e211fdd2778c31e8e9730d4de7928bb7aa427a8942243c8a6",
+    ("double-ekert", "bbm92", 1): "436cbebc69a9f6b0caaa8d39b8ec1db67055ac9544bfd89bb8a31d383f9b8ce1",
+    ("double-ekert", "bbm92", 2): "dd79fd0d91110d1add5ae274cb9007151b60743ab45d7463ba47e8ad12495255",
+    ("double-ekert", "ekert", 1): "5e1cdffeb33e28d86680db4289f706e90fde606da2e8060bca3882acc8461e6d",
+    ("double-ekert", "ekert", 2): "4b3c7bdcd2ebbd70e129e66a0e8216bce49909ce5c01cb4d846e6d54a1085bca",
 }
 
 # double-ekert ekert summaries, 150 000 rounds, seed 5, under the options the
 # default matrix leaves at their defaults
 OPTION_DIGESTS = {
-    ("--weak-side", "alternate"): "3ed28f67063199ceb591ca485b87d3373b29c871a3cb93a4200cc1e60ebe59a3",
-    ("--weak-side", "fixed-a"): "f5081875c14b0b865ccce569c0c89ffc10669b94a864225c48ef661b1c8b718e",
-    ("--weak-side", "fixed-b"): "939850c0f4a9cc347767972424228cb5d9e1c2569495d233882b552be7c0d978",
-    ("--alpha", "0.3"): "64d404ad0fdfe3a35121617bbb6457b96420ad1fc40f9af2bad3b746f2491c74",
+    ("--weak-side", "alternate"): "e570ec7861f51c7e76bfe49f8263f7df423f6416995eccad975d13da037275ac",
+    ("--weak-side", "fixed-a"): "79e5909639d4cda261306049a334e055cd954013f8de5a65e74f9d8e1d6e4369",
+    ("--weak-side", "fixed-b"): "2d1c38a0ef8cf1e970c26c02943cc8694d1903c2792ca9f24a2614833a6059f2",
+    ("--alpha", "0.3"): "718e1ddc7d989c8462c8a33d00e5e04f0b334fcf91490d0a4279bc3d023ba07e",
 }
 
 OPTION_NO_ORACLE_DIGESTS = {
-    ("--weak-side", "alternate"): "7f2ec1005caf7ec4464bb1a8ad818405f7693a27db203a3ff65ecdc1855e5027",
-    ("--weak-side", "fixed-a"): "75d2578d6c2a5c46d188863392dc9a59e3901edb0a3bf95e8d1063e2fa96726f",
-    ("--weak-side", "fixed-b"): "8c09491f64b5bb0221edb7889e53de9b159d12003ca2fc095bebd702f540066b",
-    ("--alpha", "0.3"): "c525b5e6a8168777e5ed154c5d3e85cbd3013539619e18349df96907c06513fa",
+    ("--weak-side", "alternate"): "0ee994e89487f1cee22af06935ecdb7d46aeb98f9f29ea58582af623c3123316",
+    ("--weak-side", "fixed-a"): "919fb33b877cf7b325afebc04031a3f847ff481be9a66cb21476bea4e6f0cc19",
+    ("--weak-side", "fixed-b"): "4086f5b12c7f4c00d9f31916e508f0126393d06b8b3395b9f04d00a3694f670d",
+    ("--alpha", "0.3"): "55a5707a0e7df754bdd6046b720a945dd34a623decf82c63c368c33f53b61f5a",
 }
 
 # the double-blind summaries of the three tables above with Eve's sifted-key
 # counters removed (_without_key_audit), pinned before those counters
 # existed: every other byte of these summaries must stay as it was
 NO_KEY_AUDIT_DIGESTS = {
-    ("double-bbm92", "bbm92", 1): "c4e90d0269a1867f20fa4ed3d2f929bc291d1dc9c23e60eeb107c9233287c9b9",
-    ("double-bbm92", "bbm92", 2): "18ac767fcbf68bc97e2b2501b010f7d3772aafea6d023cf543c84f29a7319204",
-    ("double-bbm92", "ekert", 1): "86ea212d9bc8dbd5ed754a93e940f1a34564308b31c3c058ce4ddf16442e558a",
-    ("double-bbm92", "ekert", 2): "9b0439f54ce9af3ac0cc8916e8057bc07121782094ac15df9dbef642739c351f",
-    ("double-ekert", "bbm92", 1): "928b92ca2ec11c125f10aafa206fb763e6f2f85b708f66188d80f015bf8c7db3",
-    ("double-ekert", "bbm92", 2): "5418b9c64d22edc04979dd758ea3b1d78b7a32403dade1f8aa57d6e3af72ef90",
-    ("double-ekert", "ekert", 1): "13bedfe027d3c49f959102f0f75f75968e087c5cccb54254b872a4273cceb183",
-    ("double-ekert", "ekert", 2): "20ba3a9083d8caefd4e41513cd16e2af06911b01c7dbc11a33ae97f15c0aae78",
-    ("--weak-side", "alternate"): "591089b92b7560a1cb43614b81dc40ef93550e26000ee67ca493a2e670ed8427",
-    ("--weak-side", "fixed-a"): "acd4648233422ea9ef095c97d5bb30e01bef1592ede9bbceafe2b7fe21be530a",
-    ("--weak-side", "fixed-b"): "b2b9cb7ba52fee6469f75bf3e8585b4a8e8c08406d41a35636e75019f2e04459",
-    ("--alpha", "0.3"): "78ecd9993644faa9b1b302efb7ae3dbfe2d6110b71ddaa035b49b963ddbbef2a",
-    ("double-ekert", "ekert", "--format", "csv"): "87d24123e832ca5f45f4d5efd955540792f6ec58bb88eef902d46e7d3446f936",
+    ("double-bbm92", "bbm92", 1): "f17c993b338b08340c2c915428435833c4d4051c748f699aeb8a59134ac8c0f9",
+    ("double-bbm92", "bbm92", 2): "72f8b00899ea1c395085999493dd0cd841b2f55d60c64f7c5420bffb813fbdb6",
+    ("double-bbm92", "ekert", 1): "79d32ea71691e03fa9f474063bc046e7b1e0f3e98cd97ff8843127983b696a99",
+    ("double-bbm92", "ekert", 2): "8eb9db5a96632b83684285a59759f28d6ec6a0644367a17823b514cb75ce291b",
+    ("double-ekert", "bbm92", 1): "f66395fc4e42e825b5cba2afbc5b56146972d1616dcd6916d7617d3c34119965",
+    ("double-ekert", "bbm92", 2): "aaba4f0e7305baa551427d7a0b72e96208811eeb9bd9df625846bf8bdfa9b2c0",
+    ("double-ekert", "ekert", 1): "7cc951cd35e6f48f8011f2f35a5c8413af3b2a48c82460e60d630ebc1699c835",
+    ("double-ekert", "ekert", 2): "310aec231353780551fadb94afd6a4b2d2c4f159ba5e25fa883e2d756adfe94f",
+    ("--weak-side", "alternate"): "f9533b184f94846cc25742b86f395575d979803548214b9ef06a516271160aa9",
+    ("--weak-side", "fixed-a"): "27b7f62f0b6560488aca41e54bc880cfe089190612d5738e5324315c442207d9",
+    ("--weak-side", "fixed-b"): "7e60a1f8e0263afca40770494c5ad6e6e3060532b2ecf3909d6c0f7805ab1e78",
+    ("--alpha", "0.3"): "c8449b86d990505b5ad9fbfb63927abe0dbb46377e9ab047079775c293b71762",
+    ("double-ekert", "ekert", "--format", "csv"): "ad6adca5ac8166bfc9ef39724cd4d38a6f88c1a5c4c6a3b4290b5680ac65c681",
 }
 
 # `sweep --axis alpha` over [0.2, 0.7]: 4 steps, 70 000 rounds per point, seed 11
-ALPHA_SWEEP_DIGEST = "cee58e8a60f737943de51b9d87e6e7cf5ee94f043f0f2452c642ddb1bf483875"
-ALPHA_SWEEP_NO_ORACLE_DIGEST = "6b05650fa05712c53526c159f91e63b2d02c4697f105d169dfdb095620e36276"
+ALPHA_SWEEP_DIGEST = "5f2b69fa36cd6991698b38abc2394122863cf5a041a3e7ade715e1dade91a66a"
+ALPHA_SWEEP_NO_ORACLE_DIGEST = "19bf6d83be08b645e71edf3f6af85f32cce936f0b949d40cde158f2eacc108ee"
 
 # streamed sessions at strong_intensity 1.5, which no CLI flag reaches: the
 # little-endian int64 count tensor followed by repr(eve_tally), 150 000 rounds, seed 6
 STRONG_1_5_DIGESTS = {
-    ("double-bbm92", "bbm92"): "47174961422905e15b23de555c9241f008d08310fad9b534d7a6bf9959f94cd6",
-    ("double-ekert", "ekert"): "c37419cc2eec7143ef9a69c0ebf233f7a27ca2f9ab2e99836764d0a2fff5fc58",
+    ("double-bbm92", "bbm92"): "ddb21105d09520fb5dd58017279333636d232bf393bec6c8f0525371d5868b9a",
+    ("double-ekert", "ekert"): "7100995ad26e6fff41ee9a75071874ef1642fd188e745e69a2b5d4a6a4384a4d",
 }
 
 # --records --eve-view dumps at 70 000 rounds (one full chunk plus a partial one), seed 3
 RECORDS_DIGESTS = {
     ("honest", "ekert"): "854bcf2d900a77d6be217b6d99ee3a9c027cfcc01725f31b22ece59dd3e444f5",
     ("single-blinding", "bbm92"): "0122a0cadd91070da3e64331683f9244670c81166d723a2a54a06e0e63a9750d",
-    ("double-bbm92", "bbm92"): "1c2d555353c804691e6f4133c4989cd5c215add82649b345b15b4199a5db7bb2",
-    ("double-ekert", "ekert"): "9bf6208cef9e4f313f39e8993b7188d61eb9370c040326b0073463c229874d09",
+    ("double-bbm92", "bbm92"): "ed64c3b2f6ba494601495c6f78f3bd0805a2af7cf0f1cc998d190d2b9bb80eef",
+    ("double-ekert", "ekert"): "5b8a2a19fa56531a687dd0da5200ba446ece446d772263e296e8e60a413fe042",
 }
 
 # summaries outside the default matrix, 150 000 rounds, seed 4: the depolarized
@@ -119,14 +119,14 @@ EXTRA_SUMMARY_DIGESTS = {
     ("honest", "bbm92", "--depolarize", "0.1"): "f532eaaf5a9cdd6c1cb9c9b794eda27325c147c4e597ab35539e27aa684a780e",
     ("honest", "ekert", "--depolarize", "0.1"): "97ded12e4a8a24140cb371e5e90c6e6a05a23d47c82019702b394aabeb7ae27d",
     ("single-blinding", "bbm92", "--depolarize", "0.1"): "0c73307f96d45674fc66b50e73544f3b2518cc82c96a70ddc2aa34bf0feb9cef",
-    ("double-ekert", "ekert", "--format", "csv"): "fda66684dba42ef9bdafb713593eee4b2a49dc44c260dc2555956ecd241cdd2c",
+    ("double-ekert", "ekert", "--format", "csv"): "03080a1847f13960f6df7098bb8adba61c57e5eea4067790ee666b5f780c44fc",
 }
 
 EXTRA_SUMMARY_NO_ORACLE_DIGESTS = {
     ("honest", "bbm92", "--depolarize", "0.1"): "2524ed5257c95c17afd6dd81eb8a8936b5fe33e78b10f74dbd76589692719ac3",
     ("honest", "ekert", "--depolarize", "0.1"): "d811a97ae5b525d9fbdf84975e623610ff741e45ad84beb27e03d8135783e1f5",
     ("single-blinding", "bbm92", "--depolarize", "0.1"): "73940674db2207817f159806bcd7167d2456f2ae9baa4e8eede392695fa2bd11",
-    ("double-ekert", "ekert", "--format", "csv"): "5d60835c3a3d0eda4fc2787c1b4b9c9ad2e6c5f402b06eb0f37f94a3b8da5d59",
+    ("double-ekert", "ekert", "--format", "csv"): "1dfeb527424fbe343a9a20e7c9fd9d8560d29a379a3faf73f63d029e9e6f2db8",
 }
 
 # --records dumps outside RECORDS_DIGESTS, 70 000 rounds, seed 3: depolarized
@@ -135,19 +135,19 @@ EXTRA_SUMMARY_NO_ORACLE_DIGESTS = {
 RECORDS_OPTION_DIGESTS = {
     ("honest", "bbm92", "--depolarize", "0.1", "--eve-view"): "bf7628f38329eb2529ae84f08ca93888bc92ec91bad10f71e18e492669a3ac73",
     ("single-blinding", "bbm92", "--depolarize", "0.1", "--eve-view"): "a76bf93a261856aedcaff1afea13c106f21521d55e19f6f283f02f21806b44ca",
-    ("double-ekert", "ekert", "--weak-side", "alternate", "--eve-view"): "7e4baaa50de250ca397c57650d986cfe952c9402a73b1d500410b737964f9099",
-    ("double-ekert", "ekert"): "80608e9be4fa405247c34d602a69205b71668e85dad6420e51e076f57f8291b4",
+    ("double-ekert", "ekert", "--weak-side", "alternate", "--eve-view"): "5431b4d9ca57d316a0381897b875731d8e241b71e6a8f3a9b9583bf65a222af6",
+    ("double-ekert", "ekert"): "4759523b788b26ca74d1c0f06aacd1366032fdfffef172e9de38c4d8841c94df",
 }
 
 # `sweep --axis delta` tables over [-pi/2, pi/2]: 31 steps, 50 000 rounds per point, seed 9
 SWEEP_DIGESTS = {
-    "double-bbm92": "6d057729c9424f872e01c521a5cda6d4ba7b06f661ca66be5efe3f7f05f99bd9",
-    "double-ekert": "216089405bcdf7e81fd6f3d793a6d0a8d3a91a3ab4f5adf0b9e1051d68182bb5",
+    "double-bbm92": "48641a76e5616e0a963355d26179d602b3749fa118b510a3a4c83037c1b3323c",
+    "double-ekert": "cc38245ec054cec94070e926a36d87a77a68ce367920483c3798688a27151ce5",
 }
 
 SWEEP_NO_ORACLE_DIGESTS = {
-    "double-bbm92": "5741a85c933578d15225c0f5f3aa4ceaf96c950a010de474bffc21b7dc1991a8",
-    "double-ekert": "cc10e6a14cd11c7cc816a9704430f94fea574b5014003e4847a67d0d02d19c4a",
+    "double-bbm92": "d720887cc375eda03b529937c03a20f9c40cf036e13ad34cb9d0c51c09077768",
+    "double-ekert": "bf18b43e03f53b579c10d075c9d2f808021d009c30e45c015fd8382197140bbb",
 }
 
 
