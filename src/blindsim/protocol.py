@@ -752,8 +752,14 @@ def session_chunks(protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig, w
     if per_chunk is None:
         per_chunk = functools.partial(_simulate_chunk, protocol_cfg, scenario_cfg)
         if scenario_cfg.kind in DOUBLE_BLIND_KINDS:
-            # the session's fraction kinds, built once for all of its chunks
-            per_chunk = functools.partial(per_chunk, kinds=_fraction_kinds(protocol_cfg, scenario_cfg))
+            # the session's fraction kinds, built by its first chunk and shared
+            # by the rest; a caller that only checks the session builds none
+            kinds = functools.cache(functools.partial(_fraction_kinds, protocol_cfg, scenario_cfg))
+            simulate = per_chunk
+
+            def per_chunk(c):
+                return simulate(c, kinds())
+
     return _in_chunk_order(per_chunk, n_chunks, workers)
 
 

@@ -684,6 +684,18 @@ def test_session_chunks_refuses_before_any_chunk_runs(monkeypatch):
     assert list(chunks) == [None, None] and calls == [0, 1]
 
 
+def test_double_blind_session_chunks_build_the_bin_table_once_and_only_when_iterated(monkeypatch):
+    # the CLI checks a session with session_chunks before simulating it: that
+    # check must not pay for the audited table the per-round chunks read
+    built = []
+    real = protocol._bucket_tables
+    monkeypatch.setattr(protocol, "_bucket_tables", lambda *args: built.append(args[2]) or real(*args))
+    pc = ProtocolConfig(protocol="ekert", rounds=2 * CHUNK_ROUNDS + 1, seed=59)
+    chunks = session_chunks(pc, ScenarioConfig(kind="double-ekert"))
+    assert built == []
+    assert len(list(chunks)) == 3 and built == [True]
+
+
 @pytest.mark.parametrize("scenario,proto", [
     ("honest", "ekert"), ("single-blinding", "bbm92"),
     ("double-bbm92", "bbm92"), ("double-ekert", "ekert"),
