@@ -109,11 +109,13 @@ class ScenarioConfig:
                 )
 
 
-def _spawned(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
-    """The generator of SeedSequence(seed, spawn_key), for a seed that fits in 64 bits."""
+def _spawned(seed: int, chunk_index: int, *child: int) -> np.random.Generator:
+    """The generator of SeedSequence(seed, spawn_key=(chunk_index, *child)), seed and chunk index checked."""
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=spawn_key))
+    if chunk_index < 0:
+        raise ValueError(f"chunk_index must be >= 0, got {chunk_index}")
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(chunk_index), *child)))
 
 
 def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
@@ -122,9 +124,7 @@ def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
     Chunks are keyed by (seed, chunk index), never by worker layout, so a
     session partitioned across any number of workers replays identically.
     """
-    if chunk_index < 0:
-        raise ValueError(f"chunk_index must be >= 0, got {chunk_index}")
-    return _spawned(seed, (int(chunk_index),))
+    return _spawned(seed, chunk_index)
 
 
 # the kinds of double-blind round, each with its own fraction stream: a bin
@@ -141,11 +141,9 @@ def fraction_stream(seed: int, chunk_index: int, kind: int) -> np.random.Generat
     of one kind read it in round order, which keeps each round's fraction a
     pure function of (seed, round index, config).
     """
-    if chunk_index < 0:
-        raise ValueError(f"chunk_index must be >= 0, got {chunk_index}")
     if not 0 <= kind < FRACTION_KINDS:
         raise ValueError(f"kind must lie in [0, {FRACTION_KINDS}), got {kind}")
-    return _spawned(seed, (int(chunk_index), int(kind)))
+    return _spawned(seed, chunk_index, int(kind))
 
 
 def sample_lambda(rng: np.random.Generator, size=None):
