@@ -10,14 +10,15 @@ draws each round's bin, (weak side, a_idx, b_idx, lambda bucket), as one
 bounded integer; a per-session table laid out in draw order gives the
 count-tensor cell of each bin, and only the rounds of bins that straddle a
 window edge or a click threshold, or where Eve's prediction differs, are
-decoded, settled and audited one by one. Only those rounds draw a fraction
-u in [0, 1) that places lambda within the bucket, each kind of them from
-its own child stream of the chunk. The audit counts the rounds, and the
-rounds of the sifted key, where Eve's prediction differs from the outcome,
-so a streamed session states how much of the key she knows. The per-round transcript,
-plus whatever hidden side-information the scenario carries (the
-faked-state polarization, Eve's intercept results), is kept only by
-SessionRecords.simulate, which decodes the same draws for every round. The
+decoded, settled and audited one by one. Only those rounds take the
+fraction u in [0, 1) that places lambda within the bucket, a pure function
+of the seed and the round index (sources.round_fractions). The audit
+counts the rounds, and the rounds of the sifted key, where Eve's
+prediction differs from the outcome, so a streamed session states how
+much of the key she knows. The per-round transcript, plus whatever hidden
+side-information the scenario carries (the faked-state polarization, Eve's
+intercept results), is kept only by SessionRecords.simulate, which decodes
+the same draws, and takes the same fractions, for every round. The
 correlation estimators only ever look at public_rounds, and the parties'
 sifted bits only at the setting and outcome columns.
 """
@@ -47,17 +48,16 @@ from .optics import (
 from .sources import (
     CHUNK_ROUNDS,
     DOUBLE_BLIND_KINDS,
-    FRACTION_KINDS,
     ScenarioConfig,
     ScenarioKind,
     WeakSidePolicy,
     chunk_stream,
     faked_pulse_params,
-    fraction_stream,
     honest_outcome_codes,
     intercept_click_codes,
     opposite_outcome_prob,
     predict_outcome_codes,
+    round_fractions,
     station_intensities,
     weak_side_codes,
 )
@@ -161,9 +161,14 @@ def _count_shape(protocol: ProtocolConfig) -> tuple[int, ...]:
     return (len(protocol.alice_settings), len(protocol.bob_settings), 4, 4, 3)
 
 
+def _same_setting(alice_settings, bob_settings) -> np.ndarray:
+    """Mark the setting pairs (a_idx, b_idx) that name the same setting: angles within _SETTING_TOL modulo pi."""
+    return np.array([[_angle_gap(a, b) < _SETTING_TOL for b in bob_settings] for a in alice_settings])
+
+
 def _key_rounds(protocol: ProtocolConfig, a_idx, b_idx, out_a, out_b) -> np.ndarray:
     """Mark the rounds of the sifted key: equal settings, and both stations clicked."""
-    same_setting = np.equal.outer(protocol.alice_settings, protocol.bob_settings)
+    same_setting = _same_setting(protocol.alice_settings, protocol.bob_settings)
     return same_setting[a_idx, b_idx] & (np.abs(out_a) == 1) & (np.abs(out_b) == 1)
 
 
@@ -410,7 +415,7 @@ class _BinGrid:
     policy the key is drawn over every bin; under alternate it is drawn
     over one side's bins, and an odd round (side B) adds one side's bins.
     The round's hidden polarization lies in bucket floor(lam * scale), at
-    lam = (bucket + u) / scale for its fraction u in [0, 1) (_draw_fractions).
+    lam = (bucket + u) / scale for its fraction u in [0, 1) (round_fractions).
     """
 
     shape: tuple[int, int, int, int]
@@ -465,27 +470,6 @@ def _draw_bins(pc: ProtocolConfig, grid: _BinGrid, chunk_index: int) -> np.ndarr
     return key
 
 
-def _draw_fractions(pc: ProtocolConfig, chunk_index: int, marks, first: int):
-    """(idx, u): the rounds whose mark is at least first, in round order, and their fractions.
-
-    A round marked first + k is of kind k (sources.FRACTION_KINDS) and takes
-    the next value of the chunk's fraction_stream k, so each kind reads its
-    own stream in round order. A final chunk's rounds of each kind are then
-    the first rounds of that kind in a longer chunk, with the same
-    fractions, and a kind drawn by one path only (the audit's, or the
-    per-round session's) moves no other kind's values.
-    """
-    idx = np.flatnonzero(marks >= first)
-    kind = marks[idx] - first
-    u = np.empty(idx.size)
-    for k in range(FRACTION_KINDS):
-        at = kind == k
-        n = np.count_nonzero(at)
-        if n:
-            u[at] = fraction_stream(pc.seed, chunk_index, k).random(n)
-    return idx, u
-
-
 def _window_widths(sc: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Window half-widths of Alice's and Bob's station, each indexed by WeakSide code."""
     return tuple(np.array([window_half_width(x) for x in table]) for table in station_intensities(sc))
@@ -510,37 +494,24 @@ def _window_columns(pc: ProtocolConfig, sc: ScenarioConfig, lam, a_idx, b_idx, w
     return a_idx, b_idx, out_a, out_b, weak, lam, None
 
 
-def _fraction_kinds(pc: ProtocolConfig, sc: ScenarioConfig) -> np.ndarray:
-    """The fraction kind of each bin of a double-blind session, in draw order (int8).
-
-    0 and 1 where the audited table settles the bin (the sentinel offsets of
-    _BucketTables), 2 for every other bin.
-    """
-    cells = _bucket_tables(pc, sc, True).cells
-    n_cells = math.prod(_count_shape(pc))
-    return np.where(cells >= n_cells, cells - n_cells, 2).astype(np.int8)
-
-
-def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int, kinds=None):
+def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     """Simulate rounds [chunk*CHUNK_ROUNDS, ...) of the session.
 
     Returns the chunk's columns in _COLUMNS order; the setting indices are
     int64 (int32 for double blind), which index the setting tables faster
     than int8. A double-blind chunk decodes every round of its bin draws
-    (_draw_bins), the draws a streamed session counts by bins, each round's
-    fraction drawn for its kind (kinds, the session's _fraction_kinds,
-    built here when not given; _draw_fractions). Every chunk draws in a
-    fixed per-scenario order, as if each array had CHUNK_ROUNDS values; the
-    final chunk keeps the first m values of each and stops drawing the rest
-    where the stream allows (_kept), so per-round values never depend on how
-    many rounds the final chunk actually covers.
+    (_draw_bins), the draws a streamed session counts by bins, with each
+    round's fraction taken by its round index (round_fractions). Every chunk
+    draws in a fixed per-scenario order, as if each array had CHUNK_ROUNDS
+    values; the final chunk keeps the first m values of each and stops
+    drawing the rest where the stream allows (_kept), so per-round values
+    never depend on how many rounds the final chunk actually covers.
     """
     if sc.kind in DOUBLE_BLIND_KINDS:
         grid = _bin_grid(pc, sc)
-        if kinds is None:
-            kinds = _fraction_kinds(pc, sc)
         key = _draw_bins(pc, grid, chunk_index)
-        _, u = _draw_fractions(pc, chunk_index, kinds.take(key), 0)
+        lo = chunk_index * CHUNK_ROUNDS
+        u = round_fractions(pc.seed, np.arange(lo, lo + key.size))
         return _window_columns(pc, sc, *grid.decode(u, key))
 
     _, m, g = _open_chunk(pc, chunk_index)
@@ -590,9 +561,7 @@ class _BucketTables:
     cells[key] is the flat count-tensor cell of every round whose bin has
     that key in grid (_BinGrid), so the table is laid out in draw order;
     or, for a bin whose rounds are settled one by one (_bucket_tables says
-    which), a sentinel past the last cell: n_cells where the window rule
-    leaves the bin undecided, n_cells + 1 where only Eve's audit does. The
-    offset from n_cells is the rounds' fraction kind (_draw_fractions).
+    which), the sentinel n_cells, one past the last cell.
     """
 
     grid: _BinGrid
@@ -637,9 +606,8 @@ def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _Buck
     bucket plus _EDGE_SLACK; Eve's |cos 2(pol - setting)| must clear
     2/I - 1 by 2 * reach + _COSINE_SLACK. With the audit, a bucket where
     Eve's midpoint code differs from the window rule's is undecided too.
-    A bin the window rule leaves undecided gets sentinel n_cells, one only
-    Eve's arithmetic leaves undecided n_cells + 1; without the audit Eve's
-    arithmetic is not evaluated.
+    A bin that either arithmetic leaves undecided gets the sentinel; without
+    the audit Eve's arithmetic is not evaluated.
     """
     grid = _bin_grid(pc, sc)
     alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
@@ -662,12 +630,11 @@ def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _Buck
     cells = cells * 3 + grid.sides[:, None, None, None]
     if audit:
         i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, grid.sides[:, None, None])
-        eve_a = _malus_station(i_a, pol_a, alice[:, None], reach, code_a)
-        eve_b = _malus_station(i_b, pol_b, bob[:, None], reach, code_b)
-        cells[eve_a[:, :, None] | eve_b[:, None]] = n_cells + 1
+        undecided_a |= _malus_station(i_a, pol_a, alice[:, None], reach, code_a)
+        undecided_b |= _malus_station(i_b, pol_b, bob[:, None], reach, code_b)
     cells[undecided_a[:, :, None] | undecided_b[:, None]] = n_cells
-    # the largest entry is the audit's sentinel
-    return _BucketTables(grid, cells.reshape(-1).astype(np.int16 if n_cells + 1 < 2**15 else np.int32))
+    # the largest entry is the sentinel
+    return _BucketTables(grid, cells.reshape(-1).astype(np.int16 if n_cells < 2**15 else np.int32))
 
 
 def _reduce_bucketed(
@@ -677,19 +644,21 @@ def _reduce_bucketed(
 
     tables.cells gives each round's cell by its bin key, and one bincount
     of the cells counts the decided rounds. Only the settled rounds, those
-    of a sentinel cell, draw a fraction (_draw_fractions) and are decoded;
-    they go through _window_columns and _reduce_chunk, the kernel's and
-    Eve's own per-round arithmetic, even when there are none. Their tally
-    is the chunk's, since a decided round has Eve's prediction equal to its
-    outcome. A round the audited table settles and the unaudited one decides
-    (kind 1) has the table's cell at any lambda in its bucket, so the counts
-    do not depend on audit.
+    of the sentinel cell, take their fraction (round_fractions, by global
+    round index) and are decoded; they go through _window_columns and
+    _reduce_chunk, the kernel's and Eve's own per-round arithmetic, even
+    when there are none. Their tally is the chunk's, since a decided round
+    has Eve's prediction equal to its outcome. A round the audited table
+    settles and the unaudited one decides has the table's cell at any
+    lambda in its bucket, and every round's fraction is the same on both
+    paths, so the counts do not depend on audit.
     """
     key = _draw_bins(pc, tables.grid, chunk_index)
     shape = _count_shape(pc)
     n_cells = math.prod(shape)
     cell = tables.cells.take(key)
-    idx, u = _draw_fractions(pc, chunk_index, cell, n_cells)
+    idx = np.flatnonzero(cell == n_cells)
+    u = round_fractions(pc.seed, idx + chunk_index * CHUNK_ROUNDS)
     settled = tables.grid.decode(u, key[idx])
     del key  # bincount copies cell to intp: free the keys first, for a lower peak
     counts = np.bincount(cell, minlength=n_cells)[:n_cells].reshape(shape)
@@ -751,15 +720,6 @@ def session_chunks(protocol_cfg: ProtocolConfig, scenario_cfg: ScenarioConfig, w
     workers = min(workers, n_chunks, os.cpu_count() or 1)
     if per_chunk is None:
         per_chunk = functools.partial(_simulate_chunk, protocol_cfg, scenario_cfg)
-        if scenario_cfg.kind in DOUBLE_BLIND_KINDS:
-            # the session's fraction kinds, built by its first chunk and shared
-            # by the rest; a caller that only checks the session builds none
-            kinds = functools.cache(functools.partial(_fraction_kinds, protocol_cfg, scenario_cfg))
-            simulate = per_chunk
-
-            def per_chunk(c):
-                return simulate(c, kinds())
-
     return _in_chunk_order(per_chunk, n_chunks, workers)
 
 
@@ -802,8 +762,7 @@ class SiftedKey:
 
 def _key_coincidences(pub: PublicRounds):
     """The sifted key's rounds: coincidences at equal settings, indexed (outcome_a, outcome_b) in (-1, +1)."""
-    same_setting = np.equal.outer(pub.alice_settings, pub.bob_settings)
-    return pub.counts[same_setting][:, ::2, ::2].sum(axis=0)
+    return pub.counts[_same_setting(pub.alice_settings, pub.bob_settings)][:, ::2, ::2].sum(axis=0)
 
 
 def bbm92_qber(records) -> float | None:

@@ -30,9 +30,8 @@ DEFAULT_ALPHA = math.pi / (4.0 * math.sqrt(2.0))
 # of each array whose stream use it can skip with advance, or that is drawn
 # last, with the values unchanged. A double-blind chunk draws one array, the
 # round's bin (weak side, settings, lambda bucket) as one bounded integer
-# (protocol._draw_bins); a round whose bin the chunk decodes gets its
-# fraction within the bucket from a child stream of the chunk
-# (fraction_stream), which the rounds of its kind read in round order
+# (protocol._draw_bins); a round whose bin the chunk decodes takes its
+# fraction within the bucket by its round index (round_fractions)
 CHUNK_ROUNDS = 1 << 16
 
 
@@ -109,13 +108,10 @@ class ScenarioConfig:
                 )
 
 
-def _spawned(seed: int, chunk_index: int, *child: int) -> np.random.Generator:
-    """The generator of SeedSequence(seed, spawn_key=(chunk_index, *child)), seed and chunk index checked."""
+def _check_seed(seed: int) -> int:
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    if chunk_index < 0:
-        raise ValueError(f"chunk_index must be >= 0, got {chunk_index}")
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(chunk_index), *child)))
+    return int(seed)
 
 
 def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
@@ -124,26 +120,37 @@ def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
     Chunks are keyed by (seed, chunk index), never by worker layout, so a
     session partitioned across any number of workers replays identically.
     """
-    return _spawned(seed, chunk_index)
+    seed = _check_seed(seed)
+    if chunk_index < 0:
+        raise ValueError(f"chunk_index must be >= 0, got {chunk_index}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(chunk_index),)))
 
 
-# the kinds of double-blind round, each with its own fraction stream: a bin
-# the window rule leaves undecided, one only Eve's audit leaves undecided,
-# and every other bin, whose rounds only a per-round session decodes
-FRACTION_KINDS = 3
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): output n of a stream that
+# starts at state s mixes s + n * gamma with two xor-shift-multiply steps and
+# a last xor-shift, so every output is a closed form of n
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_MULTIPLIERS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 
-def fraction_stream(seed: int, chunk_index: int, kind: int) -> np.random.Generator:
-    """Child stream kind of chunk chunk_index: the fractions of the chunk's rounds of that kind.
+def round_fractions(seed: int, rounds) -> np.ndarray:
+    """The fraction in [0, 1) of each round index in rounds: a pure function of (seed, round).
 
-    The chunk_stream's SeedSequence spawns it as child kind, so it is
-    independent of the chunk's own draws and of the other kinds. The rounds
-    of one kind read it in round order, which keeps each round's fraction a
-    pure function of (seed, round index, config).
+    It is the top 53 bits of SplitMix64 output number round + 1, from the
+    start state SeedSequence(seed).generate_state(1, uint64), which no
+    chunk stream uses (chunk_stream spawns its SeedSequence). So a round
+    gets the same fraction asked alone, in any batch and in any order.
     """
-    if not 0 <= kind < FRACTION_KINDS:
-        raise ValueError(f"kind must lie in [0, {FRACTION_KINDS}), got {kind}")
-    return _spawned(seed, chunk_index, int(kind))
+    start = np.random.SeedSequence(_check_seed(seed)).generate_state(1, np.uint64)[0]
+    z = np.array(rounds, dtype=np.uint64)
+    z += 1
+    np.multiply(z, _GOLDEN_GAMMA, out=z)
+    np.add(z, start, out=z)
+    for shift, multiplier in zip((30, 27), _MIX_MULTIPLIERS):
+        np.bitwise_xor(z, z >> shift, out=z)
+        np.multiply(z, multiplier, out=z)
+    np.bitwise_xor(z, z >> 31, out=z)
+    return (z >> 11) * 2.0**-53
 
 
 def sample_lambda(rng: np.random.Generator, size=None):

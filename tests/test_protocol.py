@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blindsim import protocol
+from blindsim import protocol, sources
+from blindsim.cli import write_records_csv
 from blindsim.optics import HALF_PERIOD, Outcome, canon_angle, click_codes, split_intensities, wrap_diff
 from blindsim.protocol import (
     BBM92_SETTINGS,
@@ -221,6 +222,25 @@ def test_sift_bbm92_empty_when_settings_never_match():
     rec = SessionRecords.simulate(pc, ScenarioConfig(kind="honest"))
     assert bbm92_qber(rec) is None
     assert sift_bbm92(rec).bits_alice.size == 0
+
+
+def test_sifting_counts_settings_equal_within_tolerance():
+    # Bob's pi - 1e-13 names Alice's 0 (correlation_estimate counts that
+    # pair), so the sifted key, its QBER and Eve's key_rounds count it too
+    sc = ScenarioConfig(kind="double-bbm92")
+    keys = []
+    for bob in ((math.pi - 1e-13, math.pi / 4.0), (0.0, math.pi / 4.0)):
+        pc = ProtocolConfig(protocol="bbm92", rounds=20_000, seed=3, alice_settings=(0.0, math.pi / 4.0),
+                            bob_settings=bob)
+        rec = SessionRecords.simulate(pc, sc)
+        key = sift_bbm92(rec)
+        matched = sum(correlation_estimate(rec, a, a).n_coincidences for a in (0.0, math.pi / 4.0))
+        assert key.bits_alice.size == matched > 9_000, bob
+        assert bbm92_qber(rec) == 0.0
+        for session in (rec, run_session(pc, sc)):
+            assert eve_prediction_report(session)["key_rounds"] == matched, bob
+        keys.append(key)
+    np.testing.assert_array_equal(keys[0].round_indices, keys[1].round_indices)
 
 
 @pytest.mark.parametrize("scenario", [k.value for k in ScenarioKind])
@@ -454,16 +474,16 @@ def test_eve_key_match_fraction_is_none_without_key_rounds():
         assert bbm92_qber(session) is None
 
 
-_DRAW_BINS, _DRAW_FRACTIONS = protocol._draw_bins, protocol._draw_fractions
+_DRAW_BINS = protocol._draw_bins
 
 
 def _inject_lambdas(monkeypatch, targets):
     """Make the draws put each round's hidden polarization at targets(rng, m), to within ulps.
 
     Each round keeps the setting pair and weak side of its bin key; the
-    key's bucket is replaced by its target's, and the fraction drawn for
-    each round a chunk decodes, of whichever kind, by its target's. Returns
-    the targets of each chunk drawn, by chunk index (_assert_injected reads
+    key's bucket is replaced by its target's, and the fraction of each
+    round a chunk decodes (round_fractions) by its target's. Returns the
+    targets of each chunk drawn, by chunk index (_assert_injected reads
     them).
     """
     injected, fractions = {}, {}
@@ -477,12 +497,15 @@ def _inject_lambdas(monkeypatch, targets):
         fractions[chunk_index] = np.clip(lam * grid.scale - bucket, 0.0, math.nextafter(1.0, 0.0))
         return key
 
-    def draw_fractions(pc, chunk_index, marks, first):
-        idx, _ = _DRAW_FRACTIONS(pc, chunk_index, marks, first)
-        return idx, fractions[chunk_index][idx]
+    def round_fractions(seed, rounds):
+        chunk, local = np.divmod(rounds, CHUNK_ROUNDS)
+        u = np.empty(local.size)
+        for c in np.unique(chunk):
+            u[chunk == c] = fractions[c][local[chunk == c]]
+        return u
 
     monkeypatch.setattr(protocol, "_draw_bins", draw_bins)
-    monkeypatch.setattr(protocol, "_draw_fractions", draw_fractions)
+    monkeypatch.setattr(protocol, "round_fractions", round_fractions)
     return injected
 
 
@@ -684,16 +707,23 @@ def test_session_chunks_refuses_before_any_chunk_runs(monkeypatch):
     assert list(chunks) == [None, None] and calls == [0, 1]
 
 
-def test_double_blind_session_chunks_build_the_bin_table_once_and_only_when_iterated(monkeypatch):
-    # the CLI checks a session with session_chunks before simulating it: that
-    # check must not pay for the audited table the per-round chunks read
-    built = []
-    real = protocol._bucket_tables
-    monkeypatch.setattr(protocol, "_bucket_tables", lambda *args: built.append(args[2]) or real(*args))
-    pc = ProtocolConfig(protocol="ekert", rounds=2 * CHUNK_ROUNDS + 1, seed=59)
-    chunks = session_chunks(pc, ScenarioConfig(kind="double-ekert"))
-    assert built == []
-    assert len(list(chunks)) == 3 and built == [True]
+def test_per_round_double_blind_sessions_build_no_bin_table(monkeypatch, tmp_path):
+    # a per-round session decodes every round and takes its fraction by round
+    # index, so neither it nor the records dump builds a bin table or runs
+    # Eve's pulse arithmetic; only reading its Eve audit does
+    calls = []
+    for module, name in ((protocol, "_bucket_tables"), (protocol, "faked_pulse_params"),
+                         (sources, "faked_pulse_params")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    pc = ProtocolConfig(protocol="ekert", rounds=CHUNK_ROUNDS + 1234, seed=59)
+    for scenario in ("double-ekert", "double-bbm92"):
+        sc = ScenarioConfig(kind=scenario)
+        SessionRecords.simulate(pc, sc, workers=2)
+        write_records_csv(pc, sc, tmp_path / "rounds.csv")
+    assert calls == []
+    assert eve_prediction_report(SessionRecords.simulate(pc, sc))["mismatched_outcomes"] == 0
+    assert calls and "_bucket_tables" not in calls
 
 
 @pytest.mark.parametrize("scenario,proto", [
@@ -923,8 +953,7 @@ def _three_side_cells(pc, sc, audit):
     The rule of the bucketed reducer before it drew bins: window rule and
     margin rules at each bucket's midpoint, for every weak side whether
     the session reaches it or not, and Eve's arithmetic evaluated on the
-    full broadcast; n_cells marks a bin the window rule leaves undecided,
-    n_cells + 1 one only Eve's arithmetic does.
+    full broadcast; n_cells marks a bin either arithmetic leaves undecided.
     """
     grid = protocol._bin_grid(pc, sc)
     alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
@@ -944,7 +973,7 @@ def _three_side_cells(pc, sc, audit):
         i_a, pol_a, i_b, pol_b = faked_pulse_params(mid, sc, np.arange(3))
         eve_a = _malus_reference(i_a[:, None], pol_a, alice[:, None, None], reach, code_a)
         eve_b = _malus_reference(i_b[:, None], pol_b, bob[:, None, None], reach, code_b)
-        cells[eve_a[:, None] | eve_b[None, :]] = n_cells + 1
+        cells[eve_a[:, None] | eve_b[None, :]] = n_cells
     cells[undecided_a[:, None] | undecided_b[None, :]] = n_cells
     return cells
 
@@ -1028,7 +1057,7 @@ def test_decoded_lambda_stays_below_pi(monkeypatch, buckets):
         every_bin = np.arange(math.prod(grid.shape), dtype=np.int32)
         draws = [(np.full(every_bin.size, u), every_bin) for u in (0.0, 0.5, largest_u)]
         key = protocol._draw_bins(pc, grid, 0)
-        _, u = protocol._draw_fractions(pc, 0, protocol._fraction_kinds(pc, sc).take(key), 0)
+        u = protocol.round_fractions(pc.seed, np.arange(key.size))
         for u, key in draws + [(u, key)]:
             lam = grid.decode(u, key)[0]
             assert 0.0 <= lam.min() and lam.max() < math.pi
@@ -1063,8 +1092,8 @@ _BUCKET_ROUNDS = 2 * CHUNK_ROUNDS + 1234  # two full chunks and a partial one
 
 
 def _settled_bins(pc, tables):
-    """The bins of a bin table whose rounds are settled one by one: those holding a sentinel past the last cell."""
-    return tables.cells >= math.prod(protocol._count_shape(pc))
+    """The bins of a bin table whose rounds are settled one by one: those holding the sentinel past the last cell."""
+    return tables.cells == math.prod(protocol._count_shape(pc))
 
 
 @pytest.mark.parametrize("policy", [p.value for p in WeakSidePolicy])
@@ -1259,41 +1288,48 @@ class _RecordedStream:
 
 
 def _record_draws(monkeypatch):
-    """Log every draw of the session's chunk and fraction streams, in the order they are made."""
+    """Log every draw of the session's chunk streams, in the order they are made."""
     log = []
-    chunk, fraction = protocol.chunk_stream, protocol.fraction_stream
+    chunk = protocol.chunk_stream
     monkeypatch.setattr(protocol, "chunk_stream", lambda seed, c: _RecordedStream(chunk(seed, c), ("chunk", c), log))
-    monkeypatch.setattr(
-        protocol, "fraction_stream", lambda seed, c, k: _RecordedStream(fraction(seed, c, k), ("fraction", c, k), log)
-    )
+    return log
+
+
+def _record_fraction_rounds(monkeypatch):
+    """Log the round indices of every round_fractions call, in the order they are made."""
+    log = []
+    real = protocol.round_fractions
+    monkeypatch.setattr(protocol, "round_fractions", lambda seed, rounds: log.append(rounds) or real(seed, rounds))
     return log
 
 
 @pytest.mark.parametrize("scenario,proto", [("double-bbm92", "bbm92"), ("double-ekert", "ekert")])
 def test_streamed_chunk_draws_a_fraction_only_for_each_settled_round(monkeypatch, scenario, proto):
-    # the chunk stream draws the m bin keys and nothing else; a round draws a
-    # fraction only where the session's table settles it, from the stream of
-    # its kind: kind 0 (the window rule) without the audit, kinds 0 and 1 with it
+    # the chunk stream draws the m bin keys and nothing else; round_fractions
+    # is asked for exactly the global indices of the rounds the session's
+    # table settles, with and without the audit
     pc = ProtocolConfig(protocol=proto, rounds=CHUNK_ROUNDS + 1234, seed=54)
     sc = ScenarioConfig(kind=scenario)
-    n_cells = math.prod(protocol._count_shape(pc))
+    settled = {}
     for audit in (False, True):
         tables = protocol._bucket_tables(pc, sc, audit)
-        expected, settled = [], 0
+        expected, rounds = [], []
         for c, m in enumerate((CHUNK_ROUNDS, 1234)):
-            kind = tables.cells.take(_DRAW_BINS(pc, tables.grid, c)).astype(np.int64) - n_cells
-            per_kind = np.bincount(kind[kind >= 0], minlength=2)
-            assert per_kind.size == 2 and (audit or per_kind[1] == 0)
             expected += [(("chunk", c), "integers", m)]
-            expected += [(("fraction", c, k), "random", n) for k, n in enumerate(per_kind) if n]
-            settled += int(per_kind.sum())
-        log = _record_draws(monkeypatch)
+            local = np.flatnonzero(_settled_bins(pc, tables).take(_DRAW_BINS(pc, tables.grid, c)))
+            rounds.append(c * CHUNK_ROUNDS + local)
+        log, asked = _record_draws(monkeypatch), _record_fraction_rounds(monkeypatch)
         run_session(pc, sc, audit=audit)
         monkeypatch.undo()
         assert log == expected, audit
-        assert 0 < settled < 0.05 * pc.rounds
+        assert len(asked) == 2
+        for got, want in zip(asked, rounds):
+            np.testing.assert_array_equal(got, want)
+        settled[audit] = np.concatenate(rounds)
+        assert 0 < settled[audit].size < 0.05 * pc.rounds
     # Eve's audit settles bins the window rule decides only under double-ekert
-    assert any(entry[0][2:] == (1,) for entry in log) == (scenario == "double-ekert")
+    assert np.isin(settled[False], settled[True]).all()
+    assert (settled[True].size > settled[False].size) == (scenario == "double-ekert")
 
 
 @pytest.mark.parametrize("scenario,policy", [("double-bbm92", "random")] + [
@@ -1312,20 +1348,15 @@ def test_double_blind_columns_are_prefix_stable_across_a_partial_final_chunk(sce
     assert eve_prediction_report(short)["mismatched_outcomes"] == 0
 
 
-def test_simulated_chunk_draws_a_fraction_for_every_round_by_its_kind(monkeypatch):
-    # a per-round session decodes every round: the decided ones read the
-    # third fraction stream, and the settled ones the streams a streamed
-    # session reads for them
-    pc = ProtocolConfig(protocol="ekert", rounds=1234, seed=56)
-    sc = ScenarioConfig(kind="double-ekert")
-    kinds = protocol._fraction_kinds(pc, sc)
-    per_kind = np.bincount(kinds.take(_DRAW_BINS(pc, protocol._bin_grid(pc, sc), 0)), minlength=3)
-    assert per_kind.size == 3 and per_kind.all()
-    log = _record_draws(monkeypatch)
-    SessionRecords.simulate(pc, sc)
-    assert log == [(("chunk", 0), "integers", 1234)] + [
-        (("fraction", 0, k), "random", n) for k, n in enumerate(per_kind)
-    ]
+def test_simulated_chunk_takes_a_fraction_for_every_round(monkeypatch):
+    # a per-round session decodes every round: the chunk stream draws its m
+    # bin keys, and round_fractions gives every round of the chunk its fraction
+    pc = ProtocolConfig(protocol="ekert", rounds=CHUNK_ROUNDS + 1234, seed=56)
+    log, asked = _record_draws(monkeypatch), _record_fraction_rounds(monkeypatch)
+    SessionRecords.simulate(pc, ScenarioConfig(kind="double-ekert"))
+    assert log == [(("chunk", 0), "integers", CHUNK_ROUNDS), (("chunk", 1), "integers", 1234)]
+    assert len(asked) == 2
+    np.testing.assert_array_equal(np.concatenate(asked), np.arange(pc.rounds))
 
 
 @pytest.mark.parametrize("depolarize,arrays", [(0.0, 4), (0.1, 7)])
@@ -1356,11 +1387,11 @@ def test_unaudited_double_blind_session_runs_none_of_eves_arithmetic(monkeypatch
 
 @pytest.mark.parametrize("n_a,n_b,dtype", [(22, 31, np.int16), (23, 30, np.int32)])
 def test_bin_table_dtype_holds_the_audit_sentinel(n_a, n_b, dtype):
-    # 22 x 31 setting pairs give 32 736 cells, the most an int16 table holds
-    # with both sentinels; 690 pairs need int32
+    # 22 x 31 setting pairs give 32 736 cells, which with the sentinel an
+    # int16 table holds; 690 pairs need int32
     pc = ProtocolConfig(protocol="ekert", rounds=1, alice_settings=_spread(n_a), bob_settings=_spread(n_b))
     n_cells = math.prod(protocol._count_shape(pc))
     for audit in (True, False):
         cells = protocol._bucket_tables(pc, ScenarioConfig(kind="double-ekert"), audit).cells
-        assert cells.dtype == dtype and np.iinfo(dtype).max >= n_cells + 1
-        assert 0 <= cells.min() and cells.max() <= n_cells + 1
+        assert cells.dtype == dtype and np.iinfo(dtype).max >= n_cells
+        assert 0 <= cells.min() and cells.max() == n_cells

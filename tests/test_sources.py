@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from blindsim.analysis import _chi2_sf
 from blindsim.optics import Outcome, canon_angle, click_codes, split_intensities, wrap_diff
 from blindsim.protocol import ProtocolConfig, SessionRecords, eve_prediction_report, sift_bbm92
 from blindsim.sources import (
@@ -18,12 +19,12 @@ from blindsim.sources import (
     WeakSidePolicy,
     chunk_stream,
     faked_pulse_params,
-    fraction_stream,
     honest_outcome_codes,
     intercept_click_codes,
     intercept_pulse_directions,
     opposite_outcome_prob,
     predict_outcome_codes,
+    round_fractions,
     sample_lambda,
     weak_intensity,
     weak_side_codes,
@@ -104,17 +105,73 @@ def test_chunk_stream_validation_and_determinism():
     assert CHUNK_ROUNDS == 65536
 
 
-def test_fraction_stream_validation_and_independence():
-    for bad in ((-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 3)):
-        with pytest.raises(ValueError):
-            fraction_stream(*bad)
-    np.testing.assert_array_equal(fraction_stream(5, 2, 1).random(10), fraction_stream(5, 2, 1).random(10))
-    # each kind's stream differs from the others and from the chunk's own stream
-    draws = [fraction_stream(5, 2, kind).random(10) for kind in range(3)] + [chunk_stream(5, 2).random(10)]
-    assert len({d.tobytes() for d in draws}) == 4
-    # child kind of the chunk stream's seed sequence
-    child = np.random.SeedSequence(5, spawn_key=(2,)).spawn(3)[1]
-    np.testing.assert_array_equal(fraction_stream(5, 2, 1).random(10), np.random.default_rng(child).random(10))
+_MASK64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(state: int, n: int) -> int:
+    """Output number n (from 1) of SplitMix64 started at state, on Python ints, one step at a time."""
+    for _ in range(n):
+        state = (state + _GAMMA) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _start_state(seed: int) -> int:
+    return int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+
+
+def test_round_fractions_mixer_known_answers_from_state_zero():
+    # SplitMix64's first outputs from state 0. Output n from a start state s
+    # mixes s + n * gamma, so the round index n - 1 - s / gamma (mod 2**64)
+    # reaches output n of the stream from state 0
+    known = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert [_splitmix64(0, n) for n in (1, 2, 3)] == known
+    inverse = pow(_GAMMA, -1, 2**64)
+    for seed in (0, 7, 2**64 - 1):
+        shift = _start_state(seed) * inverse
+        rounds = [(n - 1 - shift) & _MASK64 for n in (1, 2, 3)]
+        np.testing.assert_array_equal(round_fractions(seed, rounds), [(z >> 11) * 2.0**-53 for z in known])
+
+
+def test_round_fractions_match_a_scalar_splitmix64():
+    for seed in (0, 5, 2**64 - 1):
+        state = _start_state(seed)
+        rounds = [0, 1, 2, 1000, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, 3 * CHUNK_ROUNDS + 17]
+        expected = [(_splitmix64(state, r + 1) >> 11) * 2.0**-53 for r in rounds]
+        np.testing.assert_array_equal(round_fractions(seed, np.array(rounds)), expected)
+
+
+def test_round_fractions_are_independent_of_position():
+    # a round gets its fraction asked alone, in a batch, or out of order
+    rounds = np.arange(3 * CHUNK_ROUNDS - 5, 3 * CHUNK_ROUNDS + 5)
+    batch = round_fractions(9, rounds)
+    alone = [round_fractions(9, [r])[0] for r in rounds]
+    np.testing.assert_array_equal(batch, alone)
+    order = np.random.default_rng(0).permutation(rounds.size)
+    np.testing.assert_array_equal(round_fractions(9, rounds[order]), batch[order])
+    np.testing.assert_array_equal(round_fractions(9, rounds[::-1]), batch[::-1])
+    # another seed, another stream
+    assert not np.array_equal(round_fractions(10, rounds), batch)
+
+
+def test_round_fractions_lie_in_the_unit_interval_and_refuse_bad_seeds():
+    u = round_fractions(11, np.arange(1 << 16))
+    assert u.dtype == np.float64 and 0.0 <= u.min() and u.max() < 1.0
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            round_fractions(bad, [0])
+
+
+def test_round_fractions_are_uniform():
+    # chi-square of 2**20 fractions over 1024 equal bins, at a fixed seed
+    n, bins = 1 << 20, 1024
+    counts = np.bincount((round_fractions(12, np.arange(n)) * bins).astype(np.intp), minlength=bins)
+    expected = n / bins
+    statistic = float(((counts - expected) ** 2).sum() / expected)
+    assert _chi2_sf(bins - 1, statistic) > 1e-3, statistic
 
 
 def test_sample_lambda_uniform_moments():
