@@ -32,10 +32,10 @@ SUMMARY_DIGESTS = {
     ("double-bbm92", "bbm92", 2): "06c3bc921eb3b02b1fe99deb3b7700ed322c5c60315a814e8742581311174ebb",
     ("double-bbm92", "ekert", 1): "267800501ba86b78f68ba63b35519a886470d825f3ea9ba7322389de7c92a968",
     ("double-bbm92", "ekert", 2): "905a40dd894600592210a50c29adff33bc5252144fdc4ca2f54a30b3087e2909",
-    ("double-ekert", "bbm92", 1): "69fb1d17ea934a2f4631172cc13c6279eee9550aed8d62e176ca812ddaccfb3e",
-    ("double-ekert", "bbm92", 2): "2b456a38d6d364d1edbc0332681d93e5dc49c21fa5741ae92a41414d23f21bde",
-    ("double-ekert", "ekert", 1): "bdbd9be578a4ce8d069f3bd90a30bfc27825bb5871fbce7acfa9d670c5dd5f45",
-    ("double-ekert", "ekert", 2): "4810222dc82c4341bb312bad089688d42fd7e0d69e17d2e3a467ad694cd5b323",
+    ("double-ekert", "bbm92", 1): "b543224f1e7f65ad1d27eee52590bf837298cd54f8735dd9755bcadf241114e4",
+    ("double-ekert", "bbm92", 2): "34936e453fb3f0b76ea3ca9ec716d3613549120aaa8ea9979e64229399dd6654",
+    ("double-ekert", "ekert", 1): "d31bafa476ebddf0a04c0b0145f39b74ad554b662cb3cc07b977255f8b2961f0",
+    ("double-ekert", "ekert", 2): "80eab61c40adc87ee122075c17c91e874ef2e548ac0a38c92aad48470df2be4b",
 }
 
 # the digests above with the "oracle" block removed (_without_oracle): what the
@@ -52,26 +52,26 @@ SUMMARY_NO_ORACLE_DIGESTS = {
     ("double-bbm92", "bbm92", 2): "146c374d87a3137624f1cba2e72d10d9b7b855e7dde0c8cd0b7883ea192d4c27",
     ("double-bbm92", "ekert", 1): "ca9da452e277f7ccc94d9fe70034ab5b9509bfe23bee98d120ad0461a873e9ec",
     ("double-bbm92", "ekert", 2): "aa06699fd069b96e211fdd2778c31e8e9730d4de7928bb7aa427a8942243c8a6",
-    ("double-ekert", "bbm92", 1): "436cbebc69a9f6b0caaa8d39b8ec1db67055ac9544bfd89bb8a31d383f9b8ce1",
-    ("double-ekert", "bbm92", 2): "dd79fd0d91110d1add5ae274cb9007151b60743ab45d7463ba47e8ad12495255",
-    ("double-ekert", "ekert", 1): "5e1cdffeb33e28d86680db4289f706e90fde606da2e8060bca3882acc8461e6d",
-    ("double-ekert", "ekert", 2): "4b3c7bdcd2ebbd70e129e66a0e8216bce49909ce5c01cb4d846e6d54a1085bca",
+    ("double-ekert", "bbm92", 1): "323b38f5a6e909551e86435a212cbed067c45b4485ffd5adf5a1738266752ffa",
+    ("double-ekert", "bbm92", 2): "48cbdceef03a2835f725475231465ff840e9d050faad988df1ef5fe9d50b3675",
+    ("double-ekert", "ekert", 1): "2f700dafbd521c2b2b246e16e4382f0e8c1886fcd0f2749ae8c937cceab07d20",
+    ("double-ekert", "ekert", 2): "e6341e1b39f76dc4bdd576dcc00e143ac7da809b049256bcdef00bb0236a12a4",
 }
 
 # double-ekert ekert summaries, 150 000 rounds, seed 5, under the options the
 # default matrix leaves at their defaults
 OPTION_DIGESTS = {
-    ("--weak-side", "alternate"): "e570ec7861f51c7e76bfe49f8263f7df423f6416995eccad975d13da037275ac",
-    ("--weak-side", "fixed-a"): "79e5909639d4cda261306049a334e055cd954013f8de5a65e74f9d8e1d6e4369",
-    ("--weak-side", "fixed-b"): "2d1c38a0ef8cf1e970c26c02943cc8694d1903c2792ca9f24a2614833a6059f2",
-    ("--alpha", "0.3"): "718e1ddc7d989c8462c8a33d00e5e04f0b334fcf91490d0a4279bc3d023ba07e",
+    ("--weak-side", "alternate"): "9a2df7e7e2ad0e2da400b5ba774f67fb522de4a89842c286f3654905f19ad307",
+    ("--weak-side", "fixed-a"): "af0907106154a326d0352f1eab18785758a06d1b0a851bbefae7bca1e0b33a5c",
+    ("--weak-side", "fixed-b"): "6232ba025a78523fe14e33c772d48ca0a70e94661d5720ede9b9910214fa508e",
+    ("--alpha", "0.3"): "0c8bd69afef776131a68e5287cc111b711076b7eaa3c220fe4d88200b2e4bd1a",
 }
 
 OPTION_NO_ORACLE_DIGESTS = {
-    ("--weak-side", "alternate"): "0ee994e89487f1cee22af06935ecdb7d46aeb98f9f29ea58582af623c3123316",
-    ("--weak-side", "fixed-a"): "919fb33b877cf7b325afebc04031a3f847ff481be9a66cb21476bea4e6f0cc19",
-    ("--weak-side", "fixed-b"): "4086f5b12c7f4c00d9f31916e508f0126393d06b8b3395b9f04d00a3694f670d",
-    ("--alpha", "0.3"): "55a5707a0e7df754bdd6046b720a945dd34a623decf82c63c368c33f53b61f5a",
+    ("--weak-side", "alternate"): "acb4a44d870289ba92d53e6b27109f80d9eaee61d93f0a16e9aa3f431a8c78c4",
+    ("--weak-side", "fixed-a"): "91d465bf74979d5a6064af11a1cd1f9c6660d650eac0ec96b418d208ed4bdf34",
+    ("--weak-side", "fixed-b"): "b86658a7f66d6e743893bc597ece8770a9b2d44085986beaf9e09d316e471252",
+    ("--alpha", "0.3"): "07a09126413c112c4f1be1f509f96ed3dd4eea00bc2b6c84947bd630b3d716c0",
 }
 
 # the double-blind summaries of the three tables above with Eve's sifted-key
@@ -82,34 +82,34 @@ NO_KEY_AUDIT_DIGESTS = {
     ("double-bbm92", "bbm92", 2): "72f8b00899ea1c395085999493dd0cd841b2f55d60c64f7c5420bffb813fbdb6",
     ("double-bbm92", "ekert", 1): "79d32ea71691e03fa9f474063bc046e7b1e0f3e98cd97ff8843127983b696a99",
     ("double-bbm92", "ekert", 2): "8eb9db5a96632b83684285a59759f28d6ec6a0644367a17823b514cb75ce291b",
-    ("double-ekert", "bbm92", 1): "f66395fc4e42e825b5cba2afbc5b56146972d1616dcd6916d7617d3c34119965",
-    ("double-ekert", "bbm92", 2): "aaba4f0e7305baa551427d7a0b72e96208811eeb9bd9df625846bf8bdfa9b2c0",
-    ("double-ekert", "ekert", 1): "7cc951cd35e6f48f8011f2f35a5c8413af3b2a48c82460e60d630ebc1699c835",
-    ("double-ekert", "ekert", 2): "310aec231353780551fadb94afd6a4b2d2c4f159ba5e25fa883e2d756adfe94f",
-    ("--weak-side", "alternate"): "f9533b184f94846cc25742b86f395575d979803548214b9ef06a516271160aa9",
-    ("--weak-side", "fixed-a"): "27b7f62f0b6560488aca41e54bc880cfe089190612d5738e5324315c442207d9",
-    ("--weak-side", "fixed-b"): "7e60a1f8e0263afca40770494c5ad6e6e3060532b2ecf3909d6c0f7805ab1e78",
-    ("--alpha", "0.3"): "c8449b86d990505b5ad9fbfb63927abe0dbb46377e9ab047079775c293b71762",
-    ("double-ekert", "ekert", "--format", "csv"): "ad6adca5ac8166bfc9ef39724cd4d38a6f88c1a5c4c6a3b4290b5680ac65c681",
+    ("double-ekert", "bbm92", 1): "6c60553825daa4046339ed63e54a1e467e1076893837d4e2537087b86908722d",
+    ("double-ekert", "bbm92", 2): "8a30bd4f3a26253bf512aff76e0757b0e453a2ced505b235dca770a9e6802e78",
+    ("double-ekert", "ekert", 1): "078260b24ae5151f080e5505aa37921e1dcff8db76f4707d38a1a4d8e176083f",
+    ("double-ekert", "ekert", 2): "f32b0b7df7e749eb2f0d37a6d2180d39d941f21886dbdd60b278baeba2464d91",
+    ("--weak-side", "alternate"): "76051a994ca1ac04c06f48d412cb422aa26298c187ba8d776f6f1337384a5505",
+    ("--weak-side", "fixed-a"): "39cc85f1ee49c2aacedc0166ba878bb42f9c8b1ed6838d2b134973e1da22eccb",
+    ("--weak-side", "fixed-b"): "80d3db0c8b46894bd1719388070f6d3902ca4005a2258e6b7e2ad3ea73a20ba7",
+    ("--alpha", "0.3"): "3de8c7b7d34b5c2a73e28f0bc8240c565f1f03ab793e884fd6e4f3dea05f7013",
+    ("double-ekert", "ekert", "--format", "csv"): "88035839ac961cf8753c472eb98005cd2681267568f01c44ca1d069a1f319315",
 }
 
 # `sweep --axis alpha` over [0.2, 0.7]: 4 steps, 70 000 rounds per point, seed 11
-ALPHA_SWEEP_DIGEST = "5f2b69fa36cd6991698b38abc2394122863cf5a041a3e7ade715e1dade91a66a"
-ALPHA_SWEEP_NO_ORACLE_DIGEST = "19bf6d83be08b645e71edf3f6af85f32cce936f0b949d40cde158f2eacc108ee"
+ALPHA_SWEEP_DIGEST = "7d8e89534e0124758916e868d9024b4492922f13a0b9f60766e186aaadbff31e"
+ALPHA_SWEEP_NO_ORACLE_DIGEST = "761409fadc476645d620e092a17bf3b986b2a47bb687afe67c40a482ec24fe43"
 
 # streamed sessions at strong_intensity 1.5, which no CLI flag reaches: the
 # little-endian int64 count tensor followed by repr(eve_tally), 150 000 rounds, seed 6
 STRONG_1_5_DIGESTS = {
-    ("double-bbm92", "bbm92"): "ddb21105d09520fb5dd58017279333636d232bf393bec6c8f0525371d5868b9a",
-    ("double-ekert", "ekert"): "7100995ad26e6fff41ee9a75071874ef1642fd188e745e69a2b5d4a6a4384a4d",
+    ("double-bbm92", "bbm92"): "39b753fa0035d59526a4cb9ca22e08200084b8a4539c71c87ce49a7959337855",
+    ("double-ekert", "ekert"): "090f293cc71ada53c049dcd8c5d286d9893935692b45dd643a2355f0306fd62d",
 }
 
 # --records --eve-view dumps at 70 000 rounds (one full chunk plus a partial one), seed 3
 RECORDS_DIGESTS = {
     ("honest", "ekert"): "854bcf2d900a77d6be217b6d99ee3a9c027cfcc01725f31b22ece59dd3e444f5",
     ("single-blinding", "bbm92"): "0122a0cadd91070da3e64331683f9244670c81166d723a2a54a06e0e63a9750d",
-    ("double-bbm92", "bbm92"): "ed64c3b2f6ba494601495c6f78f3bd0805a2af7cf0f1cc998d190d2b9bb80eef",
-    ("double-ekert", "ekert"): "5b8a2a19fa56531a687dd0da5200ba446ece446d772263e296e8e60a413fe042",
+    ("double-bbm92", "bbm92"): "c689df27f2b8c340aff63288056ed520a7c3f2b4a68540e930dc3cebaf4fecb5",
+    ("double-ekert", "ekert"): "48ca5335c69e49357e6d9d5881fcf3417c2868b5eb91f46c846c9122a9f1daa6",
 }
 
 # summaries outside the default matrix, 150 000 rounds, seed 4: the depolarized
@@ -119,14 +119,14 @@ EXTRA_SUMMARY_DIGESTS = {
     ("honest", "bbm92", "--depolarize", "0.1"): "f532eaaf5a9cdd6c1cb9c9b794eda27325c147c4e597ab35539e27aa684a780e",
     ("honest", "ekert", "--depolarize", "0.1"): "97ded12e4a8a24140cb371e5e90c6e6a05a23d47c82019702b394aabeb7ae27d",
     ("single-blinding", "bbm92", "--depolarize", "0.1"): "0c73307f96d45674fc66b50e73544f3b2518cc82c96a70ddc2aa34bf0feb9cef",
-    ("double-ekert", "ekert", "--format", "csv"): "03080a1847f13960f6df7098bb8adba61c57e5eea4067790ee666b5f780c44fc",
+    ("double-ekert", "ekert", "--format", "csv"): "a6f4bf486648060eb0c846d8f7a02a7d0c0fd0d26a07f0379124b3208eba8c12",
 }
 
 EXTRA_SUMMARY_NO_ORACLE_DIGESTS = {
     ("honest", "bbm92", "--depolarize", "0.1"): "2524ed5257c95c17afd6dd81eb8a8936b5fe33e78b10f74dbd76589692719ac3",
     ("honest", "ekert", "--depolarize", "0.1"): "d811a97ae5b525d9fbdf84975e623610ff741e45ad84beb27e03d8135783e1f5",
     ("single-blinding", "bbm92", "--depolarize", "0.1"): "73940674db2207817f159806bcd7167d2456f2ae9baa4e8eede392695fa2bd11",
-    ("double-ekert", "ekert", "--format", "csv"): "1dfeb527424fbe343a9a20e7c9fd9d8560d29a379a3faf73f63d029e9e6f2db8",
+    ("double-ekert", "ekert", "--format", "csv"): "fe8487bc608be2b97f7da130a28af5224b11b4fed0a5b5c38fd51a6013c966ea",
 }
 
 # --records dumps outside RECORDS_DIGESTS, 70 000 rounds, seed 3: depolarized
@@ -135,19 +135,19 @@ EXTRA_SUMMARY_NO_ORACLE_DIGESTS = {
 RECORDS_OPTION_DIGESTS = {
     ("honest", "bbm92", "--depolarize", "0.1", "--eve-view"): "bf7628f38329eb2529ae84f08ca93888bc92ec91bad10f71e18e492669a3ac73",
     ("single-blinding", "bbm92", "--depolarize", "0.1", "--eve-view"): "a76bf93a261856aedcaff1afea13c106f21521d55e19f6f283f02f21806b44ca",
-    ("double-ekert", "ekert", "--weak-side", "alternate", "--eve-view"): "5431b4d9ca57d316a0381897b875731d8e241b71e6a8f3a9b9583bf65a222af6",
-    ("double-ekert", "ekert"): "4759523b788b26ca74d1c0f06aacd1366032fdfffef172e9de38c4d8841c94df",
+    ("double-ekert", "ekert", "--weak-side", "alternate", "--eve-view"): "10450e9f8f4ddbc5f8a8a3e9b77d4feaf796d1cfd1ed9388dc162cc15295cf16",
+    ("double-ekert", "ekert"): "6eed748cb5b2a529495fd895b59680475bec4946124f8adf23c0afbb171b4764",
 }
 
 # `sweep --axis delta` tables over [-pi/2, pi/2]: 31 steps, 50 000 rounds per point, seed 9
 SWEEP_DIGESTS = {
-    "double-bbm92": "48641a76e5616e0a963355d26179d602b3749fa118b510a3a4c83037c1b3323c",
-    "double-ekert": "cc38245ec054cec94070e926a36d87a77a68ce367920483c3798688a27151ce5",
+    "double-bbm92": "b9aa16a8c46cbacd577e0c9d87f479fa0799c82b8c61e0698745c65634d2920f",
+    "double-ekert": "7d31cec78720abcb1bba7412ccf724c154183877a55aa39b07ad7b47ba238352",
 }
 
 SWEEP_NO_ORACLE_DIGESTS = {
-    "double-bbm92": "d720887cc375eda03b529937c03a20f9c40cf036e13ad34cb9d0c51c09077768",
-    "double-ekert": "bf18b43e03f53b579c10d075c9d2f808021d009c30e45c015fd8382197140bbb",
+    "double-bbm92": "c32ff84f4722d46561121ded72e88b6094245259b47980c361b2e9ff20d4194e",
+    "double-ekert": "d53d9196a8a48d969a1f188e1a705881e38482ff16c5c2eb97f25193ec3408bf",
 }
 
 
