@@ -33,7 +33,8 @@ MIN_CELL = 100  # rounds every setting cell of the fair-sampling monitor needs f
 
 def _check_delta(delta: float) -> float:
     d = float(delta)
-    if abs(d) > _HALF + _TOL:
+    # not (abs <= bound): NaN fails every comparison, so it is refused too
+    if not abs(d) <= _HALF + _TOL:
         raise ValueError(f"delta must lie in [-pi/2, pi/2], got {delta}")
     return d
 

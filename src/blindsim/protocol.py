@@ -10,7 +10,8 @@ draws each round's bin, (weak side, a_idx, b_idx, lambda bucket), as one
 bounded integer; a per-session table laid out in draw order gives the
 count-tensor cell of each bin, and only the rounds of bins that straddle a
 window edge or a click threshold, or where Eve's prediction differs, are
-decoded, settled and audited one by one. Only those rounds take the
+gathered over several chunks, then decoded, settled and audited one by
+one, a batch at a time. Only those rounds take the
 fraction u in [0, 1) that places lambda within the bucket, a pure function
 of the seed and the round index (sources.round_fractions). The audit
 counts the rounds, and the rounds of the sifted key, where Eve's
@@ -247,9 +248,10 @@ class SessionCounts:
     per (a_idx, b_idx, outcome_a + 1, outcome_b + 1, weak_side); every
     public statistic reads it. eve_tally holds the
     counters eve_prediction_report reads, or None when the session was run
-    without the audit. Reading a per-round column (or sifting a key) raises
-    ValueError; so do hasattr() and getattr() with a default, which do not
-    swallow a ValueError.
+    without the audit. counts must have the shape _count_shape(protocol)
+    and finite, non-negative entries, else ValueError. Reading a per-round
+    column (or sifting a key) raises ValueError; so do hasattr() and
+    getattr() with a default, which do not swallow a ValueError.
     """
 
     _ROUND_FIELDS = _COLUMNS + ("theta_a", "theta_b")
@@ -257,6 +259,13 @@ class SessionCounts:
     def __init__(
         self, protocol: ProtocolConfig, scenario: ScenarioConfig, rounds: int, counts, eve_tally=None
     ):
+        shape = _count_shape(protocol)
+        if np.shape(counts) != shape:
+            raise ValueError(f"counts must have shape {shape}, got {np.shape(counts)}")
+        if not np.isfinite(counts).all():
+            raise ValueError("counts must be finite")
+        if (counts < 0).any():
+            raise ValueError("counts must be non-negative")
         self.protocol = protocol
         self.scenario = scenario
         self.rounds = int(rounds)
@@ -286,9 +295,10 @@ class SessionRecords(SessionCounts):
     outcome) ride along for analysis and audits; the public statistics
     read public_rounds(). The constructor reduces the columns to
     the count tensor, and eve_tally reduces the Eve-audit counters on first
-    use, each one CHUNK_ROUNDS slice at a time, as a streamed session
-    reduces its genuine-pair chunks and the rounds its double-blind tables
-    leave undecided.
+    use, each one CHUNK_ROUNDS slice at a time, by _reduce_chunk: the code
+    a streamed session reduces its genuine-pair chunks with, and the
+    batches of rounds, gathered over several chunks, that its double-blind
+    tables leave undecided.
     """
 
     def __init__(
@@ -475,6 +485,11 @@ def _window_widths(sc: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array([window_half_width(x) for x in table]) for table in station_intensities(sc))
 
 
+def _stations(pc: ProtocolConfig, sc: ScenarioConfig) -> tuple[np.ndarray, ...]:
+    """What the window rule reads of a session: (Alice's settings, Bob's, then _window_widths)."""
+    return np.asarray(pc.alice_settings), np.asarray(pc.bob_settings), *_window_widths(sc)
+
+
 def _window_rule(lam, theta_a, theta_b, w_a, w_b):
     """The kernel's outcome codes of both stations (broadcasting, like window_codes)."""
     out_a = window_codes(lam - theta_a, w_a)
@@ -484,13 +499,10 @@ def _window_rule(lam, theta_a, theta_b, w_a, w_b):
     return out_a, out_b
 
 
-def _window_columns(pc: ProtocolConfig, sc: ScenarioConfig, lam, a_idx, b_idx, weak):
-    """Double-blind columns in _COLUMNS order, the outcomes decided by the window rule."""
-    w_a, w_b = _window_widths(sc)
-    out_a, out_b = _window_rule(
-        lam, np.asarray(pc.alice_settings).take(a_idx), np.asarray(pc.bob_settings).take(b_idx),
-        w_a.take(weak), w_b.take(weak),
-    )
+def _window_columns(stations, lam, a_idx, b_idx, weak):
+    """Double-blind columns in _COLUMNS order, the outcomes decided by the window rule of stations (_stations)."""
+    alice, bob, w_a, w_b = stations
+    out_a, out_b = _window_rule(lam, alice.take(a_idx), bob.take(b_idx), w_a.take(weak), w_b.take(weak))
     return a_idx, b_idx, out_a, out_b, weak, lam, None
 
 
@@ -512,7 +524,7 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
         key = _draw_bins(pc, grid, chunk_index)
         lo = chunk_index * CHUNK_ROUNDS
         u = round_fractions(pc.seed, np.arange(lo, lo + key.size))
-        return _window_columns(pc, sc, *grid.decode(u, key))
+        return _window_columns(_stations(pc, sc), *grid.decode(u, key))
 
     _, m, g = _open_chunk(pc, chunk_index)
     alice = np.asarray(pc.alice_settings)
@@ -556,16 +568,20 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
 
 @dataclass(frozen=True, eq=False)
 class _BucketTables:
-    """Per-session table of the bucketed double-blind reducer.
+    """Per-session tables of the bucketed double-blind reducer.
 
     cells[key] is the flat count-tensor cell of every round whose bin has
     that key in grid (_BinGrid), so the table is laid out in draw order;
     or, for a bin whose rounds are settled one by one (_bucket_tables says
-    which), the sentinel n_cells, one past the last cell.
+    which), the sentinel n_cells, one past the last cell. Each chunk counts
+    its rounds through cells (_count_bins); the rounds of the sentinel are
+    gathered across chunks and settled a batch at a time (_settle), by the
+    window rule of stations (_stations), computed once per session.
     """
 
     grid: _BinGrid
     cells: np.ndarray
+    stations: tuple[np.ndarray, ...]
 
 
 def _undecided(x, thresholds, margin):
@@ -610,13 +626,14 @@ def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _Buck
     the audit Eve's arithmetic is not evaluated.
     """
     grid = _bin_grid(pc, sc)
-    alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
+    stations = _stations(pc, sc)
+    alice, bob, *widths = stations
     n_a, n_b = alice.size, bob.size
     mid = (np.arange(grid.buckets) + 0.5) / grid.scale
     reach = 0.5 / grid.scale + _EDGE_SLACK
 
     # station tables, indexed (side digit, setting, bucket)
-    w_a, w_b = (w.take(grid.sides)[:, None, None] for w in _window_widths(sc))
+    w_a, w_b = (w.take(grid.sides)[:, None, None] for w in widths)
     code_a, code_b = _window_rule(mid, alice[:, None], bob[:, None], w_a, w_b)
     undecided_a, undecided_b = (
         _undecided(np.abs(np.abs(mid - s[:, None]) - HALF_PERIOD), [w, HALF_PERIOD - w], reach)
@@ -634,35 +651,82 @@ def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _Buck
         undecided_b |= _malus_station(i_b, pol_b, bob[:, None], reach, code_b)
     cells[undecided_a[:, :, None] | undecided_b[:, None]] = n_cells
     # the largest entry is the sentinel
-    return _BucketTables(grid, cells.reshape(-1).astype(np.int16 if n_cells < 2**15 else np.int32))
+    return _BucketTables(grid, cells.reshape(-1).astype(np.int16 if n_cells < 2**15 else np.int32), stations)
 
 
-def _reduce_bucketed(
-    pc: ProtocolConfig, sc: ScenarioConfig, tables: _BucketTables, audit: bool, chunk_index: int
-):
-    """_reduce_chunk(pc, sc, _simulate_chunk(pc, sc, chunk_index), audit), counted by bins.
+def _count_bins(pc: ProtocolConfig, tables: _BucketTables, chunk_index: int):
+    """A double-blind chunk counted by bins: (counts, settled rounds' global indices, their bin keys).
 
     tables.cells gives each round's cell by its bin key, and one bincount
-    of the cells counts the decided rounds. Only the settled rounds, those
-    of the sentinel cell, take their fraction (round_fractions, by global
-    round index) and are decoded; they go through _window_columns and
-    _reduce_chunk, the kernel's and Eve's own per-round arithmetic, even
-    when there are none. Their tally is the chunk's, since a decided round
-    has Eve's prediction equal to its outcome. A round the audited table
-    settles and the unaudited one decides has the table's cell at any
-    lambda in its bucket, and every round's fraction is the same on both
-    paths, so the counts do not depend on audit.
+    of the cells counts the decided rounds. The rounds of the sentinel cell
+    are left out of the counts; their global indices (in round order) and
+    bin keys are returned for _settle.
     """
     key = _draw_bins(pc, tables.grid, chunk_index)
     shape = _count_shape(pc)
     n_cells = math.prod(shape)
     cell = tables.cells.take(key)
     idx = np.flatnonzero(cell == n_cells)
-    u = round_fractions(pc.seed, idx + chunk_index * CHUNK_ROUNDS)
-    settled = tables.grid.decode(u, key[idx])
+    settled_key = key[idx]
+    idx += chunk_index * CHUNK_ROUNDS
     del key  # bincount copies cell to intp: free the keys first, for a lower peak
-    counts = np.bincount(cell, minlength=n_cells)[:n_cells].reshape(shape)
-    settled_counts, tally = _reduce_chunk(pc, sc, _window_columns(pc, sc, *settled), audit)
+    return np.bincount(cell, minlength=n_cells)[:n_cells].reshape(shape), idx, settled_key
+
+
+# a settle batch closes once it holds this many rounds, so it holds under
+# this plus one chunk's settled rounds. It spreads the settle step's fixed
+# cost over about ten audited double-ekert chunks; larger batches gain no
+# speed and raise the peak: settled all at once, a 2M-round session peaks
+# at 2.6 MB traced, against 1.0 MB
+_SETTLE_BATCH = CHUNK_ROUNDS // 8
+
+
+def _settle_batches(chunks, shape):
+    """Gather _count_bins chunks, in chunk order, into batches for _settle.
+
+    Yields (counts, rounds, keys) per batch: the chunks' counts added up,
+    and lists of their settled rounds' global indices and bin keys. The
+    session's last batch holds the rest, even no chunk at all, so a session
+    always settles at least once and has its audit counters. A chunk that
+    settles no round adds nothing to the lists, which so stay bounded.
+    """
+    rounds, keys = [], []
+    counts, pending = np.zeros(shape, np.int64), 0
+    for part_counts, part_rounds, part_key in chunks:
+        counts += part_counts
+        if part_rounds.size:
+            rounds.append(part_rounds)
+            keys.append(part_key)
+            pending += part_rounds.size
+        if pending >= _SETTLE_BATCH:
+            yield counts, rounds, keys
+            # the caller is done with the batch by now: emptying its lists in
+            # place frees its rounds while the next chunks run
+            rounds.clear()
+            keys.clear()
+            counts, pending = np.zeros(shape, np.int64), 0
+    yield counts, rounds, keys
+
+
+def _settle(pc: ProtocolConfig, sc: ScenarioConfig, tables: _BucketTables, audit: bool, batch):
+    """(counts, tally) of a _settle_batches batch: its chunks' counts plus its settled rounds'.
+
+    The settled rounds take their fraction by global round index
+    (round_fractions) and are decoded; they go through _window_columns and
+    _reduce_chunk, the kernel's and Eve's own per-round arithmetic, even
+    when there are none. Their tally is the batch's, since a decided round
+    has Eve's prediction equal to its outcome. Each round's fraction, its
+    decoding and its outcomes depend on that round alone, and counts and
+    tallies add as integers, so a batch gives what its chunks would give
+    settled one by one. A round the audited table settles and the
+    unaudited one decides has the table's cell at any lambda in its
+    bucket, so the counts do not depend on audit.
+    """
+    counts, rounds, keys = batch
+    rounds = np.concatenate([np.empty(0, np.intp), *rounds])
+    key = np.concatenate([np.empty(0, np.int32), *keys])
+    columns = _window_columns(tables.stations, *tables.grid.decode(round_fractions(pc.seed, rounds), key))
+    settled_counts, tally = _reduce_chunk(pc, sc, columns, audit)
     return counts + settled_counts, tally
 
 
@@ -728,8 +792,11 @@ def run_session(
 ) -> SessionCounts:
     """Simulate a full session, streamed: its count tensor and Eve-audit counters.
 
-    Each chunk is reduced to its count tensor while it is in cache (a
-    double-blind chunk by bins, _reduce_bucketed), so the returned
+    Each chunk is reduced to its count tensor while it is in cache, on the
+    worker threads. A double-blind chunk is counted by bins (_count_bins),
+    and the few rounds its bins leave undecided are gathered across chunks
+    and settled, a batch of about _SETTLE_BATCH rounds at a time, where the
+    chunks are merged (_settle_batches, _settle). So the returned
     SessionCounts does not grow with the round count, at any workers.
     audit=True also reduces the Eve-audit counters that
     eve_prediction_report reads; without it that report raises ValueError.
@@ -739,13 +806,16 @@ def run_session(
     output byte-identical for any workers >= 1.
     """
     pc, sc = protocol_cfg, scenario_cfg
+    shape = _count_shape(pc)
     if sc.kind in DOUBLE_BLIND_KINDS:
-        per_chunk = functools.partial(_reduce_bucketed, pc, sc, _bucket_tables(pc, sc, audit), audit)
+        tables = _bucket_tables(pc, sc, audit)
+        chunks = session_chunks(pc, sc, workers, functools.partial(_count_bins, pc, tables))
+        reductions = (_settle(pc, sc, tables, audit, batch) for batch in _settle_batches(chunks, shape))
     else:
         def per_chunk(c):
             return _reduce_chunk(pc, sc, _simulate_chunk(pc, sc, c), audit)
-    chunks = session_chunks(pc, sc, workers, per_chunk)
-    return SessionCounts(pc, sc, pc.rounds, *_merge(chunks, _count_shape(pc)))
+        reductions = session_chunks(pc, sc, workers, per_chunk)
+    return SessionCounts(pc, sc, pc.rounds, *_merge(reductions, shape))
 
 
 @dataclass(frozen=True)
@@ -900,7 +970,7 @@ def eve_prediction_report(records) -> dict | None:
     Bob's outcome on the rounds of the sifted key, whose size key_rounds is
     read off the count tensor as bbm92_qber reads it: key_match_fraction is
     the fraction of the key Eve knows. A streamed session compares only the
-    rounds it settles one by one (_reduce_bucketed), which gives the same
+    rounds it settles one by one (_settle), which gives the same
     counts: its table decides no bin where Eve's midpoint prediction
     differs from the window rule's. Single blinding: Bob's clicks, which
     include every key round, are compared to her intercept outcome. None

@@ -85,6 +85,18 @@ def test_oracle_corr_ekert_shape():
         oracle_corr_ekert(0.0, math.pi / 4.0)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_correlation_oracles_refuse_a_non_finite_offset(delta):
+    # abs(nan) > bound is False: a check written that way lets a NaN offset
+    # through, to come back as a NaN correlation
+    with pytest.raises(ValueError, match="delta must lie in"):
+        oracle_corr_ekert(delta, 0.5)
+    with pytest.raises(ValueError, match="delta must lie in"):
+        oracle_corr_honest(delta, 0.1)
+    with pytest.raises(ValueError, match="delta must lie in"):
+        oracle_corr_bbm92(delta)
+
+
 def test_oracle_corr_ekert_continuous_at_breakpoints():
     a = DEFAULT_ALPHA
     lo = math.pi / 4.0 - a

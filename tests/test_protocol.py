@@ -886,6 +886,28 @@ def test_counts_only_session_refuses_per_round_questions():
     assert bbm92_qber(session) == 0.0
 
 
+def test_session_counts_refuse_a_malformed_tensor():
+    pc = ProtocolConfig(protocol="ekert", rounds=10)
+    sc = ScenarioConfig(kind="double-ekert")
+    shape = protocol._count_shape(pc)
+    good = np.zeros(shape, np.int64)
+    good[0, 0, 0, 2, 1] = 10
+    assert SessionCounts(pc, sc, 10, good).counts is good
+    bad_shapes = [np.zeros((2, 2), np.int64), np.zeros((2, 2, 4, 4, 3), np.int64), np.zeros(shape[:4], np.int64)]
+    for counts in bad_shapes:
+        with pytest.raises(ValueError, match="counts must have shape"):
+            SessionCounts(pc, sc, 10, counts)
+    for value in (math.nan, math.inf, -math.inf):
+        counts = good.astype(float)
+        counts[1, 2, 3, 0, 2] = value
+        with pytest.raises(ValueError, match="counts must be finite"):
+            SessionCounts(pc, sc, 10, counts)
+    # unchecked, all -1 counts would give bbm92_qber 0.5
+    for counts in (np.full(shape, -1, np.int64), good - np.eye(1, good.size, 8, np.int64).reshape(shape)):
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            SessionCounts(pc, sc, 10, counts)
+
+
 def test_session_without_audit_refuses_the_eve_report():
     pc = ProtocolConfig(protocol="ekert", rounds=1_000, seed=43)
     for scenario in ("double-ekert", "double-bbm92"):
@@ -901,15 +923,16 @@ def test_streamed_workers_session_memory_does_not_grow_with_chunks(monkeypatch):
     # a pool gets at most two chunks per worker ahead; a future pending for
     # every chunk of the session would hold about 1.7 KB each. Two workers'
     # chunk arrays overlap in time by chance, which moves a real session's
-    # peak by about 1 MB either way, so each chunk is reduced by a stand-in
-    # that returns a fresh count tensor, and the peak is what the pool holds
+    # peak by about 1 MB either way, so each chunk is counted by a stand-in
+    # that returns a fresh count tensor and settles no round, and the peak is
+    # what the pool and the settle batches hold
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sc = ScenarioConfig(kind="double-bbm92")
 
-    def count_tensor(pc, sc, tables, audit, chunk_index):
-        return np.ones(protocol._count_shape(pc), np.int64), None
+    def count_tensor(pc, tables, chunk_index):
+        return np.ones(protocol._count_shape(pc), np.int64), np.empty(0, np.intp), np.empty(0, np.int32)
 
-    monkeypatch.setattr(protocol, "_reduce_bucketed", count_tensor)
+    monkeypatch.setattr(protocol, "_count_bins", count_tensor)
     peaks = []
     for chunks in (32, 1024):
         pc = ProtocolConfig(protocol="bbm92", rounds=chunks * CHUNK_ROUNDS, seed=45)
@@ -1306,8 +1329,9 @@ def _record_fraction_rounds(monkeypatch):
 @pytest.mark.parametrize("scenario,proto", [("double-bbm92", "bbm92"), ("double-ekert", "ekert")])
 def test_streamed_chunk_draws_a_fraction_only_for_each_settled_round(monkeypatch, scenario, proto):
     # the chunk stream draws the m bin keys and nothing else; round_fractions
-    # is asked for exactly the global indices of the rounds the session's
-    # table settles, with and without the audit
+    # is asked, over all its calls, for exactly the global indices of the
+    # rounds the session's table settles, in round order, with and without
+    # the audit
     pc = ProtocolConfig(protocol=proto, rounds=CHUNK_ROUNDS + 1234, seed=54)
     sc = ScenarioConfig(kind=scenario)
     settled = {}
@@ -1322,14 +1346,39 @@ def test_streamed_chunk_draws_a_fraction_only_for_each_settled_round(monkeypatch
         run_session(pc, sc, audit=audit)
         monkeypatch.undo()
         assert log == expected, audit
-        assert len(asked) == 2
-        for got, want in zip(asked, rounds):
-            np.testing.assert_array_equal(got, want)
         settled[audit] = np.concatenate(rounds)
+        np.testing.assert_array_equal(np.concatenate(asked), settled[audit])
         assert 0 < settled[audit].size < 0.05 * pc.rounds
     # Eve's audit settles bins the window rule decides only under double-ekert
     assert np.isin(settled[False], settled[True]).all()
     assert (settled[True].size > settled[False].size) == (scenario == "double-ekert")
+
+
+def test_streamed_session_settles_its_rounds_in_bounded_batches(monkeypatch):
+    # 24 chunks of an audited double-ekert session settle about 19 000
+    # rounds: two full batches and a tail. Each round_fractions call holds
+    # under the batch bound plus one chunk's settled rounds, the calls
+    # together ask for every settled round once, in round order, and the
+    # counts and counters do not depend on the worker count
+    pc = ProtocolConfig(protocol="ekert", rounds=24 * CHUNK_ROUNDS, seed=59)
+    sc = ScenarioConfig(kind="double-ekert")
+    tables = protocol._bucket_tables(pc, sc, True)
+    settled = [
+        c * CHUNK_ROUNDS + np.flatnonzero(_settled_bins(pc, tables).take(_DRAW_BINS(pc, tables.grid, c)))
+        for c in range(24)
+    ]
+    bound = protocol._SETTLE_BATCH + max(rounds.size for rounds in settled)
+    asked = _record_fraction_rounds(monkeypatch)
+    one = run_session(pc, sc)
+    monkeypatch.undo()
+    assert len(asked) >= 3 and sum(rounds.size for rounds in asked[:2]) >= 2 * protocol._SETTLE_BATCH
+    assert all(rounds.size < bound for rounds in asked), [rounds.size for rounds in asked]
+    np.testing.assert_array_equal(np.concatenate(asked), np.concatenate(settled))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    two = run_session(pc, sc, 2)
+    assert one.counts.tobytes() == two.counts.tobytes()
+    assert one.eve_tally == two.eve_tally
+    assert one.counts.sum() == pc.rounds
 
 
 @pytest.mark.parametrize("scenario,policy", [("double-bbm92", "random")] + [

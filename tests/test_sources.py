@@ -63,6 +63,13 @@ def test_default_alpha_and_weak_intensity():
     assert 1.0 < iw < 2.0
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1, 0.0, math.pi / 4.0, math.pi / 2.0])
+def test_weak_intensity_refuses_alpha_outside_its_domain(alpha):
+    # unchecked, weak_intensity(nan) is NaN and weak_intensity(pi/2) about 2.7e32
+    with pytest.raises(ValueError, match="alpha must lie strictly between 0 and pi/4"):
+        weak_intensity(alpha)
+
+
 def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(kind="honest", depolarize_prob=1.5)
