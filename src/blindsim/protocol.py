@@ -240,6 +240,11 @@ def _merge(reductions, shape):
     return counts, _sum_tallies(tallies)
 
 
+# how far a float count tensor's sum may lie from rounds, relative to it:
+# far above the rounding of a sum of a few thousand probabilities
+_SUM_TOL = 1e-9
+
+
 class SessionCounts:
     """A session reduced to its count tensor and Eve-audit counters.
 
@@ -249,7 +254,12 @@ class SessionCounts:
     public statistic reads it. eve_tally holds the
     counters eve_prediction_report reads, or None when the session was run
     without the audit. counts must have the shape _count_shape(protocol)
-    and finite, non-negative entries, else ValueError. Reading a per-round
+    and finite, non-negative entries that sum to rounds: exactly for an
+    integer tensor, to within _SUM_TOL * max(rounds, 1) for a float one (a
+    tensor of probabilities, at rounds 1). eve_tally must be None for an
+    honest session, which has no audit, else the audit's pair of counters,
+    the second at most the first and the first at most what rounds allows
+    (_eve_tally). Else ValueError. Reading a per-round
     column (or sifting a key) raises ValueError; so do hasattr() and
     getattr() with a default, which do not swallow a ValueError.
     """
@@ -266,9 +276,21 @@ class SessionCounts:
             raise ValueError("counts must be finite")
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
+        rounds = _whole("rounds", rounds)
+        total = counts.sum().item()
+        exact = np.issubdtype(counts.dtype, np.integer)
+        if total != rounds if exact else abs(total - rounds) > _SUM_TOL * max(rounds, 1):
+            raise ValueError(f"counts must sum to rounds ({rounds}), got {total}")
+        if eve_tally is not None:
+            if scenario.kind is ScenarioKind.HONEST_SINGLET or len(eve_tally) != 2:
+                raise ValueError(f"eve_tally must be None for an honest session, else a pair, got {eve_tally}")
+            # the faked-state audit compares two outcomes per round, the intercept audit Bob's clicks
+            most = (2 if scenario.kind in DOUBLE_BLIND_KINDS else 1) * rounds
+            if not 0 <= eve_tally[1] <= eve_tally[0] <= most:
+                raise ValueError(f"eve_tally must hold 0 <= second <= first <= {most}, got {eve_tally}")
         self.protocol = protocol
         self.scenario = scenario
-        self.rounds = int(rounds)
+        self.rounds = rounds
         self.counts = counts
         self.eve_tally = eve_tally
 
@@ -402,6 +424,11 @@ def _kept(g: np.random.Generator, m: int, trim: bool, draw, per_word: int):
 # draws, of some setting sets. With one bucket every round is settled
 _LAMBDA_BUCKETS = 1024
 _MAX_BINS = 1 << 16
+# the most bins a grid may hold: _draw_bins takes a key as (x * key_range)
+# >> 32 in intp, exact while (2**32 - 1) * key_range fits, and a settle batch
+# holds keys as int32. On a 64-bit host that is 2**31 - 1, far above the
+# 43 690 that _MAX_BINS allows
+_MAX_GRID_BINS = np.iinfo(np.intp).max >> 32
 # slack on a bucket's reach in lambda: far beyond the few ulps of pi by which
 # a round's offset arithmetic, or its float bucket index, can be off
 _EDGE_SLACK = 1e-9
@@ -424,6 +451,8 @@ class _BinGrid:
     and alternate policies, else the one code. Under the random
     policy the key is drawn over every bin; under alternate it is drawn
     over one side's bins, and an odd round (side B) adds one side's bins.
+    key_range is the number of keys drawn over, and reject_below, 2**32 %
+    key_range, the bound under which _draw_bins rejects a word's product.
     The round's hidden polarization lies in bucket floor(lam * scale), at
     lam = (bucket + u) / scale for its fraction u in [0, 1) (round_fractions).
     """
@@ -432,6 +461,8 @@ class _BinGrid:
     scale: float
     sides: np.ndarray
     parity: bool
+    key_range: int
+    reject_below: int
 
     @property
     def buckets(self) -> int:
@@ -461,22 +492,64 @@ def _bin_grid(pc: ProtocolConfig, sc: ScenarioConfig) -> _BinGrid:
         scale = math.nextafter(scale, 0.0)
     sides = weak_side_codes(sc)
     parity = sides.size == 2 and sc.weak_side_policy is WeakSidePolicy.ALTERNATE
-    return _BinGrid((sides.size, n_a, n_b, buckets), scale, sides, parity)
+    shape = (sides.size, n_a, n_b, buckets)
+    if math.prod(shape) > _MAX_GRID_BINS:
+        raise ValueError(f"a bin grid holds at most {_MAX_GRID_BINS} bins, got {math.prod(shape)}")
+    key_range = math.prod(shape[1:]) if parity else math.prod(shape)
+    return _BinGrid(shape, scale, sides, parity, key_range, 2**32 % key_range)
+
+
+def _uint32_words(bit_generator, n_raw: int) -> np.ndarray:
+    """The next 2 * n_raw uint32 words of a generator: each raw uint64 output, low half first."""
+    return bit_generator.random_raw(n_raw).astype("<u8", copy=False).view("<u4")
+
+
+def _lemire_words(bit_generator, n: int, reject_below: int, m: int) -> np.ndarray:
+    """The first m uint32 words of a fresh generator's stream that Lemire's method accepts for range n.
+
+    A word x is rejected where its product's low half, x * n mod 2**32, is
+    below reject_below, 2**32 % n (0 for a power of two: nothing is
+    rejected). If one of the first m words is, the rejected words are cut
+    out and the same stream continues: first the high half an odd m left
+    over, then further words, as numpy's bounded draw takes them. The cut
+    is made in place: a second word array, held while _draw_bins builds the
+    keys, would extend the heap by its size.
+    """
+    words = _uint32_words(bit_generator, -(-m // 2))
+    if not reject_below or np.multiply(words[:m], np.uint32(n)).min() >= reject_below:
+        return words[:m]
+    rejected = np.flatnonzero(np.multiply(words, np.uint32(n)) < reject_below)
+    # move each run of accepted words left, over the rejected words before it
+    kept = rejected[0]
+    for lo, hi in zip(rejected + 1, [*rejected[1:], words.size]):
+        words[kept : kept + hi - lo] = words[lo:hi]
+        kept += hi - lo
+    while kept < m:
+        more = _uint32_words(bit_generator, -(-(m - kept) // 2))
+        more = more[np.multiply(more, np.uint32(n)) >= reject_below][: m - kept]
+        words[kept : kept + more.size] = more
+        kept += more.size
+    return words[:m]
 
 
 def _draw_bins(pc: ProtocolConfig, grid: _BinGrid, chunk_index: int) -> np.ndarray:
-    """A double-blind chunk's one draw from its chunk stream: each round's int32 bin key.
+    """A double-blind chunk's one draw from its chunk stream: each round's intp bin key.
 
-    Only m values are drawn: the bounded draw can reject, but its first m
-    values are those of any longer draw, so no round's key depends on the
-    session length. numpy draws an int32 by the same bounded-uint32 path,
-    and so with the same values and stream use, as an int64.
+    The keys are those of g.integers(0, grid.key_range, m, dtype=np.int32),
+    numpy's bounded draw by Lemire's multiply-shift ("Fast Random Integer
+    Generation in an Interval", ACM TOMACS 2019), taken over the stream's
+    raw words (_lemire_words): a word x gives the key (x * n) >> 32, exact
+    in intp since n is at most _MAX_GRID_BINS, so x * n < 2**63. Intp keys
+    index the bin table with no cast copy. Only m keys are drawn: the draw
+    can reject, but its first m keys are those of any longer draw, so no
+    round's key depends on the session length.
     """
     lo, m, g = _open_chunk(pc, chunk_index)
-    per_side = math.prod(grid.shape[1:])
-    key = g.integers(0, per_side if grid.parity else per_side * grid.shape[0], m, dtype=np.int32)
+    n = grid.key_range
+    key = np.multiply(_lemire_words(g.bit_generator, n, grid.reject_below, m), n, dtype=np.intp)
+    key >>= 32
     if grid.parity:
-        key[(lo + 1) % 2 :: 2] += per_side  # the local indices of odd absolute rounds
+        key[(lo + 1) % 2 :: 2] += n  # the local indices of odd absolute rounds
     return key
 
 
@@ -510,7 +583,7 @@ def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
     """Simulate rounds [chunk*CHUNK_ROUNDS, ...) of the session.
 
     Returns the chunk's columns in _COLUMNS order; the setting indices are
-    int64 (int32 for double blind), which index the setting tables faster
+    int64 (intp for double blind), which index the setting tables faster
     than int8. A double-blind chunk decodes every round of its bin draws
     (_draw_bins), the draws a streamed session counts by bins, with each
     round's fraction taken by its round index (round_fractions). Every chunk
@@ -576,12 +649,15 @@ class _BucketTables:
     which), the sentinel n_cells, one past the last cell. Each chunk counts
     its rounds through cells (_count_bins); the rounds of the sentinel are
     gathered across chunks and settled a batch at a time (_settle), by the
-    window rule of stations (_stations), computed once per session.
+    window rule of stations (_stations), computed once per session. shape
+    is the count tensor's (_count_shape) and n_cells its size.
     """
 
     grid: _BinGrid
     cells: np.ndarray
     stations: tuple[np.ndarray, ...]
+    shape: tuple[int, ...]
+    n_cells: int
 
 
 def _undecided(x, thresholds, margin):
@@ -641,7 +717,8 @@ def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _Buck
     )
 
     # the bin table, indexed (side digit, a_idx, b_idx, bucket)
-    n_cells = math.prod(_count_shape(pc))
+    shape = _count_shape(pc)
+    n_cells = math.prod(shape)
     pair = np.arange(n_a, dtype=np.int32)[:, None] * n_b + np.arange(n_b, dtype=np.int32)
     cells = (pair[:, :, None] * 4 + code_a[:, :, None] + 1) * 4 + code_b[:, None] + 1
     cells = cells * 3 + grid.sides[:, None, None, None]
@@ -651,7 +728,8 @@ def _bucket_tables(pc: ProtocolConfig, sc: ScenarioConfig, audit: bool) -> _Buck
         undecided_b |= _malus_station(i_b, pol_b, bob[:, None], reach, code_b)
     cells[undecided_a[:, :, None] | undecided_b[:, None]] = n_cells
     # the largest entry is the sentinel
-    return _BucketTables(grid, cells.reshape(-1).astype(np.int16 if n_cells < 2**15 else np.int32), stations)
+    cells = cells.reshape(-1).astype(np.int16 if n_cells < 2**15 else np.int32)
+    return _BucketTables(grid, cells, stations, shape, n_cells)
 
 
 def _count_bins(pc: ProtocolConfig, tables: _BucketTables, chunk_index: int):
@@ -663,14 +741,17 @@ def _count_bins(pc: ProtocolConfig, tables: _BucketTables, chunk_index: int):
     bin keys are returned for _settle.
     """
     key = _draw_bins(pc, tables.grid, chunk_index)
-    shape = _count_shape(pc)
-    n_cells = math.prod(shape)
+    n_cells = tables.n_cells
     cell = tables.cells.take(key)
     idx = np.flatnonzero(cell == n_cells)
-    settled_key = key[idx]
+    # int32, as the batch holds them and _settle decodes them: intp would
+    # double the settle step's decode arrays
+    settled_key = key[idx].astype(np.int32)
     idx += chunk_index * CHUNK_ROUNDS
-    del key  # bincount copies cell to intp: free the keys first, for a lower peak
-    return np.bincount(cell, minlength=n_cells)[:n_cells].reshape(shape), idx, settled_key
+    # bincount copies the int16 cells to intp: free the intp keys first, so
+    # the chunk never holds two intp arrays at once
+    del key
+    return np.bincount(cell, minlength=n_cells)[:n_cells].reshape(tables.shape), idx, settled_key
 
 
 # a settle batch closes once it holds this many rounds, so it holds under

@@ -30,7 +30,8 @@ DEFAULT_ALPHA = math.pi / (4.0 * math.sqrt(2.0))
 # (seed, round index, config). A final chunk draws only the values it keeps
 # of each array whose stream use it can skip with advance, or that is drawn
 # last, with the values unchanged. A double-blind chunk draws one array, the
-# round's bin (weak side, settings, lambda bucket) as one bounded integer
+# round's bin (weak side, settings, lambda bucket) as one bounded integer,
+# numpy's bounded int32 draw taken over the stream's raw words
 # (protocol._draw_bins); a round whose bin the chunk decodes takes its
 # fraction within the bucket by its round index (round_fractions)
 CHUNK_ROUNDS = 1 << 16

@@ -868,6 +868,34 @@ def test_streamed_session_memory_does_not_grow_with_rounds(rounds):
     assert eve_prediction_report(session)["mismatched_outcomes"] == 0
 
 
+def _traced_peak(fn, *args):
+    """The tracemalloc peak of fn(*args), above what was allocated when it started, after a warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_bin_chunk_and_session_peaks_stay_under_the_int32_draws():
+    # with int32 keys, whose table take made an intp copy, an audited
+    # double-ekert chunk peaked at 0.875 MB traced, rejecting or not, and a
+    # 2M-round session at 1.03 MB; intp keys, with the words freed before
+    # them, must not raise either
+    sc = ScenarioConfig(kind="double-ekert")
+    pc = ProtocolConfig(protocol="ekert", rounds=8 * CHUNK_ROUNDS, seed=61)
+    tables = protocol._bucket_tables(pc, sc, True)
+    rejected = [_rejections(pc.seed, c, tables.grid.key_range, CHUNK_ROUNDS) for c in range(8)]
+    for c in (rejected.index(0), next(c for c, r in enumerate(rejected) if r)):
+        peak = _traced_peak(protocol._count_bins, pc, tables, c)
+        assert peak <= 0.875 * 2**20, (c, rejected[c], peak)
+    peak = _traced_peak(run_session, ProtocolConfig(protocol="ekert", rounds=2_000_000, seed=7), sc)
+    assert peak <= 1.03 * 2**20, peak
+
+
 def test_counts_only_session_refuses_per_round_questions():
     session = _session("double-ekert", "bbm92", 5_000, 42, kept=False)
     for name in ("a_idx", "theta_a", "outcome_b", "weak_side", "hidden_lambda"):
@@ -908,6 +936,49 @@ def test_session_counts_refuse_a_malformed_tensor():
             SessionCounts(pc, sc, 10, counts)
 
 
+def test_session_counts_refuse_counts_that_do_not_sum_to_rounds():
+    pc = ProtocolConfig(protocol="ekert", rounds=20_000)
+    sc = ScenarioConfig(kind="double-ekert")
+    counts = run_session(pc, sc).counts
+    # unchecked, rounds 0 with 20 000 counted rounds gave an audit over 0 rounds
+    for rounds in (0, 19_999, 20_001):
+        with pytest.raises(ValueError, match="must sum to rounds"):
+            SessionCounts(pc, sc, rounds, counts)
+    # a probability tensor sums to 1 within the stated tolerance
+    probs = counts / 20_000
+    assert SessionCounts(pc, sc, 1, probs).counts is probs
+    off = probs.copy()
+    off.flat[0] += 1e-6
+    with pytest.raises(ValueError, match="must sum to rounds"):
+        SessionCounts(pc, sc, 1, off)
+    for rounds in (1.5, math.nan):
+        with pytest.raises(ValueError, match="whole number"):
+            SessionCounts(pc, sc, rounds, counts)
+
+
+@pytest.mark.parametrize("scenario,proto", [("double-ekert", "ekert"), ("single-blinding", "bbm92"), ("honest", "bbm92")])
+def test_session_counts_refuse_a_tally_the_audit_cannot_give(scenario, proto):
+    pc = ProtocolConfig(protocol=proto, rounds=3, seed=64)
+    sc = ScenarioConfig(kind=scenario)
+    session = run_session(pc, sc)
+    counts, tally = session.counts, session.eve_tally
+    assert SessionCounts(pc, sc, 3, counts, tally).eve_tally == tally
+    # unchecked, eve_tally (5, 0) over rounds 0 gave mismatched_outcomes 5 over rounds 0
+    zero = np.zeros_like(counts)
+    bad = [(5, 0), (1, 2), (-1, 0), (0, 0, 0), (0,)]
+    if scenario == "honest":
+        bad.append((0, 0))
+    for eve_tally in bad:
+        with pytest.raises(ValueError, match="eve_tally"):
+            SessionCounts(pc, sc, 0, zero, eve_tally)
+    # the most mismatches rounds allow: two outcomes per faked-state round, one click per intercepted one
+    most = 2 if scenario == "double-ekert" else 1
+    if scenario != "honest":
+        assert SessionCounts(pc, sc, 3, counts, (3 * most, 0)).eve_tally == (3 * most, 0)
+        with pytest.raises(ValueError, match="eve_tally"):
+            SessionCounts(pc, sc, 3, counts, (3 * most + 1, 0))
+
+
 def test_session_without_audit_refuses_the_eve_report():
     pc = ProtocolConfig(protocol="ekert", rounds=1_000, seed=43)
     for scenario in ("double-ekert", "double-bbm92"):
@@ -930,7 +1001,9 @@ def test_streamed_workers_session_memory_does_not_grow_with_chunks(monkeypatch):
     sc = ScenarioConfig(kind="double-bbm92")
 
     def count_tensor(pc, tables, chunk_index):
-        return np.ones(protocol._count_shape(pc), np.int64), np.empty(0, np.intp), np.empty(0, np.int32)
+        counts = np.zeros(protocol._count_shape(pc), np.int64)
+        counts.flat[0] = CHUNK_ROUNDS  # every chunk is full: the counts sum to the session's rounds
+        return counts, np.empty(0, np.intp), np.empty(0, np.int32)
 
     monkeypatch.setattr(protocol, "_count_bins", count_tensor)
     peaks = []
@@ -943,7 +1016,7 @@ def test_streamed_workers_session_memory_does_not_grow_with_chunks(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
-        assert session.counts.sum() == chunks * session.counts.size
+        assert session.counts.flat[0] == pc.rounds
     assert peaks[1] < peaks[0] + 2**16, peaks
 
 
@@ -1051,7 +1124,7 @@ def test_trimmed_double_blind_draws_equal_the_full_size_draws(m, n_a, n_b):
         grid = protocol._bin_grid(pc, sc)
         key = protocol._draw_bins(pc, grid, 1)
         np.testing.assert_array_equal(key, _full_size_double_blind(pc, grid, 1), err_msg=f"{scenario} {policy}")
-        assert key.dtype == np.int32
+        assert key.dtype == np.intp
         # the alternate policy weakens A on even absolute rounds and B on odd
         # ones; a policy with one side gives every round that side
         if (scenario, policy) != ("double-ekert", "random"):
@@ -1090,13 +1163,88 @@ def test_decoded_lambda_stays_below_pi(monkeypatch, buckets):
 
 @pytest.mark.parametrize("size", [1, 2, 3, 1234])
 def test_int32_bounded_draws_equal_int64_draws_and_stream_use(size):
-    # _draw_bins draws its bin keys as int32: the values, and the stream
-    # state after the draw (buffered uint32 included), must be those of the
-    # int64 draw
+    # the draw tests compare _draw_bins with numpy's bounded int32 draw and
+    # with its full-size int64 draw (_full_size_double_blind): that reference
+    # holds only while the two give the same values, and leave the stream in
+    # the same state (buffered uint32 included)
     for n in range(1, 128):
         g32, g64 = np.random.default_rng(n), np.random.default_rng(n)
         np.testing.assert_array_equal(g32.integers(0, n, size, dtype=np.int32), g64.integers(0, n, size), str(n))
         assert g32.bit_generator.state == g64.bit_generator.state, n
+
+
+def _rejections(seed, chunk_index, n, m):
+    """How many words numpy's bounded draw of m keys over range n rejects in a chunk stream.
+
+    Lemire's test on the stream's uint32 words, low half of each raw word
+    first, in uint64: a word x is rejected where x * n mod 2**32 < 2**32 % n.
+    """
+    words = chunk_stream(seed, chunk_index).bit_generator.random_raw(2 * m).view(np.uint32).astype(np.uint64)
+    rejected = words * np.uint64(n) % 2**32 < 2**32 % n
+    last = np.searchsorted(np.cumsum(~rejected), m)  # the word that gives the m-th key
+    assert last < words.size
+    return int(np.count_nonzero(rejected[:last]))
+
+
+# (scenario, weak-side policy, settings per station, lambda buckets); with
+# _MAX_BINS lifted, the buckets set the key range n
+_LEMIRE_GRIDS = [
+    ("double-ekert", "random", 3, 1024),  # 18 432: about 22 % of full chunks reject a word
+    ("double-ekert", "alternate", 3, 1024),  # 9 216 per side, with the parity offset
+    ("double-bbm92", "random", 1, 1),  # 1: every key is 0
+    ("double-ekert", "random", 2, 1024),  # 8 192, a power of two: nothing is rejected
+    ("double-ekert", "random", 3, 100_004),  # 1 800 072: about 27 rejections per full chunk
+    ("double-ekert", "alternate", 3, 100_004),  # 900 036 per side: about 14
+    ("double-bbm92", "random", 1, 1_431_655_766),  # 2**32 % n is n - 2: a third of the words
+]
+
+
+def test_bin_keys_equal_numpys_bounded_draw_through_rejections(monkeypatch):
+    # _draw_bins takes Lemire's method over the raw words itself; its keys
+    # must be numpy's bounded int32 draw on every grid and chunk length,
+    # through rejections, their splice and the high half an odd m leaves over
+    monkeypatch.setattr(protocol, "_MAX_BINS", 2**40)
+    met = []  # (m, rejected words) per chunk
+    for scenario, policy, n_settings, buckets in _LEMIRE_GRIDS:
+        monkeypatch.setattr(protocol, "_LAMBDA_BUCKETS", buckets)
+        settings = {"alice_settings": _spread(n_settings), "bob_settings": _spread(n_settings)}
+        sc = ScenarioConfig(kind=scenario, weak_side_policy=policy)
+        grid = protocol._bin_grid(ProtocolConfig(protocol="ekert", rounds=1, **settings), sc)
+        per_side = math.prod(grid.shape[1:])
+        n = per_side if grid.parity else math.prod(grid.shape)
+        assert grid.shape[3] == buckets and n == grid.key_range
+        assert grid.parity == (policy == "alternate") and grid.reject_below == 2**32 % n
+        for c in range(48):
+            m = (CHUNK_ROUNDS, CHUNK_ROUNDS - 1, 3392, 3393, 2, 1)[c % 6]
+            pc = ProtocolConfig(protocol="ekert", rounds=c * CHUNK_ROUNDS + m, seed=62, **settings)
+            expected = chunk_stream(pc.seed, c).integers(0, n, m, dtype=np.int32)
+            if grid.parity:
+                expected += per_side * ((c * CHUNK_ROUNDS + np.arange(m)) % 2)
+            key = protocol._draw_bins(pc, grid, c)
+            assert key.dtype == np.intp
+            np.testing.assert_array_equal(key, expected, err_msg=f"{scenario} {policy} n={n} chunk {c}")
+            met.append((m, _rejections(pc.seed, c, n, m)))
+    # the splice of several rejected words, and the leftover half of an odd m, were exercised
+    assert max(r for _, r in met) >= 2
+    assert any(m % 2 and r for m, r in met)
+    assert sum(bool(r) for m, r in met[:48] if m == CHUNK_ROUNDS) >= 1  # the default 3 x 3 grid rejects too
+
+
+def test_bin_grid_refuses_more_bins_than_the_key_product_holds(monkeypatch):
+    # a key is (x * n) >> 32 in intp: the grid bound keeps x * n below 2**63
+    # and the keys within int32; at the bound the keys are still numpy's
+    assert (2**32 - 1) * protocol._MAX_GRID_BINS <= np.iinfo(np.intp).max
+    assert protocol._MAX_GRID_BINS <= np.iinfo(np.int32).max
+    monkeypatch.setattr(protocol, "_MAX_BINS", 2**40)
+    pc = ProtocolConfig(protocol="ekert", rounds=3393, seed=63, alice_settings=(0.0,), bob_settings=(0.0,))
+    sc = ScenarioConfig(kind="double-bbm92")
+    monkeypatch.setattr(protocol, "_LAMBDA_BUCKETS", protocol._MAX_GRID_BINS)
+    grid = protocol._bin_grid(pc, sc)
+    expected = chunk_stream(pc.seed, 0).integers(0, grid.key_range, pc.rounds, dtype=np.int32)
+    np.testing.assert_array_equal(protocol._draw_bins(pc, grid, 0), expected)
+    monkeypatch.setattr(protocol, "_LAMBDA_BUCKETS", protocol._MAX_GRID_BINS + 1)
+    with pytest.raises(ValueError, match="at most"):
+        protocol._bin_grid(pc, sc)
 
 
 def _assert_bucketed_matches_columns(pc, sc, workers=(1,)):
@@ -1294,12 +1442,26 @@ def test_bucketed_reducer_for_one_and_for_127_settings_a_side():
     _assert_bucketed_matches_columns(pc, sc)
 
 
+class _RecordedBitGenerator:
+    """A bit generator that logs (stream label, "random_raw", size) of each raw draw, then draws it."""
+
+    def __init__(self, bit_generator, label, log):
+        self._bit_generator, self._label, self._log = bit_generator, label, log
+
+    def random_raw(self, size):
+        self._log.append((self._label, "random_raw", size))
+        return self._bit_generator.random_raw(size)
+
+    def __getattr__(self, name):
+        return getattr(self._bit_generator, name)
+
+
 class _RecordedStream:
-    """A generator that logs (stream label, method, size) of each draw, then draws it."""
+    """A generator that logs (stream label, method, size) of each draw, raw draws included, then draws it."""
 
     def __init__(self, rng, label, log):
         self._rng, self._label, self._log = rng, label, log
-        self.bit_generator = rng.bit_generator
+        self.bit_generator = _RecordedBitGenerator(rng.bit_generator, label, log)
 
     def integers(self, low, high, size, **kwargs):
         self._log.append((self._label, "integers", size))
@@ -1318,6 +1480,21 @@ def _record_draws(monkeypatch):
     return log
 
 
+def _first_draws(log):
+    """The first draw of each chunk stream in log, in order.
+
+    Any later draw of a stream must be a random_raw: the further words a
+    bin-key draw takes after a rejection.
+    """
+    first = {}
+    for entry in log:
+        if entry[0] in first:
+            assert entry[1] == "random_raw", entry
+        else:
+            first[entry[0]] = entry
+    return list(first.values())
+
+
 def _record_fraction_rounds(monkeypatch):
     """Log the round indices of every round_fractions call, in the order they are made."""
     log = []
@@ -1328,8 +1505,8 @@ def _record_fraction_rounds(monkeypatch):
 
 @pytest.mark.parametrize("scenario,proto", [("double-bbm92", "bbm92"), ("double-ekert", "ekert")])
 def test_streamed_chunk_draws_a_fraction_only_for_each_settled_round(monkeypatch, scenario, proto):
-    # the chunk stream draws the m bin keys and nothing else; round_fractions
-    # is asked, over all its calls, for exactly the global indices of the
+    # the chunk stream draws the raw words of the m bin keys and nothing
+    # else; round_fractions is asked, over all its calls, for exactly the global indices of the
     # rounds the session's table settles, in round order, with and without
     # the audit
     pc = ProtocolConfig(protocol=proto, rounds=CHUNK_ROUNDS + 1234, seed=54)
@@ -1339,13 +1516,13 @@ def test_streamed_chunk_draws_a_fraction_only_for_each_settled_round(monkeypatch
         tables = protocol._bucket_tables(pc, sc, audit)
         expected, rounds = [], []
         for c, m in enumerate((CHUNK_ROUNDS, 1234)):
-            expected += [(("chunk", c), "integers", m)]
+            expected += [(("chunk", c), "random_raw", -(-m // 2))]
             local = np.flatnonzero(_settled_bins(pc, tables).take(_DRAW_BINS(pc, tables.grid, c)))
             rounds.append(c * CHUNK_ROUNDS + local)
         log, asked = _record_draws(monkeypatch), _record_fraction_rounds(monkeypatch)
         run_session(pc, sc, audit=audit)
         monkeypatch.undo()
-        assert log == expected, audit
+        assert _first_draws(log) == expected, audit
         settled[audit] = np.concatenate(rounds)
         np.testing.assert_array_equal(np.concatenate(asked), settled[audit])
         assert 0 < settled[audit].size < 0.05 * pc.rounds
@@ -1385,8 +1562,8 @@ def test_streamed_session_settles_its_rounds_in_bounded_batches(monkeypatch):
     ("double-ekert", policy.value) for policy in WeakSidePolicy
 ])
 def test_double_blind_columns_are_prefix_stable_across_a_partial_final_chunk(scenario, policy):
-    # the rounds of each kind in a final chunk are the first of that kind in a
-    # full chunk, so a shorter session's columns are the longer one's prefix
+    # a final chunk's bin keys, and so its rounds, are the first of a full
+    # chunk's, so a shorter session's columns are the longer one's prefix
     sc = ScenarioConfig(kind=scenario, weak_side_policy=policy)
     short, long = (
         SessionRecords.simulate(ProtocolConfig(protocol="ekert", rounds=rounds, seed=55), sc)
@@ -1398,12 +1575,13 @@ def test_double_blind_columns_are_prefix_stable_across_a_partial_final_chunk(sce
 
 
 def test_simulated_chunk_takes_a_fraction_for_every_round(monkeypatch):
-    # a per-round session decodes every round: the chunk stream draws its m
-    # bin keys, and round_fractions gives every round of the chunk its fraction
+    # a per-round session decodes every round: the chunk stream draws the raw
+    # words of its m bin keys, and round_fractions gives every round of the
+    # chunk its fraction
     pc = ProtocolConfig(protocol="ekert", rounds=CHUNK_ROUNDS + 1234, seed=56)
     log, asked = _record_draws(monkeypatch), _record_fraction_rounds(monkeypatch)
     SessionRecords.simulate(pc, ScenarioConfig(kind="double-ekert"))
-    assert log == [(("chunk", 0), "integers", CHUNK_ROUNDS), (("chunk", 1), "integers", 1234)]
+    assert _first_draws(log) == [(("chunk", 0), "random_raw", CHUNK_ROUNDS // 2), (("chunk", 1), "random_raw", 617)]
     assert len(asked) == 2
     np.testing.assert_array_equal(np.concatenate(asked), np.arange(pc.rounds))
 
