@@ -58,6 +58,21 @@ SUMMARY_NO_ORACLE_DIGESTS = {
     ("double-ekert", "ekert", 2): "e6341e1b39f76dc4bdd576dcc00e143ac7da809b049256bcdef00bb0236a12a4",
 }
 
+# the "oracle" block alone (_oracle_only) of every genuine-pair summary above
+# and in EXTRA_SUMMARY_DIGESTS: the expected values, which no change to the
+# genuine-pair draws may move. A --records dump carries no oracle block
+ORACLE_DIGESTS = {
+    ("honest", "bbm92", 1): "5cb95c90bf807647f85a225284b8cb1adfccb23459c2bf1539573a703f3d58f0",
+    ("honest", "bbm92", 2): "5cb95c90bf807647f85a225284b8cb1adfccb23459c2bf1539573a703f3d58f0",
+    ("honest", "ekert", 1): "c2aa37bd0f0d8f4a9e0a56a58afd79440112f157916880528a93c9fcea1445f4",
+    ("honest", "ekert", 2): "c2aa37bd0f0d8f4a9e0a56a58afd79440112f157916880528a93c9fcea1445f4",
+    ("single-blinding", "bbm92", 1): "230ac72b4d441b1cb4da44e8c2d852968363fc6869b76cd150772bf28ac3ee3e",
+    ("single-blinding", "bbm92", 2): "230ac72b4d441b1cb4da44e8c2d852968363fc6869b76cd150772bf28ac3ee3e",
+    ("honest", "bbm92", "--depolarize", "0.1"): "19569921cbe59b8ce85e476a20aa1938326ea5542bea0544fab3ddb0bf2cf0a4",
+    ("honest", "ekert", "--depolarize", "0.1"): "06846a5f9de6f1372db370a94d28ea4c22e28289d2afeeabcaa65c958217b431",
+    ("single-blinding", "bbm92", "--depolarize", "0.1"): "db4df969e9c8dc73f15d28ce76a51df743934ce63c05c89a1c5eeab1e2e32a2a",
+}
+
 # double-ekert ekert summaries, 150 000 rounds, seed 5, under the options the
 # default matrix leaves at their defaults
 OPTION_DIGESTS = {
@@ -176,6 +191,17 @@ def _without_oracle(out: str, fmt: str) -> str:
     return text.getvalue()
 
 
+def _oracle_only(out: str) -> str:
+    """A JSON summary's "oracle" block alone, as the summary indents it."""
+    return json.dumps(json.loads(out)["oracle"], indent=2) + "\n"
+
+
+def _assert_oracle_digest(out: str, config) -> None:
+    """A genuine-pair summary (one ORACLE_DIGESTS pins) keeps its oracle block's bytes."""
+    if config in ORACLE_DIGESTS:
+        assert _sha256(_oracle_only(out).encode()) == ORACLE_DIGESTS[config]
+
+
 def _without_key_audit(out: str, fmt: str) -> str:
     """A summary without Eve's sifted-key counters: the rest must not move when they do.
 
@@ -205,6 +231,11 @@ def test_every_double_blind_summary_has_a_key_audit_free_pin():
     assert set(double_blind) == set(NO_KEY_AUDIT_DIGESTS)
 
 
+def test_every_genuine_pair_summary_has_an_oracle_pin():
+    summaries = [*SUMMARY_DIGESTS, *EXTRA_SUMMARY_DIGESTS]
+    assert set(ORACLE_DIGESTS) == {c for c in summaries if c[0] in ("honest", "single-blinding")}
+
+
 @pytest.mark.parametrize(
     "scenario,protocol,seed", list(SUMMARY_DIGESTS), ids=lambda v: str(v)
 )
@@ -221,6 +252,7 @@ def test_run_summary_digest(capsys, scenario, protocol, seed):
         no_oracle = _without_oracle(out, "json").encode()
         assert _sha256(no_oracle) == SUMMARY_NO_ORACLE_DIGESTS[(scenario, protocol, seed)], f"workers={workers}"
         _assert_key_audit_free_digest(out, "json", (scenario, protocol, seed))
+        _assert_oracle_digest(out, (scenario, protocol, seed))
 
 
 @pytest.mark.parametrize("scenario,protocol", list(RECORDS_DIGESTS), ids=lambda v: str(v))
@@ -249,6 +281,7 @@ def test_run_extra_summary_digest(capsys, config):
         no_oracle = _without_oracle(out, "csv-summary" if "csv" in options else "json").encode()
         assert _sha256(no_oracle) == EXTRA_SUMMARY_NO_ORACLE_DIGESTS[config], f"workers={workers}"
         _assert_key_audit_free_digest(out, "csv-summary" if "csv" in options else "json", config)
+        _assert_oracle_digest(out, config)
 
 
 @pytest.mark.parametrize("config", list(RECORDS_OPTION_DIGESTS), ids=" ".join)
