@@ -12,6 +12,7 @@ post-selected on coincidences.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 import math
@@ -83,7 +84,11 @@ class ScenarioConfig:
 
     depolarize_prob applies to genuine entangled pairs only (honest rounds,
     and the Alice-Eve pair in single blinding); the faked-state scenarios
-    are fully classical and ignore it.
+    are fully classical. strong_intensity drives the faked-state pulses,
+    alpha and weak_side_policy the double-ekert weak pulse, and
+    single_blind_intensity the pulse Eve forwards under single blinding. A
+    field the kind does not read must keep its default, else ValueError: a
+    session would run as if it were unset.
     """
 
     kind: ScenarioKind
@@ -96,6 +101,22 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "kind", ScenarioKind(self.kind))
         object.__setattr__(self, "weak_side_policy", WeakSidePolicy(self.weak_side_policy))
+        ekert, double = self.kind is ScenarioKind.DOUBLE_BLIND_EKERT, self.kind in DOUBLE_BLIND_KINDS
+        unread = {
+            "alpha": not ekert,
+            "weak_side_policy": not ekert,
+            "strong_intensity": not double,
+            "single_blind_intensity": self.kind is not ScenarioKind.SINGLE_BLINDING,
+            "depolarize_prob": double,
+        }
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if unread.get(field.name) and value != field.default:
+                shown = [getattr(x, "value", x) for x in (field.default, value)]
+                raise ValueError(
+                    f"scenario {self.kind.value} does not read {field.name}: "
+                    f"leave it at its default {shown[0]}, got {shown[1]}"
+                )
         if not 0.0 <= self.depolarize_prob <= 1.0:
             raise ValueError(
                 f"depolarize_prob must lie in [0, 1], got {self.depolarize_prob}"
