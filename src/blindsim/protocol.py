@@ -3,23 +3,22 @@
 A session draws independent uniform settings for both stations each round,
 asks the configured source for that round's physics, and reduces each
 65536-round chunk to a count tensor and Eve-audit counters while the chunk
-is still in cache. A double-blind round is a function of its setting pair,
-its weak side and its hidden polarization lambda, and that function is
-constant over all but a few narrow bands of lambda. So a double-blind chunk
-draws each round's bin, (weak side, a_idx, b_idx, lambda bucket), as one
-bounded integer; a per-session table laid out in draw order gives the
-count-tensor cell of each bin, and only the rounds of bins that straddle a
-window edge or a click threshold, or where Eve's prediction differs, are
-gathered over several chunks, then decoded, settled and audited one by
-one, a batch at a time. Only those rounds take the
-fraction u in [0, 1) that places lambda within the bucket, a pure function
-of the seed and the round index (sources.round_fractions). The audit
-counts the rounds, and the rounds of the sifted key, where Eve's
-prediction differs from the outcome, so a streamed session states how
-much of the key she knows. The per-round transcript, plus whatever hidden
-side-information the scenario carries (the faked-state polarization, Eve's
-intercept results), is kept only by SessionRecords.simulate, which decodes
-the same draws, and takes the same fractions, for every round. The
+is still in cache. A chunk's one draw from its stream gives each round's
+bin as one bounded integer (_draw_bins), and a round its bin leaves open
+takes a fraction u in [0, 1) by its round index (sources.round_fractions).
+A genuine pair's bin is its setting pair, with Eve's basis under single
+blinding, and u's place among the pair's thresholds is its outcome pair. A
+double-blind bin is (weak side, a_idx, b_idx, lambda bucket), and the
+round is constant in lambda over all but a few narrow bands. So a
+per-session table laid out in draw order gives the count-tensor cell of
+each bin, and only the rounds of bins that straddle a window edge or a
+click threshold, or where Eve's prediction differs, are gathered over
+chunks, placed in their bucket by u, and settled and audited one by one, a
+batch at a time. The audit counts the rounds, and the rounds of the sifted
+key, where Eve's prediction differs from the outcome. The per-round
+transcript and the scenario's hidden side-information (the faked-state
+polarization, Eve's intercept results) are kept only by
+SessionRecords.simulate, which decodes the same draws for every round. The
 correlation estimators only ever look at public_rounds, and the parties'
 sifted bits only at the setting and outcome columns.
 """
@@ -54,9 +53,8 @@ from .sources import (
     WeakSidePolicy,
     chunk_stream,
     faked_pulse_params,
-    honest_outcome_codes,
     intercept_click_codes,
-    opposite_outcome_prob,
+    pair_thresholds,
     predict_outcome_codes,
     round_fractions,
     station_intensities,
@@ -401,22 +399,6 @@ def _open_chunk(pc: ProtocolConfig, chunk_index: int):
     return lo, min(pc.rounds, lo + CHUNK_ROUNDS) - lo, chunk_stream(pc.seed, chunk_index)
 
 
-def _kept(g: np.random.Generator, m: int, trim: bool, draw, per_word: int):
-    """The first m values of draw(CHUNK_ROUNDS), leaving the stream where that full draw leaves it.
-
-    With trim, only m values are drawn and advance skips the uint64 words
-    of the rest: per_word values fill one word (1 for a uniform double, 2
-    for a coin at range 2, whose bounded uint32 draw never rejects).
-    advance also drops a buffered uint32, so trim is right only when the
-    generator holds none before the draw.
-    """
-    if not trim:
-        return draw(CHUNK_ROUNDS)[:m]
-    values = draw(m)
-    g.bit_generator.advance(CHUNK_ROUNDS // per_word - -(-m // per_word))
-    return values
-
-
 # lambda buckets per session of a double-blind bin grid; halved until
 # n_a * n_b * 3 * buckets is at most _MAX_BINS, so the tables stay small for
 # up to 127 x 127 settings. The rule counts three weak sides, though a grid
@@ -532,8 +514,8 @@ def _lemire_words(bit_generator, n: int, reject_below: int, m: int) -> np.ndarra
     return words[:m]
 
 
-def _draw_bins(pc: ProtocolConfig, grid: _BinGrid, chunk_index: int) -> np.ndarray:
-    """A double-blind chunk's one draw from its chunk stream: each round's intp bin key.
+def _draw_bins(pc: ProtocolConfig, grid: _BinGrid | _PairTables, chunk_index: int) -> np.ndarray:
+    """A chunk's one draw from its chunk stream: each round's intp bin key (_BinGrid, _PairTables).
 
     The keys are those of g.integers(0, grid.key_range, m, dtype=np.int32),
     numpy's bounded draw by Lemire's multiply-shift ("Fast Random Integer
@@ -579,64 +561,76 @@ def _window_columns(stations, lam, a_idx, b_idx, weak):
     return a_idx, b_idx, out_a, out_b, weak, lam, None
 
 
-def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
-    """Simulate rounds [chunk*CHUNK_ROUNDS, ...) of the session.
+@dataclass(frozen=True, eq=False)
+class _PairTables:
+    """A genuine-pair session's tables; _draw_bins draws its bins as a _BinGrid's.
 
-    Returns the chunk's columns in _COLUMNS order; the setting indices are
-    int64 (intp for double blind), which index the setting tables faster
-    than int8. A double-blind chunk decodes every round of its bin draws
-    (_draw_bins), the draws a streamed session counts by bins, with each
-    round's fraction taken by its round index (round_fractions). Every chunk
-    draws in a fixed per-scenario order, as if each array had CHUNK_ROUNDS
-    values; the final chunk keeps the first m values of each and stops
-    drawing the rest where the stream allows (_kept), so per-round values
-    never depend on how many rounds the final chunk actually covers.
+    A round's bin is (a_idx, b_idx), or (a_idx, Eve's basis, b_idx) under
+    single blinding, and its flat index is the round's key. thresholds[j]
+    holds the j-th cumulative outcome threshold (pair_thresholds) of each
+    pair of Alice's setting and the second photon's, flat; bob_codes, under
+    single blinding, Bob's code per (Eve's basis, her outcome > 0, b_idx).
     """
-    if sc.kind in DOUBLE_BLIND_KINDS:
-        grid = _bin_grid(pc, sc)
-        key = _draw_bins(pc, grid, chunk_index)
-        lo = chunk_index * CHUNK_ROUNDS
-        u = round_fractions(pc.seed, np.arange(lo, lo + key.size))
-        return _window_columns(_stations(pc, sc), *grid.decode(u, key))
 
-    _, m, g = _open_chunk(pc, chunk_index)
-    alice = np.asarray(pc.alice_settings)
-    bob = np.asarray(pc.bob_settings)
-    # genuine pairs; under single blinding Eve measures the second photon in
-    # a basis from Bob's configured set, drawn right after Bob's setting.
-    # A setting draw can reject (at 3 settings, say), so it is drawn in full
-    single = sc.kind is ScenarioKind.SINGLE_BLINDING
-    a_idx = g.integers(0, alice.size, CHUNK_ROUNDS)[:m]
-    b_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m]
-    second_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m] if single else b_idx
-    # an odd number of rejections (rare) leaves a buffered uint32, which the
-    # coins read and advance would drop: then the draws below are not trimmed
-    trim = not g.bit_generator.state["has_uint32"]
-    coin = functools.partial(g.integers, 0, 2)
-    a_coin = _kept(g, m, trim, coin, 2)
-    u_flip = _kept(g, m, trim, g.random, 1)
-    # the replacement draws come last and are read only under depolarization
-    depol_u = a_repl = b_repl = None
-    if sc.depolarize_prob > 0.0:
-        depol_u = _kept(g, m, trim, g.random, 1)
-        a_repl = _kept(g, m, trim, coin, 2)
-        b_repl = coin(m)  # the last draw
-    # one opposite-outcome probability per setting pair, looked up per round
-    pair = np.multiply(a_idx, bob.size)
-    pair += second_idx
-    p_opp = opposite_outcome_prob(alice[:, None], bob).reshape(-1).take(pair)
-    out_a, out_b = honest_outcome_codes(p_opp, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob)
-    eve_out = None
+    n_b: int
+    thresholds: np.ndarray
+    bob_codes: np.ndarray | None
+    key_range: int
+    reject_below: int
+    parity: bool = False
+
+
+def _pair_tables(pc: ProtocolConfig, sc: ScenarioConfig) -> _PairTables:
+    """A genuine-pair session's tables (_PairTables); Eve measures in a basis from Bob's set."""
+    alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
+    thresholds = pair_thresholds(alice[:, None], bob, sc.depolarize_prob).reshape(3, -1)
+    bob_codes, key_range = None, alice.size * bob.size
+    if sc.kind is ScenarioKind.SINGLE_BLINDING:
+        # Bob's blinded station answers the pulse Eve forwards after her outcome, never 0
+        her_outcomes = np.array([[Outcome.MINUS], [Outcome.PLUS]])
+        bob_codes = intercept_click_codes(bob[:, None, None], her_outcomes, bob, sc).reshape(-1)
+        key_range *= bob.size
+    return _PairTables(bob.size, thresholds, bob_codes, key_range, 2**32 % key_range)
+
+
+def _pair_chunk(pc: ProtocolConfig, tables: _PairTables, chunk_index: int):
+    """A genuine-pair chunk's columns: each round's outcome pair is its fraction's place among its thresholds."""
+    key = _draw_bins(pc, tables, chunk_index)
+    lo = chunk_index * CHUNK_ROUNDS
+    u = round_fractions(pc.seed, np.arange(lo, lo + key.size))
+    n_b, single = tables.n_b, tables.bob_codes is not None
+    # a floor division and a product: np.divmod takes about twice as long
+    rest = key // n_b
+    b_idx = key - rest * n_b
+    # the photons' setting pair: (a_idx, Eve's basis) under single blinding, else (a_idx, b_idx)
+    pair, a_idx = (rest, rest // n_b) if single else (key, rest)
+    outcome = np.zeros(key.size, np.int8)
+    for t in tables.thresholds:
+        outcome += u >= t.take(pair)
+    # the outcome pair index is 2 * (x > 0) + (z > 0), x Alice's code and z the second photon's
+    out_a, out_b, eve_out = (outcome >> 1) * 2 - 1, (outcome & 1) * 2 - 1, None
     if single:
-        # Bob's blinded station answers the pulse Eve forwards: a table of 2 |B|^2 codes
-        # per (her basis, her outcome, which is never 0, his setting), keyed in place in int64
-        table = intercept_click_codes(bob[:, None, None], np.array([[Outcome.MINUS], [Outcome.PLUS]]), bob, sc)
-        key = np.multiply(second_idx, 2)
-        key += out_b > 0
-        key *= bob.size
-        key += b_idx
-        eve_out, out_b = out_b, table.reshape(-1).take(key)
-    return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, eve_out
+        code = (rest - a_idx * n_b) * 2 + (outcome & 1)  # (Eve's basis, her outcome > 0)
+        eve_out, out_b = out_b, tables.bob_codes.take(code * n_b + b_idx)
+    return a_idx, b_idx, out_a, out_b, np.zeros(key.size, np.int8), None, eve_out
+
+
+def _simulate_chunk(pc: ProtocolConfig, sc: ScenarioConfig, chunk_index: int):
+    """Simulate rounds [chunk*CHUNK_ROUNDS, ...) of the session: its columns in _COLUMNS order.
+
+    The setting indices are intp, which index the setting tables fastest. A
+    double-blind chunk decodes every round of its bin draws, the draws a
+    streamed session counts by bins, and a genuine-pair chunk places every
+    round's fraction among its thresholds (_pair_chunk). Either reads its
+    stream only in _draw_bins, which draws only the rounds the chunk keeps.
+    """
+    if sc.kind not in DOUBLE_BLIND_KINDS:
+        return _pair_chunk(pc, _pair_tables(pc, sc), chunk_index)
+    grid = _bin_grid(pc, sc)
+    key = _draw_bins(pc, grid, chunk_index)
+    lo = chunk_index * CHUNK_ROUNDS
+    u = round_fractions(pc.seed, np.arange(lo, lo + key.size))
+    return _window_columns(_stations(pc, sc), *grid.decode(u, key))
 
 
 @dataclass(frozen=True, eq=False)
@@ -893,8 +887,10 @@ def run_session(
         chunks = session_chunks(pc, sc, workers, functools.partial(_count_bins, pc, tables))
         reductions = (_settle(pc, sc, tables, audit, batch) for batch in _settle_batches(chunks, shape))
     else:
+        tables = _pair_tables(pc, sc)
+
         def per_chunk(c):
-            return _reduce_chunk(pc, sc, _simulate_chunk(pc, sc, c), audit)
+            return _reduce_chunk(pc, sc, _pair_chunk(pc, tables, c), audit)
         reductions = session_chunks(pc, sc, workers, per_chunk)
     return SessionCounts(pc, sc, pc.rounds, *_merge(reductions, shape))
 

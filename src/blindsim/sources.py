@@ -12,11 +12,10 @@ post-selected on coincidences.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,15 +25,11 @@ from .optics import PERIOD, Outcome, click_codes, quarter_turn, split_intensitie
 # coincidence-conditioned faked states
 DEFAULT_ALPHA = math.pi / (4.0 * math.sqrt(2.0))
 
-# rounds per RNG chunk; every chunk draws its arrays in a fixed order as if
-# each had CHUNK_ROUNDS values, so any per-round value is a pure function of
-# (seed, round index, config). A final chunk draws only the values it keeps
-# of each array whose stream use it can skip with advance, or that is drawn
-# last, with the values unchanged. A double-blind chunk draws one array, the
-# round's bin (weak side, settings, lambda bucket) as one bounded integer,
-# numpy's bounded int32 draw taken over the stream's raw words
-# (protocol._draw_bins); a round whose bin the chunk decodes takes its
-# fraction within the bucket by its round index (round_fractions)
+# rounds per RNG chunk; a chunk's one draw from its stream is one bounded
+# integer per round it keeps, the round's bin (protocol._draw_bins), and a
+# round its bin leaves open takes a fraction by its round index
+# (round_fractions). So a final chunk's rounds are a full chunk's first, and
+# any per-round value is a pure function of (seed, round index, config)
 CHUNK_ROUNDS = 1 << 16
 
 
@@ -83,12 +78,10 @@ class ScenarioConfig:
     """What the source between the two stations actually emits.
 
     depolarize_prob applies to genuine entangled pairs only (honest rounds,
-    and the Alice-Eve pair in single blinding); the faked-state scenarios
-    are fully classical. strong_intensity drives the faked-state pulses,
-    alpha and weak_side_policy the double-ekert weak pulse, and
-    single_blind_intensity the pulse Eve forwards under single blinding. A
-    field the kind does not read must keep its default, else ValueError: a
-    session would run as if it were unset.
+    and the Alice-Eve pair in single blinding), strong_intensity to the
+    faked-state pulses, alpha and weak_side_policy to double-ekert, and
+    single_blind_intensity to single blinding. Any other kind refuses a
+    value other than the default (ValueError), which it would ignore.
     """
 
     kind: ScenarioKind
@@ -102,20 +95,14 @@ class ScenarioConfig:
         object.__setattr__(self, "kind", ScenarioKind(self.kind))
         object.__setattr__(self, "weak_side_policy", WeakSidePolicy(self.weak_side_policy))
         ekert, double = self.kind is ScenarioKind.DOUBLE_BLIND_EKERT, self.kind in DOUBLE_BLIND_KINDS
-        unread = {
-            "alpha": not ekert,
-            "weak_side_policy": not ekert,
-            "strong_intensity": not double,
-            "single_blind_intensity": self.kind is not ScenarioKind.SINGLE_BLINDING,
-            "depolarize_prob": double,
-        }
-        for field in dataclasses.fields(self):
+        unread = {"alpha": not ekert, "weak_side_policy": not ekert, "strong_intensity": not double,
+                  "single_blind_intensity": self.kind is not ScenarioKind.SINGLE_BLINDING, "depolarize_prob": double}
+        for field in fields(self):
             value = getattr(self, field.name)
             if unread.get(field.name) and value != field.default:
-                shown = [getattr(x, "value", x) for x in (field.default, value)]
+                value, default = (getattr(x, "value", x) for x in (value, field.default))
                 raise ValueError(
-                    f"scenario {self.kind.value} does not read {field.name}: "
-                    f"leave it at its default {shown[0]}, got {shown[1]}"
+                    f"scenario {self.kind.value} does not read {field.name}: leave it at {default}, got {value}"
                 )
         if not 0.0 <= self.depolarize_prob <= 1.0:
             raise ValueError(
@@ -241,36 +228,27 @@ def faked_pulse_params(lam, cfg: ScenarioConfig, weak_side):
 def opposite_outcome_prob(theta_a, theta_b):
     """(1 + cos 2(theta_a - theta_b)) / 2: how often an ideal pair's outcomes disagree (vectorized).
 
-    A session evaluates it once per setting pair and looks each round's
-    value up by its pair, which gives the same bits as evaluating it per round.
+    A session evaluates it, through pair_thresholds, once per setting pair
+    and looks each round's thresholds up by its pair, which gives the same
+    bits as evaluating them per round.
     """
     return (1.0 + np.cos(2.0 * (np.asarray(theta_a) - np.asarray(theta_b)))) / 2.0
 
 
-def honest_outcome_codes(
-    p_opp,
-    a_coin,
-    u_flip,
-    depol_u,
-    a_repl,
-    b_repl,
-    depolarize_prob: float,
-):
-    """Outcome codes for ideal anticorrelated pairs at unit efficiency.
+def pair_thresholds(theta_a, theta_b, depolarize_prob: float) -> np.ndarray:
+    """Cumulative thresholds of a genuine pair's outcome pairs (vectorized): shape (3,) + the settings' shape.
 
-    The second outcome disagrees with the first with probability p_opp,
-    opposite_outcome_prob of the round's settings, which realizes the joint
-    law P(a, b) = (1 - a*b*cos 2(theta_a - theta_b)) / 4. With probability
-    depolarize_prob the pair is replaced by two independent fair coins;
-    depol_u, a_repl and b_repl are read only when it is positive.
+    The singlet law P(x, z) = (1 - x*z*cos 2(theta_a - theta_b)) / 4, read
+    off opposite_outcome_prob and mixed with 1/4 by depolarize_prob, summed
+    over (-, -), (-, +), (+, -), (+, +): a fraction u in [0, 1) gives the
+    index 2 * (x > 0) + (z > 0) as count(u >= t). Without depolarization,
+    equal settings give (-, -) and (+, +) no width, so the outcomes disagree.
     """
-    a = (2 * np.asarray(a_coin, dtype=np.int8) - 1).astype(np.int8)
-    b = np.where(u_flip < p_opp, -a, a).astype(np.int8)
-    if depolarize_prob > 0.0:
-        noisy = np.asarray(depol_u) < depolarize_prob
-        a = np.where(noisy, (2 * np.asarray(a_repl, dtype=np.int8) - 1), a).astype(np.int8)
-        b = np.where(noisy, (2 * np.asarray(b_repl, dtype=np.int8) - 1), b).astype(np.int8)
-    return a, b
+    p_opp = opposite_outcome_prob(theta_a, theta_b)
+    p = depolarize_prob
+    same = (1.0 - p) * (1.0 - p_opp) / 2.0 + p / 4.0
+    opposite = (1.0 - p) * p_opp / 2.0 + p / 4.0
+    return np.cumsum([same, opposite, opposite], axis=0)
 
 
 def intercept_pulse_directions(eve_basis, eve_outcome):

@@ -227,25 +227,38 @@ def test_expected_counts_fit_simulated_sessions(protocol_kwargs, scenario_kwargs
 
 
 # double-bbm92 under both protocols and double-ekert under every weak-side
-# policy, each at three seeds fixed before the one-draw bin layout first ran
-_BIN_DRAW_CASES = [("bbm92", "double-bbm92", "random"), ("ekert", "double-bbm92", "random")] + [
-    ("ekert", "double-ekert", policy) for policy in ("random", "alternate", "fixed-a", "fixed-b")
+# policy, each at three seeds fixed before the one-draw bin layout first ran;
+# the genuine-pair kernels with and without depolarization, at three seeds
+# fixed before their bin-key draw first ran
+_BIN_DRAW_CASES = [
+    pytest.param(protocol, {"kind": scenario, "weak_side_policy": policy}, (2201, 2202, 2203),
+                 id=f"{protocol}-{scenario}-{policy}")
+    for protocol, scenario, policy in [("bbm92", "double-bbm92", "random"), ("ekert", "double-bbm92", "random")]
+    + [("ekert", "double-ekert", policy) for policy in ("random", "alternate", "fixed-a", "fixed-b")]
+] + [
+    pytest.param(protocol, {"kind": scenario, "depolarize_prob": p}, (2851, 2852, 2853),
+                 id=f"{protocol}-{scenario}-depolarize-{p}")
+    for protocol, scenario in (("bbm92", "honest"), ("ekert", "honest"), ("bbm92", "single-blinding"))
+    for p in (0.0, 0.1)
 ]
-_BIN_DRAW_SEEDS = (2201, 2202, 2203)
 
 
-@pytest.mark.parametrize("protocol,scenario,policy", _BIN_DRAW_CASES)
-def test_bin_draws_fit_the_expected_counts(protocol, scenario, policy):
+@pytest.mark.parametrize("protocol,scenario_kwargs,seeds", _BIN_DRAW_CASES)
+def test_bin_draws_fit_the_expected_counts(protocol, scenario_kwargs, seeds):
     # a G-test of each audited session's count tensor against its expected
     # cells, and of the three sessions together (independent G statistics add,
-    # as do their degrees of freedom); Eve's audit finds no mismatch in any
-    sc = ScenarioConfig(kind=scenario, weak_side_policy=policy)
+    # as do their degrees of freedom); Eve's audit, where the scenario has
+    # one, finds no mismatch in any
+    sc = ScenarioConfig(**scenario_kwargs)
     total_g = total_dof = 0
-    for seed in _BIN_DRAW_SEEDS:
+    for seed in seeds:
         pc = ProtocolConfig(protocol=protocol, rounds=300_000, seed=seed)
         probs = expected_counts(pc, sc)
         session = run_session(pc, sc)
-        assert eve_prediction_report(session)["mismatched_outcomes"] == 0
+        report = eve_prediction_report(session)
+        assert (report is None) == (sc.kind.value == "honest")
+        if report is not None:
+            assert report.get("mismatched_outcomes", report.get("mismatched_clicks")) == 0
         counts = session.counts
         assert counts[probs == 0.0].sum() == 0
         possible = probs > 0.0

@@ -42,10 +42,10 @@ from blindsim.sources import (
     WeakSidePolicy,
     chunk_stream,
     faked_pulse_params,
-    honest_outcome_codes,
     intercept_click_codes,
     opposite_outcome_prob,
     predict_outcome_codes,
+    round_fractions,
     weak_intensity,
 )
 
@@ -154,8 +154,9 @@ def test_run_session_rejects_bad_combinations():
         run_session(ProtocolConfig(protocol="bbm92", rounds=10), ScenarioConfig(kind="honest"), workers=0)
 
 
-def test_run_session_deterministic_and_worker_independent():
+def test_run_session_deterministic_and_worker_independent(monkeypatch):
     # more rounds than one chunk, so the multi-chunk path is exercised
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     n = 70_000
     base = _session("double-ekert", "ekert", n, 9)
     again = _session("double-ekert", "ekert", n, 9)
@@ -167,6 +168,23 @@ def test_run_session_deterministic_and_worker_independent():
         np.testing.assert_array_equal(getattr(base, col), getattr(wide, col))
     other_seed = _session("double-ekert", "ekert", n, 10)
     assert not np.array_equal(base.outcome_a, other_seed.outcome_a)
+    # genuine pairs too, per round and streamed, at one worker and two
+    for scenario, proto, depolarize in (
+        ("honest", "bbm92", 0.0), ("honest", "ekert", 0.1), ("single-blinding", "bbm92", 0.0),
+        ("single-blinding", "bbm92", 0.1),
+    ):
+        pc = ProtocolConfig(protocol=proto, rounds=n, seed=9)
+        sc = ScenarioConfig(kind=scenario, depolarize_prob=depolarize)
+        one, two = (SessionRecords.simulate(pc, sc, workers=w) for w in (1, 2))
+        for col in ("a_idx", "b_idx", "outcome_a", "outcome_b", "weak_side"):
+            assert getattr(one, col).tobytes() == getattr(two, col).tobytes(), (scenario, col)
+        assert (one.eve_outcome is None) == (scenario == "honest")
+        if one.eve_outcome is not None:
+            assert one.eve_outcome.tobytes() == two.eve_outcome.tobytes()
+        streamed = [run_session(pc, sc, w) for w in (1, 2)]
+        for session in streamed:
+            assert session.counts.tobytes() == one.counts.tobytes(), scenario
+            assert session.eve_tally == one.eve_tally, scenario
 
 
 def test_run_session_prefix_stability():
@@ -583,26 +601,31 @@ def test_single_blinding_session_statistics():
 
 
 def _genuine_pair_reference(pc, sc, chunk_index):
-    """A genuine-pair chunk's columns from full-size draws sliced to the chunk.
+    """A genuine-pair chunk's columns, round by round, from numpy's bounded draw of its bin keys.
 
-    Under single blinding, Bob's codes come from intercept_click_codes round by round.
+    Each round's outcome pair comes from its own opposite_outcome_prob and
+    its fraction, and under single blinding Bob's code from its own
+    intercept_click_codes.
     """
     lo = chunk_index * CHUNK_ROUNDS
     m = min(pc.rounds, lo + CHUNK_ROUNDS) - lo
-    g = chunk_stream(pc.seed, chunk_index)
     alice, bob = np.asarray(pc.alice_settings), np.asarray(pc.bob_settings)
     single = sc.kind is ScenarioKind.SINGLE_BLINDING
-    a_idx, b_idx = (g.integers(0, n, CHUNK_ROUNDS)[:m] for n in (alice.size, bob.size))
-    eve_idx = g.integers(0, bob.size, CHUNK_ROUNDS)[:m] if single else b_idx
-    a_coin = g.integers(0, 2, CHUNK_ROUNDS)[:m]
-    u_flip, depol_u = g.random(CHUNK_ROUNDS)[:m], g.random(CHUNK_ROUNDS)[:m]
-    a_repl, b_repl = g.integers(0, 2, CHUNK_ROUNDS)[:m], g.integers(0, 2, CHUNK_ROUNDS)[:m]
-    p_opp = opposite_outcome_prob(alice[a_idx], bob[eve_idx])  # per round
-    out_a, out_b = honest_outcome_codes(p_opp, a_coin, u_flip, depol_u, a_repl, b_repl, sc.depolarize_prob)
+    shape = (alice.size, bob.size if single else 1, bob.size)
+    key = chunk_stream(pc.seed, chunk_index).integers(0, math.prod(shape), m, dtype=np.int32)
+    a_idx, eve_idx, b_idx = np.unravel_index(key, shape)
+    # P(x, z) = (1 - p)(1 - x z cos 2 delta)/4 + p/4 over (x, z) = (-,-), (-,+), (+,-), (+,+)
+    cos2 = 2.0 * opposite_outcome_prob(alice[a_idx], bob[eve_idx if single else b_idx]) - 1.0
+    p = sc.depolarize_prob
+    law = [(1.0 - p) * (1.0 - xz * cos2) / 4.0 + p / 4.0 for xz in (1, -1, -1)]
+    u = round_fractions(pc.seed, np.arange(lo, lo + m))
+    index = (u >= np.cumsum(law, axis=0)).sum(axis=0)
+    out_a = np.where(index >= 2, 1, -1).astype(np.int8)
+    second = np.where(index % 2 == 1, 1, -1).astype(np.int8)
     if not single:
-        return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, None
-    eve_out, out_b = out_b, intercept_click_codes(bob[eve_idx], out_b, bob[b_idx], sc)
-    return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, eve_out
+        return a_idx, b_idx, out_a, second, np.zeros(m, np.int8), None, None
+    out_b = intercept_click_codes(bob[eve_idx], second, bob[b_idx], sc)
+    return a_idx, b_idx, out_a, out_b, np.zeros(m, np.int8), None, second
 
 
 @pytest.mark.parametrize("bob_settings", [None, (0.1, 0.9, 2.0)])
@@ -624,31 +647,6 @@ def test_single_blinding_table_matches_per_round_intercepts(bob_settings, intens
         codes.update(np.unique(got[3]).tolist())
     # Bob's station both clicks and stays silent
     assert {-1, 0, 1} <= codes
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 1234, 3392, CHUNK_ROUNDS - 1, CHUNK_ROUNDS])
-def test_trimmed_genuine_pair_draws_equal_the_full_size_draws(m):
-    # a final chunk of m rounds draws only m values of its coins and
-    # uniforms and skips the rest with advance: its columns are those of
-    # full-size draws. At seed 398 the 127-setting draws of chunk 1 reject an
-    # odd number of times and leave a buffered uint32, so nothing is trimmed
-    many = {"alice_settings": _spread(127), "bob_settings": _spread(127)}
-    for scenario, proto, settings, seed in (
-        ("honest", "ekert", {}, 48), ("single-blinding", "bbm92", {}, 48), ("single-blinding", "bbm92", many, 398),
-    ):
-        for depolarize in (0.0, 0.1):
-            sc = ScenarioConfig(kind=scenario, depolarize_prob=depolarize)
-            pc = ProtocolConfig(protocol=proto, rounds=CHUNK_ROUNDS + m, seed=seed, **settings)
-            got = protocol._simulate_chunk(pc, sc, 1)
-            for name, col, ref in zip(protocol._COLUMNS, got, _genuine_pair_reference(pc, sc, 1)):
-                if ref is None:
-                    assert col is None, name
-                else:
-                    np.testing.assert_array_equal(col, ref, err_msg=f"{name} {scenario} {depolarize}")
-    g = chunk_stream(398, 1)
-    for _ in range(3):
-        g.integers(0, 127, CHUNK_ROUNDS)
-    assert g.bit_generator.state["has_uint32"]
 
 
 def test_chsh_score_matches_settings_modulo_pi():
@@ -1583,26 +1581,62 @@ def test_double_blind_columns_are_prefix_stable_across_a_partial_final_chunk(sce
     assert eve_prediction_report(short)["mismatched_outcomes"] == 0
 
 
+@pytest.mark.parametrize("depolarize", [0.0, 0.1])
+@pytest.mark.parametrize("scenario,proto", [("honest", "bbm92"), ("honest", "ekert"), ("single-blinding", "bbm92")])
+def test_genuine_pair_columns_are_prefix_stable_across_a_partial_final_chunk(scenario, proto, depolarize):
+    # as for double-blind sessions: a final chunk of m rounds, at any m and
+    # at 127 settings a side too, holds the first m rounds of a full chunk
+    sc = ScenarioConfig(kind=scenario, depolarize_prob=depolarize)
+    short, long = (
+        SessionRecords.simulate(ProtocolConfig(protocol=proto, rounds=rounds, seed=55), sc)
+        for rounds in (CHUNK_ROUNDS + 1234, 2 * CHUNK_ROUNDS)
+    )
+    for name in ("a_idx", "b_idx", "outcome_a", "outcome_b", "weak_side", "eve_outcome"):
+        ref = getattr(long, name)
+        if ref is None:
+            assert getattr(short, name) is None, name
+        else:
+            np.testing.assert_array_equal(getattr(short, name), ref[: len(short)], err_msg=name)
+    many = {"alice_settings": _spread(127), "bob_settings": _spread(127)}
+    full = protocol._simulate_chunk(ProtocolConfig(protocol=proto, rounds=2 * CHUNK_ROUNDS, seed=48, **many), sc, 1)
+    for m in (1, 2, 3, 3392, CHUNK_ROUNDS - 1):
+        pc = ProtocolConfig(protocol=proto, rounds=CHUNK_ROUNDS + m, seed=48, **many)
+        for name, col, ref in zip(protocol._COLUMNS, protocol._simulate_chunk(pc, sc, 1), full):
+            if ref is None:
+                assert col is None, name
+            else:
+                np.testing.assert_array_equal(col, ref[:m], err_msg=f"{name} m={m}")
+
+
 def test_simulated_chunk_takes_a_fraction_for_every_round(monkeypatch):
     # a per-round session decodes every round: the chunk stream draws the raw
     # words of its m bin keys, and round_fractions gives every round of the
-    # chunk its fraction
+    # chunk its fraction. A genuine-pair chunk, per-round or streamed, reads
+    # its stream the same way and takes a fraction for every round too
     pc = ProtocolConfig(protocol="ekert", rounds=CHUNK_ROUNDS + 1234, seed=56)
-    log, asked = _record_draws(monkeypatch), _record_fraction_rounds(monkeypatch)
-    SessionRecords.simulate(pc, ScenarioConfig(kind="double-ekert"))
-    assert _first_draws(log) == [(("chunk", 0), "random_raw", CHUNK_ROUNDS // 2), (("chunk", 1), "random_raw", 617)]
-    assert len(asked) == 2
-    np.testing.assert_array_equal(np.concatenate(asked), np.arange(pc.rounds))
-
-
-@pytest.mark.parametrize("depolarize,arrays", [(0.0, 4), (0.1, 7)])
-def test_genuine_pair_chunk_skips_the_replacement_draws_without_depolarization(monkeypatch, depolarize, arrays):
-    # a_idx, b_idx, a_coin and u_flip always; depol_u, a_repl and b_repl only
-    # when a pair can be replaced, since nothing else reads them
-    log = _record_draws(monkeypatch)
-    pc = ProtocolConfig(protocol="bbm92", rounds=1234, seed=57)
-    run_session(pc, ScenarioConfig(kind="honest", depolarize_prob=depolarize))
-    assert [entry[0] for entry in log] == [("chunk", 0)] * arrays
+    expected = [(("chunk", 0), "random_raw", CHUNK_ROUNDS // 2), (("chunk", 1), "random_raw", 617)]
+    many = {"alice_settings": _spread(127), "bob_settings": _spread(127)}
+    cases = [("ekert", {"kind": "double-ekert"}, {}, (SessionRecords.simulate,))] + [
+        (proto, kwargs, settings, (SessionRecords.simulate, run_session)) for proto, kwargs, settings in (
+            ("bbm92", {"kind": "honest"}, {}),
+            ("ekert", {"kind": "honest", "depolarize_prob": 0.1}, {}),
+            ("bbm92", {"kind": "single-blinding"}, {}),
+            ("bbm92", {"kind": "single-blinding", "depolarize_prob": 0.1}, many),
+        )
+    ]
+    continued = 0
+    for proto, kwargs, settings, runs in cases:
+        pc = ProtocolConfig(protocol=proto, rounds=CHUNK_ROUNDS + 1234, seed=56, **settings)
+        for run in runs:
+            log, asked = _record_draws(monkeypatch), _record_fraction_rounds(monkeypatch)
+            run(pc, ScenarioConfig(**kwargs))
+            monkeypatch.undo()
+            assert _first_draws(log) == expected, (kwargs, run)
+            assert len(asked) == 2
+            np.testing.assert_array_equal(np.concatenate(asked), np.arange(pc.rounds))
+            continued += len(log) - len(expected)
+    # the 127 x 127 x 127 single-blinding grid rejects words: its keys continue the same stream
+    assert continued > 0
 
 
 def test_unaudited_double_blind_session_runs_none_of_eves_arithmetic(monkeypatch):

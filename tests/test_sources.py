@@ -19,10 +19,10 @@ from blindsim.sources import (
     WeakSidePolicy,
     chunk_stream,
     faked_pulse_params,
-    honest_outcome_codes,
     intercept_click_codes,
     intercept_pulse_directions,
     opposite_outcome_prob,
+    pair_thresholds,
     predict_outcome_codes,
     round_fractions,
     sample_lambda,
@@ -37,16 +37,16 @@ BB84_BASES = (0.0, math.pi / 4.0)
 
 
 def _honest_pairs(rng, theta_a, theta_b, depolarize_prob=0.0):
-    """Outcome codes of genuine pairs, one round per entry of theta_a/theta_b."""
-    n = np.shape(theta_a)[0]
-    a_coin = rng.integers(0, 2, n)
-    u_flip = rng.random(n)
-    depol_u = rng.random(n)
-    a_repl = rng.integers(0, 2, n)
-    b_repl = rng.integers(0, 2, n)
-    return honest_outcome_codes(
-        opposite_outcome_prob(theta_a, theta_b), a_coin, u_flip, depol_u, a_repl, b_repl, depolarize_prob
-    )
+    """Outcome codes of genuine pairs, one round per entry of theta_a/theta_b.
+
+    A session's kernel looks each round's thresholds up in a table of
+    pair_thresholds per setting pair; here they are evaluated per round. A
+    round's outcome pair index 2 * (x > 0) + (z > 0) is the number of its
+    thresholds its fraction, a uniform double, reaches.
+    """
+    thresholds = pair_thresholds(theta_a, theta_b, depolarize_prob)
+    index = (rng.random(np.shape(theta_a)[0]) >= thresholds).sum(axis=0)
+    return ((index >> 1) * 2 - 1).astype(np.int8), ((index & 1) * 2 - 1).astype(np.int8)
 
 
 def _intercept(rng, n, theta_a=0.0):
@@ -334,9 +334,16 @@ def test_opposite_outcome_table_equals_the_per_round_values_bit_for_bit(alice, b
     assert table.shape == (alice.size, bob.size)
     per_round = opposite_outcome_prob(alice[a_idx], bob[b_idx])
     np.testing.assert_array_equal(table.reshape(-1).take(pair).view(np.uint64), per_round.view(np.uint64))
+    # and so is the session's threshold table, built from it
+    for p in (0.0, 0.1):
+        thresholds = pair_thresholds(alice[:, None], bob, p).reshape(3, -1).take(pair, axis=1)
+        per_round = pair_thresholds(alice[a_idx], bob[b_idx], p)
+        np.testing.assert_array_equal(thresholds.view(np.uint64), per_round.view(np.uint64))
 
 
 def test_honest_singlet_perfect_anticorrelation_at_matched_settings():
+    # the same-outcome pairs get no width, so every fraction in [0, 1) lands on (-, +) or (+, -)
+    np.testing.assert_array_equal(pair_thresholds(0.3, 0.3, 0.0), [0.0, 0.5, 1.0])
     a, b = _honest_pairs(chunk_stream(8, 0), np.full(200, 0.3), np.full(200, 0.3))
     assert set(a.tolist()) <= {Outcome.PLUS, Outcome.MINUS}
     np.testing.assert_array_equal(a, -b)
@@ -344,6 +351,7 @@ def test_honest_singlet_perfect_anticorrelation_at_matched_settings():
 
 def test_honest_singlet_perfect_correlation_at_crossed_settings():
     theta = 0.4
+    np.testing.assert_array_equal(pair_thresholds(theta, theta + math.pi / 2.0, 0.0), [0.5, 0.5, 0.5])
     a, b = _honest_pairs(
         chunk_stream(9, 0), np.full(200, theta), np.full(200, theta + math.pi / 2.0)
     )
@@ -361,6 +369,8 @@ def test_honest_singlet_cosine_law_and_balanced_marginals():
 
 
 def test_honest_singlet_full_depolarization_kills_correlation():
+    # a fully depolarized pair is two fair coins, at any settings
+    np.testing.assert_array_equal(pair_thresholds(0.0, np.array([0.0, 0.7]), 1.0), [[0.25] * 2, [0.5] * 2, [0.75] * 2])
     n = 200_000
     a, b = _honest_pairs(chunk_stream(11, 0), np.zeros(n), np.zeros(n), depolarize_prob=1.0)
     corr = float(np.mean(a.astype(np.int32) * b.astype(np.int32)))
