@@ -22,12 +22,12 @@ from blindsim.protocol import ProtocolConfig, run_session
 from blindsim.sources import ScenarioConfig
 
 SUMMARY_DIGESTS = {
-    ("honest", "bbm92", 1): "e469b3a6cd56cc929ed436b7becedb7041ca0901e70cb2f77b19555c656a928b",
-    ("honest", "bbm92", 2): "644397f9af49c09c3b2ded12a071a922f3a358bcff2a547cdb4c06db84d084e4",
-    ("honest", "ekert", 1): "857c25d732175a5f154ce09ad1bdcd03d3500d0459ec77e4519c43a033c17033",
-    ("honest", "ekert", 2): "99fbc09cb3de5bdba689bc2da878709ca94bfae3c68b2ca449b8e6a408a3a94d",
-    ("single-blinding", "bbm92", 1): "0ba9fc6a32c76deb0f204775d26137d3bbfe990d8bb652b7cfdb32c6f290ad10",
-    ("single-blinding", "bbm92", 2): "fdd075e5f181052adec58bc1d757306960c4abbf1dad93ce9bdd29cf476e8c26",
+    ("honest", "bbm92", 1): "2a69a0c1b63b4c0faab664eaba0a4ecfff4af6e98691cc057a10f2c0c7273579",
+    ("honest", "bbm92", 2): "2c5ddf8e34e0d65c1e235bda02771d07f61b9c6c7902412aa664f78ed72d2a50",
+    ("honest", "ekert", 1): "3d3473b82e97ed2f413b3a997db966209018ffb11acebdc0f8c48196d99fdf3d",
+    ("honest", "ekert", 2): "37ef0e6f4eb62401847986644334fa36c1c09a814be1a6e76bb000ebebdf6ac0",
+    ("single-blinding", "bbm92", 1): "256e16474195ce50fbe788e87b6e14d2143d50b387d9ae7be548f8ffc9a3ccdd",
+    ("single-blinding", "bbm92", 2): "e8d5665ac3928ca18d7a3b905a6e8d0796a6587f33058e122893aab9888ed515",
     ("double-bbm92", "bbm92", 1): "f2a5df1ee27ce0474a2bca43e0a21c6850100e3385933126624b71d221e323d8",
     ("double-bbm92", "bbm92", 2): "06c3bc921eb3b02b1fe99deb3b7700ed322c5c60315a814e8742581311174ebb",
     ("double-bbm92", "ekert", 1): "267800501ba86b78f68ba63b35519a886470d825f3ea9ba7322389de7c92a968",
@@ -42,12 +42,12 @@ SUMMARY_DIGESTS = {
 # sessions measured, which a change to the expected values leaves alone. The
 # same holds for each *_NO_ORACLE table below
 SUMMARY_NO_ORACLE_DIGESTS = {
-    ("honest", "bbm92", 1): "7f0d593b293d79a264144c16945a446b951ca00d6c1c75e813f6c0f24ceef3db",
-    ("honest", "bbm92", 2): "46ed8f687010ac86b614a9aaa772d2764ac9568c61a2a9e3d38d49a0e3ac94b8",
-    ("honest", "ekert", 1): "4596e134c48b269ec9b016f82b92ea336309ecccd2dd4dc3d90118429cf2568d",
-    ("honest", "ekert", 2): "6836a1e0a9319d23ccc6b511a942d49d3e9eccccfd5f9703b7c09cd05a0e7114",
-    ("single-blinding", "bbm92", 1): "b1e8a448af968b9d17c4ecb3eaeca1db8717a1fcdc7efe59043aadc4d07ccb47",
-    ("single-blinding", "bbm92", 2): "1e1d6314fe23289a7f5b2d333d41524a68ed6144ec9ea7a003a735bb2d8a6e95",
+    ("honest", "bbm92", 1): "0fcdd368ebb29f4754a0ac5674c5bc954eafcddc9a9d8dbdfd4594b8ef8ddb4e",
+    ("honest", "bbm92", 2): "08713b76afea61e330f4f5f0f25ef14b8dd8d7be7bbd6648bb9b24af69a1a950",
+    ("honest", "ekert", 1): "5c9f10ab6e02605a443608f78255032fc3750a284a2729a8c5fbf8fbf6785573",
+    ("honest", "ekert", 2): "9c9d57488bdc567b04749b9220c8f1f0fc5b3cef35eb31b38e320d58aafd2f15",
+    ("single-blinding", "bbm92", 1): "e624483daffed23a6f73859350e5fff3acfd6a623f154ce505c75de7841c9d0e",
+    ("single-blinding", "bbm92", 2): "6f8bc6bb905b8504b99ee1424f18a106001992037f5947a753a04f4ca3721753",
     ("double-bbm92", "bbm92", 1): "89b54a542a657ff714c0adde003a85aa63043d9aed75c67ea1cd7fa69ee90306",
     ("double-bbm92", "bbm92", 2): "146c374d87a3137624f1cba2e72d10d9b7b855e7dde0c8cd0b7883ea192d4c27",
     ("double-bbm92", "ekert", 1): "ca9da452e277f7ccc94d9fe70034ab5b9509bfe23bee98d120ad0461a873e9ec",
@@ -121,8 +121,8 @@ STRONG_1_5_DIGESTS = {
 
 # --records --eve-view dumps at 70 000 rounds (one full chunk plus a partial one), seed 3
 RECORDS_DIGESTS = {
-    ("honest", "ekert"): "854bcf2d900a77d6be217b6d99ee3a9c027cfcc01725f31b22ece59dd3e444f5",
-    ("single-blinding", "bbm92"): "0122a0cadd91070da3e64331683f9244670c81166d723a2a54a06e0e63a9750d",
+    ("honest", "ekert"): "5952d9f45b80e2de17e201cf422c6aa238fc5435f87a22f3928066c2ca21153a",
+    ("single-blinding", "bbm92"): "8fcbb73d47ef357d225b8793ceb85dc37a1bdb7ba3c2e803061795c80be88e15",
     ("double-bbm92", "bbm92"): "c689df27f2b8c340aff63288056ed520a7c3f2b4a68540e930dc3cebaf4fecb5",
     ("double-ekert", "ekert"): "48ca5335c69e49357e6d9d5881fcf3417c2868b5eb91f46c846c9122a9f1daa6",
 }
@@ -131,16 +131,16 @@ RECORDS_DIGESTS = {
 # genuine-pair kernels (replacement branch, single blinding's Alice-Eve pair)
 # and a --format csv summary
 EXTRA_SUMMARY_DIGESTS = {
-    ("honest", "bbm92", "--depolarize", "0.1"): "f532eaaf5a9cdd6c1cb9c9b794eda27325c147c4e597ab35539e27aa684a780e",
-    ("honest", "ekert", "--depolarize", "0.1"): "97ded12e4a8a24140cb371e5e90c6e6a05a23d47c82019702b394aabeb7ae27d",
-    ("single-blinding", "bbm92", "--depolarize", "0.1"): "0c73307f96d45674fc66b50e73544f3b2518cc82c96a70ddc2aa34bf0feb9cef",
+    ("honest", "bbm92", "--depolarize", "0.1"): "25be151d49de78d24b5cb4fc555c9898f3f0b87e9fdcd9881095932ba2abbf7e",
+    ("honest", "ekert", "--depolarize", "0.1"): "d0919551f825f20256ca0f6e6707ae9c33f8661b5fa8879deb89ee0fb3cfdd83",
+    ("single-blinding", "bbm92", "--depolarize", "0.1"): "e936e3d9ceedfc571f0ef0481b4e254e4caea76277f2365364b5735a11bfdd19",
     ("double-ekert", "ekert", "--format", "csv"): "a6f4bf486648060eb0c846d8f7a02a7d0c0fd0d26a07f0379124b3208eba8c12",
 }
 
 EXTRA_SUMMARY_NO_ORACLE_DIGESTS = {
-    ("honest", "bbm92", "--depolarize", "0.1"): "2524ed5257c95c17afd6dd81eb8a8936b5fe33e78b10f74dbd76589692719ac3",
-    ("honest", "ekert", "--depolarize", "0.1"): "d811a97ae5b525d9fbdf84975e623610ff741e45ad84beb27e03d8135783e1f5",
-    ("single-blinding", "bbm92", "--depolarize", "0.1"): "73940674db2207817f159806bcd7167d2456f2ae9baa4e8eede392695fa2bd11",
+    ("honest", "bbm92", "--depolarize", "0.1"): "9d5e2968e6691d2509cb3190f8676b3846cf421f842262d889c388c115c3243a",
+    ("honest", "ekert", "--depolarize", "0.1"): "4d732c5ff56988c6f215b389a264764e211d05fa593f3b923b78545fa3b6a35a",
+    ("single-blinding", "bbm92", "--depolarize", "0.1"): "7809af17ac973d90010c2ba46c2d948406a97c258c4a7b75f89c0019c27f2d8f",
     ("double-ekert", "ekert", "--format", "csv"): "fe8487bc608be2b97f7da130a28af5224b11b4fed0a5b5c38fd51a6013c966ea",
 }
 
@@ -148,8 +148,8 @@ EXTRA_SUMMARY_NO_ORACLE_DIGESTS = {
 # genuine pairs and the alternate weak-side policy with --eve-view, and the
 # writer's plain 6-column rows without it
 RECORDS_OPTION_DIGESTS = {
-    ("honest", "bbm92", "--depolarize", "0.1", "--eve-view"): "bf7628f38329eb2529ae84f08ca93888bc92ec91bad10f71e18e492669a3ac73",
-    ("single-blinding", "bbm92", "--depolarize", "0.1", "--eve-view"): "a76bf93a261856aedcaff1afea13c106f21521d55e19f6f283f02f21806b44ca",
+    ("honest", "bbm92", "--depolarize", "0.1", "--eve-view"): "2365dc90f429b4b7cba01ec7d939d8293a92661b08bbd442fa1703b730fa395b",
+    ("single-blinding", "bbm92", "--depolarize", "0.1", "--eve-view"): "83329b2bf3aaf19d78043cb7eca02eb1d491795ed8c69cb37cd1bdca1fb134ac",
     ("double-ekert", "ekert", "--weak-side", "alternate", "--eve-view"): "10450e9f8f4ddbc5f8a8a3e9b77d4feaf796d1cfd1ed9388dc162cc15295cf16",
     ("double-ekert", "ekert"): "6eed748cb5b2a529495fd895b59680475bec4946124f8adf23c0afbb171b4764",
 }
