@@ -577,7 +577,7 @@ class _PairTables:
     bob_codes: np.ndarray | None
     key_range: int
     reject_below: int
-    parity: bool = False
+    parity = False  # no key depends on its round's parity (_draw_bins)
 
 
 def _pair_tables(pc: ProtocolConfig, sc: ScenarioConfig) -> _PairTables:

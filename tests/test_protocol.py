@@ -1585,7 +1585,8 @@ def test_double_blind_columns_are_prefix_stable_across_a_partial_final_chunk(sce
 @pytest.mark.parametrize("scenario,proto", [("honest", "bbm92"), ("honest", "ekert"), ("single-blinding", "bbm92")])
 def test_genuine_pair_columns_are_prefix_stable_across_a_partial_final_chunk(scenario, proto, depolarize):
     # as for double-blind sessions: a final chunk of m rounds, at any m and
-    # at 127 settings a side too, holds the first m rounds of a full chunk
+    # at 127 settings a side too, holds the first m rounds of a full chunk,
+    # which are those of the per-round reference
     sc = ScenarioConfig(kind=scenario, depolarize_prob=depolarize)
     short, long = (
         SessionRecords.simulate(ProtocolConfig(protocol=proto, rounds=rounds, seed=55), sc)
@@ -1601,11 +1602,13 @@ def test_genuine_pair_columns_are_prefix_stable_across_a_partial_final_chunk(sce
     full = protocol._simulate_chunk(ProtocolConfig(protocol=proto, rounds=2 * CHUNK_ROUNDS, seed=48, **many), sc, 1)
     for m in (1, 2, 3, 3392, CHUNK_ROUNDS - 1):
         pc = ProtocolConfig(protocol=proto, rounds=CHUNK_ROUNDS + m, seed=48, **many)
-        for name, col, ref in zip(protocol._COLUMNS, protocol._simulate_chunk(pc, sc, 1), full):
+        got = protocol._simulate_chunk(pc, sc, 1)
+        for name, col, ref, per_round in zip(protocol._COLUMNS, got, full, _genuine_pair_reference(pc, sc, 1)):
             if ref is None:
-                assert col is None, name
+                assert col is None and per_round is None, name
             else:
                 np.testing.assert_array_equal(col, ref[:m], err_msg=f"{name} m={m}")
+                np.testing.assert_array_equal(col, per_round, err_msg=f"{name} m={m}")
 
 
 def test_simulated_chunk_takes_a_fraction_for_every_round(monkeypatch):
